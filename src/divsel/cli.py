@@ -6,14 +6,16 @@ gen-synth (write the synthesized benchmark as dense CSV), bench (objective
 and runtime across modes and k values). All JSON goes to stdout or
 --output with sorted keys.
 
-Exit status: 0 success, 2 usage error, 3 data error (parse/validation),
-4 oracle budget refusal, 1 violated guarantee or internal failure.
+Exit status: 0 success (also when the reader closes stdout early), 2 usage
+error, 3 data error (parse/validation), 4 oracle budget refusal, 1 violated
+guarantee or internal failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .data import (
@@ -305,6 +307,11 @@ def run(argv) -> int:
     except GuaranteeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    except BrokenPipeError:
+        # the reader closed stdout early (e.g. `| head`); point stdout at
+        # devnull so that the interpreter's final flush prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info import InfoCache
+from .data import Dataset
+from .info import PACKED_MAX_WIDTH, InfoCache, entropy_rows, nvi_distance_segments, pack_codes
 from .objective import ObjectiveConfig, SelectionState, marginal_g, marginal_g_rows
 
 TIE_BAND = 1e-12
@@ -78,6 +79,76 @@ def greedy_state(candidates, k: int, variant: GreedyVariant, cfg: ObjectiveConfi
 def greedy_select(candidates, k: int, variant: GreedyVariant, cfg: ObjectiveConfig, cache: InfoCache) -> list:
     """Ordered ids of min(k, |candidates|) greedily selected features."""
     return list(greedy_state(candidates, k, variant, cfg, cache).selected)
+
+
+def greedy_select_many(groups, k: int, variant: GreedyVariant, cfg: ObjectiveConfig, data: Dataset) -> list:
+    """greedy_select on each of several candidate groups, run in lockstep.
+
+    Each step picks once in every group that still needs a pick: one scoring
+    pass over all groups' candidates and one nvi_distance_segments call for
+    all groups' new distance rows. Every group gets exactly greedy_select's
+    picks for that group alone (same scores, bands and tie-breaks); batching
+    only saves the per-step overhead that many small groups would each pay.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    orders = [np.asarray(sorted(int(i) for i in g), dtype=np.int64) for g in groups]
+    if any(o.size == 0 for o in orders):
+        raise ValueError("no candidates")
+    if any(np.unique(o).size != o.size for o in orders):
+        raise ValueError("duplicate candidate ids")
+    sizes = np.array([o.size for o in orders])
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    order = np.concatenate(orders)
+    group = np.repeat(np.arange(len(orders)), sizes)
+    mat = data.feature_matrix[order]
+    cards = data.feature_cards[order]
+    packed = pack_codes(mat, int(cards.max())) if cards.max() <= PACKED_MAX_WIDTH else None
+    h_rows = entropy_rows(mat, cards, packed=packed)
+    mi_rows = cfg.mi_table[order]
+    limit = np.minimum(k, sizes)
+    picks = np.empty((len(orders), int(limit.max())), dtype=np.int64)
+    alive = np.ones(order.size, dtype=bool)
+    dist_sum = np.zeros(order.size, dtype=np.float64)
+    # per-group TopPTracker buffers
+    top = np.zeros((len(orders), cfg.n_labels, cfg.top_p), dtype=np.float64)
+    count = np.zeros(len(orders), dtype=np.int64)
+    w = variant.relevance_weight
+    for step in range(picks.shape[1]):
+        cand = np.flatnonzero(alive & (count < limit)[group])
+        cand_group = group[cand]
+        tau = np.where((count < cfg.top_p)[:, None], 0.0, top.min(axis=2))
+        rel = marginal_g_rows(mi_rows[cand], tau[cand_group])
+        if step == 0:
+            scores = rel
+        else:
+            scores = w * (cfg.relevance_scale * rel) + cfg.diversity_scale * dist_sum[cand]
+        # _band_argmax within each group's run of candidates
+        starts = np.flatnonzero(np.diff(cand_group, prepend=-1))
+        floor = np.maximum.reduceat(scores, starts) - TIE_BAND
+        hit = scores >= np.repeat(floor, np.diff(np.append(starts, cand.size)))
+        chosen = cand[np.minimum.reduceat(np.where(hit, np.arange(cand.size), cand.size), starts)]
+        g = cand_group[starts]
+        picks[g, step] = order[chosen]
+        # TopPTracker.insert for every picking group
+        row_mi = mi_rows[chosen]
+        fill = count[g] < cfg.top_p
+        top[g[fill], :, count[g[fill]]] = row_mi[fill]
+        full = g[~fill]
+        if full.size:
+            slot = top[full].argmin(axis=2)
+            current = np.take_along_axis(top[full], slot[:, :, None], axis=2)[:, :, 0]
+            f, lab = np.nonzero(row_mi[~fill] > current)
+            top[full[f], lab, slot[f, lab]] = row_mi[~fill][f, lab]
+        count[g] += 1
+        alive[chosen] = False
+        again = count[g] < limit[g]
+        if again.any():
+            segments = [(bounds[i], bounds[i + 1]) for i in g[again].tolist()]
+            rows = np.concatenate([np.arange(lo, hi) for lo, hi in segments])
+            # rows already picked get a sum too; they are never scored again
+            dist_sum[rows] += nvi_distance_segments(chosen[again], segments, mat, cards, h_rows, packed=packed)
+    return [picks[i, : limit[i]].tolist() for i in range(len(orders))]
 
 
 @dataclass(frozen=True)

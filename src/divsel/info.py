@@ -1,24 +1,44 @@
 """Entropy, mutual information, and the normalized variation-of-information
 distance over discrete columns, plus a memoizing cache.
 
-All quantities reduce per-cell terms of a contingency table with the counts
-sorted ascending and an explicit sequential accumulation over cells. Sorting
-makes transposed tables sum identically, so d(a, b) == d(b, a) bit-for-bit;
-sequential accumulation keeps a value independent of how many pairs are
-batched together and of zero-cell padding, so cached, batched, and one-off
-computations of the same pair agree exactly.
+Every quantity comes from one count kernel and one reduction. The kernel
+returns the exact integer joint counts of a target column against each row
+of a code matrix, by one of two paths chosen from the joint width
+``t_card * max(cards)`` alone:
+
+- up to ``PACKED_MAX_WIDTH`` cells, each code's one-hot indicator is packed
+  into uint64 bit words and a joint count is the popcount of an AND;
+- above it, each row's joint codes ``x * t_card + t`` are sorted and the run
+  lengths are the counts, so no zero cell is ever created and memory stays
+  O(rows x n).
+
+An entropy is one row's counts sorted ascending, each count c mapped through
+a table of ``-(p * log(p))`` for p = c / n, and the terms added left to right.
+Sorting makes transposed tables sum identically, so d(a, b) == d(b, a)
+bit-for-bit; zero counts add -0.0 and change nothing, so a value does not
+depend on the path, on how many pairs are batched together, or on padding.
+Cached, batched, and one-off computations of the same pair agree exactly.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 from .data import Dataset, DiscreteColumn
 
+# Joint widths t_card * max(cards) up to this take the packed-bit path; wider
+# tables sort joint codes.
+PACKED_MAX_WIDTH = 64
+
+# Rows per kernel block hold about this many cells, which bounds temporaries.
+_BLOCK_CELLS = 1 << 18
+
 
 def _as_codes(col) -> tuple[np.ndarray, int]:
     if isinstance(col, DiscreteColumn):
-        return col.codes.astype(np.int64, copy=False), col.cardinality
+        return col.codes, col.cardinality
     arr = np.asarray(col)
     if arr.ndim != 1:
         raise ValueError("column must be one-dimensional")
@@ -27,73 +47,185 @@ def _as_codes(col) -> tuple[np.ndarray, int]:
     if not np.issubdtype(arr.dtype, np.integer) and not np.issubdtype(arr.dtype, np.bool_):
         raise ValueError("raw columns must hold integer codes")
     uniq, codes = np.unique(arr, return_inverse=True)
-    return codes.astype(np.int64, copy=False), int(uniq.size)
+    return codes, int(uniq.size)
 
 
-def _entropy_rows(counts: np.ndarray, n: int, log_fn) -> np.ndarray:
-    """Entropy per row of a count matrix. Zero cells contribute nothing."""
-    counts = np.sort(counts, axis=1)
+def _packs(t_card: int, max_card: int) -> bool:
+    """Whether a joint table of this shape takes the packed-bit path."""
+    return int(t_card) * int(max_card) <= PACKED_MAX_WIDTH
+
+
+def pack_codes(mat: np.ndarray, card: int) -> np.ndarray:
+    """One-hot bit planes of a (rows, n) code matrix, shape (words, rows, card).
+
+    Bit b of word w of ``[w, r, v]`` is set iff ``mat[r, 64 * w + b] == v``;
+    padding bits are zero. Rows are packed a block at a time, so no full
+    boolean one-hot is materialized.
+    """
+    rows, n = mat.shape
+    words = -(-n // 64)
+    values = np.arange(card, dtype=mat.dtype)[:, None]
+    step = max(1, _BLOCK_CELLS // max(card * n, 1))
+    planes = np.zeros((rows, card, words * 8), dtype=np.uint8)
+    for lo in range(0, rows, step):
+        onehot = mat[lo : lo + step, None, :] == values
+        planes[lo : lo + step, :, : -(-n // 8)] = np.packbits(onehot, axis=2, bitorder="little")
+    return np.ascontiguousarray(planes.view(np.uint64).transpose(2, 0, 1))
+
+
+def _packed_counts(t_bits: np.ndarray, packed: np.ndarray) -> np.ndarray:
+    """Joint counts from bit planes: target (words, t_card) against rows
+    (words, b, card), as a (b, t_card * card) matrix."""
+    _, rows, card = packed.shape
+    t_card = t_bits.shape[1]
+    ones = np.bitwise_count(t_bits.T[:, :, None, None] & packed).sum(axis=1, dtype=np.intp)
+    return ones.transpose(1, 0, 2).reshape(rows, t_card * card)
+
+
+def _sorted_counts(t_codes: np.ndarray, t_card: int, mat: np.ndarray, width: int) -> np.ndarray:
+    """Joint counts as run lengths of each row's sorted joint codes, one
+    column per run of the row with the most runs; shorter rows are padded
+    with zero counts."""
+    rows, n = mat.shape
+    dtype = np.int32 if width <= np.iinfo(np.int32).max else np.int64
+    joint = mat.astype(dtype) * dtype(t_card) + t_codes.astype(dtype)
+    joint.sort(axis=1)
+    ends = np.ones((rows, n), dtype=bool)
+    np.not_equal(joint[:, 1:], joint[:, :-1], out=ends[:, :-1])
+    pos = np.arange(n, dtype=np.intp)
+    prev_end = np.full((rows, n), -1, dtype=np.intp)
+    np.maximum.accumulate(np.where(ends[:, :-1], pos[:-1], -1), axis=1, out=prev_end[:, 1:])
+    lengths = np.where(ends, pos - prev_end, 0)
+    lengths.sort(axis=1)
+    return lengths[:, n - int(ends.sum(axis=1).max()) :]
+
+
+@lru_cache(maxsize=16)
+def _term_table(n: int, log_fn) -> np.ndarray:
+    """``-(p * log_fn(p))`` for p = c / n, c = 0..n; the c = 0 term is -0.0."""
+    counts = np.arange(n + 1, dtype=np.int64)
     p = counts / float(n)
-    terms = -(p * log_fn(np.where(counts > 0, p, 1.0)))
-    total = np.zeros(terms.shape[0], dtype=np.float64)
-    for j in range(terms.shape[1]):
-        total = total + terms[:, j]
+    table = -(p * log_fn(np.where(counts > 0, p, 1.0)))
+    table.flags.writeable = False
+    return table
+
+
+def _entropy_from_counts(counts: np.ndarray, n: int, log_fn) -> np.ndarray:
+    """Entropy per row of a count matrix, which is sorted in place: terms of
+    the ascending counts, added left to right. Zero cells contribute nothing."""
+    counts.sort(axis=1)
+    table = _term_table(n, log_fn)
+    if counts.shape[0] < counts.shape[1]:
+        # few rows: one running sum per row costs less than a loop over
+        # columns; + 0.0 turns the -0.0 of an all -0.0 row into the 0.0
+        # that a sum started at 0.0 gives
+        return np.add.accumulate(table[counts], axis=1)[:, -1] + 0.0
+    terms = table[np.ascontiguousarray(counts.T)]
+    total = np.zeros(counts.shape[0], dtype=np.float64)
+    for column in terms:
+        total += column
     return total
 
 
-def _count_rows(mat: np.ndarray, width: int) -> np.ndarray:
-    """Per-row value counts for a (rows, n) code matrix, all codes < width."""
-    rows = mat.shape[0]
-    flat = mat.astype(np.int64, copy=False) + (np.arange(rows, dtype=np.int64) * width)[:, None]
-    return np.bincount(flat.ravel(), minlength=rows * width).reshape(rows, width)
-
-
-def _pair_count_rows(t_codes: np.ndarray, t_card: int, mat: np.ndarray, width: int) -> np.ndarray:
-    """Joint counts of a target column against every row of ``mat``.
-
-    ``width`` must be at least t_card times the largest row cardinality;
-    extra cells stay zero and do not affect the entropy reduction.
-    """
-    joint = mat.astype(np.int64, copy=False) * np.int64(t_card) + t_codes[None, :]
-    return _count_rows(joint, width)
-
-
-def entropy_rows(mat: np.ndarray, cards: np.ndarray, *, log_fn=np.log2) -> np.ndarray:
-    """Entropy of each row of a code matrix."""
-    n = mat.shape[1]
-    if n == 0:
-        raise ValueError("columns must have at least one value")
-    width = int(np.max(cards))
-    return _entropy_rows(_count_rows(mat, width), n, log_fn)
+def entropy_rows(mat: np.ndarray, cards: np.ndarray, *, log_fn=np.log2, packed=None) -> np.ndarray:
+    """Entropy of each row of a code matrix: its joint entropy with a
+    constant column."""
+    t_codes = np.zeros(mat.shape[1], dtype=np.int32)
+    return joint_entropy_rows(t_codes, 1, mat, cards, log_fn=log_fn, packed=packed)
 
 
 def joint_entropy_rows(
-    t_codes: np.ndarray, t_card: int, mat: np.ndarray, cards: np.ndarray, *, log_fn=np.log2
+    t_codes: np.ndarray, t_card: int, mat: np.ndarray, cards: np.ndarray, *, log_fn=np.log2, packed=None
 ) -> np.ndarray:
-    """Joint entropy of a target column with each row of a code matrix."""
-    n = t_codes.size
-    if mat.shape[1] != n:
+    """Joint entropy of a target column with each row of a code matrix: the
+    count kernel followed by the reduction, a block of rows at a time.
+
+    ``packed`` may hand over ``pack_codes(mat, c)`` for any ``c >= max(cards)``
+    when it is already built; it is used only on the packed-bit path.
+    """
+    t_codes = np.asarray(t_codes)
+    rows, n = mat.shape
+    if n == 0:
+        raise ValueError("columns must have at least one value")
+    if t_codes.size != n:
         raise ValueError("column lengths differ")
-    width = int(t_card) * int(np.max(cards))
-    return _entropy_rows(_pair_count_rows(t_codes, t_card, mat, width), n, log_fn)
+    max_card = int(np.max(cards))
+    width = int(t_card) * max_card
+    out = np.empty(rows, dtype=np.float64)
+    if _packs(t_card, max_card):
+        if packed is None:
+            packed = pack_codes(mat, max_card)
+        t_bits = pack_codes(t_codes[None, :], int(t_card))[:, 0, :]
+        step = max(1, _BLOCK_CELLS // (packed.shape[0] * width))
+        for lo in range(0, rows, step):
+            counts = _packed_counts(t_bits, packed[:, lo : lo + step])
+            out[lo : lo + step] = _entropy_from_counts(counts, n, log_fn)
+    else:
+        step = max(1, _BLOCK_CELLS // n)
+        for lo in range(0, rows, step):
+            counts = _sorted_counts(t_codes, t_card, mat[lo : lo + step], width)
+            out[lo : lo + step] = _entropy_from_counts(counts, n, log_fn)
+    return out
 
 
-def nvi_distance_rows(
-    t_codes, t_card, h_target, mat, cards, h_rows, *, log_fn=np.log2
-) -> np.ndarray:
-    """Normalized variation-of-information distance, target vs. each row."""
-    h_joint = joint_entropy_rows(t_codes, t_card, mat, cards, log_fn=log_fn)
+def _nvi(h_target, h_rows, h_joint) -> np.ndarray:
     mi = np.maximum(0.0, (h_target + h_rows) - h_joint)
-    safe = np.where(h_joint > 0.0, h_joint, 1.0)
-    dist = np.where(h_joint > 0.0, 1.0 - mi / safe, 0.0)
+    positive = h_joint > 0.0
+    dist = np.where(positive, 1.0 - mi / np.where(positive, h_joint, 1.0), 0.0)
     return np.clip(dist, 0.0, 1.0)
 
 
+def nvi_distance_rows(
+    t_codes, t_card, h_target, mat, cards, h_rows, *, log_fn=np.log2, packed=None
+) -> np.ndarray:
+    """Normalized variation-of-information distance, target vs. each row."""
+    h_joint = joint_entropy_rows(t_codes, t_card, mat, cards, log_fn=log_fn, packed=packed)
+    return _nvi(h_target, h_rows, h_joint)
+
+
+def nvi_distance_segments(
+    t_rows, segments, mat, cards, h_rows, *, log_fn=np.log2, packed=None
+) -> np.ndarray:
+    """Distances within row segments of one code matrix.
+
+    For each segment ``(lo, hi)`` with target row ``t``, the distance of row
+    ``t`` to each of rows ``lo:hi``, all segments' values concatenated.
+    Every value equals what nvi_distance_rows gives for that segment alone.
+    With ``packed = pack_codes(mat, max(cards))`` and only narrow joint
+    tables, the counts of all segments share one reduction; the target's bit
+    planes are its own row of ``packed``.
+    """
+    n = mat.shape[1]
+    t_cards = [int(cards[t]) for t in t_rows]
+    sizes = [hi - lo for lo, hi in segments]
+    rows = np.concatenate([np.arange(lo, hi) for lo, hi in segments])
+    h_target = h_rows[np.repeat(np.asarray(t_rows), sizes)]
+    if packed is None or not _packs(max(t_cards), int(np.max(cards))):
+        h_joint = [
+            joint_entropy_rows(mat[t], c, mat[lo:hi], cards[lo:hi], log_fn=log_fn)
+            for t, c, (lo, hi) in zip(t_rows, t_cards, segments)
+        ]
+        return _nvi(h_target, h_rows[rows], np.concatenate(h_joint))
+    words, _, card = packed.shape
+    width = max(t_cards) * card
+    counts = np.zeros((rows.size, width), dtype=np.intp)
+    step = max(1, _BLOCK_CELLS // (words * width))
+    at = 0
+    for t, c, (lo, hi) in zip(t_rows, t_cards, segments):
+        for b in range(lo, hi, step):
+            block = _packed_counts(packed[:, t, :c], packed[:, b : min(b + step, hi)])
+            counts[at : at + block.shape[0], : c * card] = block
+            at += block.shape[0]
+    step = max(1, _BLOCK_CELLS // width)
+    h_joint = [_entropy_from_counts(counts[b : b + step], n, log_fn) for b in range(0, rows.size, step)]
+    return _nvi(h_target, h_rows[rows], np.concatenate(h_joint))
+
+
 def normalized_mi_rows(
-    t_codes, t_card, h_target, mat, cards, h_rows, *, log_fn=np.log2
+    t_codes, t_card, h_target, mat, cards, h_rows, *, log_fn=np.log2, packed=None
 ) -> np.ndarray:
     """Mutual information scaled by sqrt(H(a) H(b)), target vs. each row."""
-    h_joint = joint_entropy_rows(t_codes, t_card, mat, cards, log_fn=log_fn)
+    h_joint = joint_entropy_rows(t_codes, t_card, mat, cards, log_fn=log_fn, packed=packed)
     mi = np.maximum(0.0, (h_target + h_rows) - h_joint)
     prod = h_target * h_rows
     denom = np.sqrt(np.where(prod > 0.0, prod, 1.0))
@@ -176,7 +308,7 @@ class ContingencyTable:
         b_codes, b_card = _as_codes(b)
         if a_codes.size != b_codes.size:
             raise ValueError("column lengths differ")
-        flat = a_codes * b_card + b_codes
+        flat = a_codes.astype(np.int64) * b_card + b_codes
         joint = np.bincount(flat, minlength=a_card * b_card).reshape(a_card, b_card)
         return cls(joint, a_codes.size)
 
@@ -208,6 +340,8 @@ class InfoCache:
         self._umat = None
         self._ucards = None
         self._uH = None
+        self._umax = None
+        self._upacked = None
 
     @property
     def data(self) -> Dataset:
@@ -229,11 +363,7 @@ class InfoCache:
         h = self._entropies.get(cid)
         if h is None:
             col = self._column(cid)
-            h = float(
-                entropy_rows(
-                    col.codes[None, :].astype(np.int64), np.array([col.cardinality])
-                )[0]
-            )
+            h = float(entropy_rows(col.codes[None, :], np.array([col.cardinality]))[0])
             self._entropies[cid] = h
         return h
 
@@ -241,10 +371,20 @@ class InfoCache:
         if self._umat is None:
             self._umat = self._data.feature_matrix[self._universe]
             self._ucards = self._data.feature_cards[self._universe]
-            self._uH = entropy_rows(self._umat, self._ucards)
-            for pos, cid in enumerate(self._universe):
-                self._entropies.setdefault(int(cid), float(self._uH[pos]))
+            self._umax = int(np.max(self._ucards))
+            self._uH = entropy_rows(self._umat, self._ucards, packed=self._packed(1))
+            for cid, h in zip(self._universe.tolist(), self._uH.tolist()):
+                self._entropies.setdefault(cid, h)
         return self._umat, self._ucards, self._uH
+
+    def _packed(self, t_card: int):
+        """The universe's bit planes if a target with ``t_card`` values takes
+        the packed path against it, else None. Packed once, on first use."""
+        if not _packs(t_card, self._umax):
+            return None
+        if self._upacked is None:
+            self._upacked = pack_codes(self._umat, self._umax)
+        return self._upacked
 
     def distance_block(self, target_id: int, ids) -> np.ndarray:
         """d(target, u) for each u in ids; ids must lie in the universe."""
@@ -253,18 +393,20 @@ class InfoCache:
             col = self._column(target_id)
             mat, cards, h_rows = self._universe_arrays()
             row = nvi_distance_rows(
-                col.codes.astype(np.int64),
+                col.codes,
                 col.cardinality,
                 self.entropy(target_id),
                 mat,
                 cards,
                 h_rows,
+                packed=self._packed(col.cardinality),
             )
             row.flags.writeable = False
             self._rows[target_id] = row
         ids = np.asarray(ids, dtype=np.int64)
         pos = np.searchsorted(self._universe, ids)
-        if np.any(pos >= self._universe.size) or np.any(self._universe[pos] != ids):
+        # an id past the end clips onto the last universe id, which differs
+        if np.any(self._universe.take(pos, mode="clip") != ids):
             raise ValueError("id outside this cache's feature universe")
         return row[pos]
 
@@ -284,10 +426,10 @@ class InfoCache:
                 a, b = self._column(i), self._column(j)
                 val = float(
                     nvi_distance_rows(
-                        a.codes.astype(np.int64),
+                        a.codes,
                         a.cardinality,
                         self.entropy(i),
-                        b.codes[None, :].astype(np.int64),
+                        b.codes[None, :],
                         np.array([b.cardinality]),
                         np.array([self.entropy(j)]),
                     )[0]
@@ -306,10 +448,10 @@ class InfoCache:
             a, b = self._column(i), self._column(j)
             val = float(
                 normalized_mi_rows(
-                    a.codes.astype(np.int64),
+                    a.codes,
                     a.cardinality,
                     self.entropy(i),
-                    b.codes[None, :].astype(np.int64),
+                    b.codes[None, :],
                     np.array([b.cardinality]),
                     np.array([self.entropy(j)]),
                 )[0]
@@ -328,12 +470,13 @@ class InfoCache:
                 lab = self._data.labels[j]
                 cols.append(
                     normalized_mi_rows(
-                        lab.codes.astype(np.int64),
+                        lab.codes,
                         lab.cardinality,
                         self.entropy(d + j),
                         mat,
                         cards,
                         h_rows,
+                        packed=self._packed(lab.cardinality),
                     )
                 )
             table = np.column_stack(cols)

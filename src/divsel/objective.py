@@ -108,8 +108,9 @@ class TopPTracker:
 
 
 def marginal_g_rows(mi_rows: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Relevance gain of each candidate row given per-label thresholds."""
-    gains = np.maximum(mi_rows - tau[None, :], 0.0)
+    """Relevance gain of each candidate row given per-label thresholds:
+    one (n_labels,) row for all candidates, or one row per candidate."""
+    gains = np.maximum(mi_rows - tau, 0.0)
     total = np.zeros(gains.shape[0], dtype=np.float64)
     for j in range(gains.shape[1]):
         total = total + gains[:, j]

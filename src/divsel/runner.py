@@ -21,7 +21,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .data import Dataset
-from .greedy import GreedyVariant, greedy_select
+from .greedy import GreedyVariant, greedy_select, greedy_select_many
 from .info import InfoCache
 from .objective import ObjectiveConfig, diversity, relevance_g
 
@@ -153,15 +153,18 @@ def centralized_select(
 _WORK = None
 
 
-def _machine_job(machine_index: int) -> list:
+def _machine_job(machine_indices: list) -> list:
     data, cfg, k, variant, machine_ids = _WORK
-    ids = machine_ids[machine_index]
-    cache = InfoCache(data, feature_ids=ids)
-    return greedy_select(ids, k, variant, cfg, cache)
+    return greedy_select_many([machine_ids[i] for i in machine_indices], k, variant, cfg, data)
 
 
 def _run_machines(data, cfg, k, variant, machine_ids, parallelism: int) -> list:
-    """Per-machine core sets, in machine order regardless of scheduling."""
+    """Per-machine core sets, in machine order regardless of scheduling.
+
+    With parallelism, each worker runs its share of the machines in
+    lockstep (greedy_select_many), which picks exactly what greedy_select
+    picks one machine at a time, as the serial path and streaming do.
+    """
     global _WORK
     jobs = [i for i in range(len(machine_ids)) if machine_ids[i].size > 0]
     results = [[] for _ in machine_ids]
@@ -169,9 +172,11 @@ def _run_machines(data, cfg, k, variant, machine_ids, parallelism: int) -> list:
         _WORK = (data, cfg, k, variant, machine_ids)
         try:
             workers = min(parallelism, len(jobs))
+            shares = [jobs[w::workers] for w in range(workers)]
             with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork")) as ex:
-                for i, sel in zip(jobs, ex.map(_machine_job, jobs)):
-                    results[i] = sel
+                for share, sels in zip(shares, ex.map(_machine_job, shares)):
+                    for i, sel in zip(share, sels):
+                        results[i] = sel
         finally:
             _WORK = None
     else:

@@ -233,6 +233,24 @@ def test_bench_cli_payload(small_csv):
     assert doc["dataset"]["n_features"] == 10
 
 
+def test_gen_synth_into_closed_pipe_exits_quietly():
+    env = dict(os.environ)
+    pkg_parent = str(Path(divsel.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_parent, env.get("PYTHONPATH")]))
+    launcher = "import sys; from divsel.cli import main; sys.exit(main())"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", launcher, "gen-synth", "--seed", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 0, err
+    assert "Traceback" not in err
+
+
 def test_declared_console_script(tmp_path, small_csv):
     # runs the [project.scripts] target in a fresh interpreter the way a
     # generated console script does, so no install is needed

@@ -8,6 +8,7 @@ from divsel.greedy import (
     TIE_BAND,
     GreedyVariant,
     greedy_select,
+    greedy_select_many,
     greedy_state,
     niceness_witness,
     select_first,
@@ -194,3 +195,29 @@ def test_greedy_never_beats_oracle():
         for variant in GreedyVariant:
             ids = greedy_select(range(9), 3, variant, cfg, cache)
             assert subset_value(ids, cfg, cache) <= opt.value + 1e-9
+
+
+@pytest.mark.parametrize("card_hi", [4, 40])
+def test_lockstep_groups_match_one_group_at_a_time(card_hi):
+    # planted duplicates give exact ties; card_hi=40 makes joint tables wide
+    rng = np.random.default_rng(card_hi)
+    for seed in range(6):
+        data, cache = instance_with_cache(seed=300 + seed, d=60, n=48, t=3, card_hi=card_hi)
+        cfg = weighted_cfg(cache, k=int(rng.integers(1, 14)), lam=float(rng.choice([0.0, 0.5, 1.0])), p=3)
+        groups = [g for g in np.array_split(rng.permutation(60), int(rng.integers(1, 7)))]
+        groups.append(rng.choice(60, size=2, replace=False))  # smaller than k
+        groups = [g for g in groups if g.size]
+        for variant in GreedyVariant:
+            alone = [greedy_select(g, cfg.k, variant, cfg, InfoCache(data, feature_ids=g)) for g in groups]
+            assert greedy_select_many(groups, cfg.k, variant, cfg, data) == alone
+
+
+def test_lockstep_rejects_bad_groups():
+    data, cache = instance_with_cache(seed=1, d=6, n=12, t=1)
+    cfg = weighted_cfg(cache, k=2, lam=0.5)
+    with pytest.raises(ValueError):
+        greedy_select_many([[0, 1], []], 2, GreedyVariant.GREEDY, cfg, data)
+    with pytest.raises(ValueError):
+        greedy_select_many([[0, 0, 1]], 2, GreedyVariant.GREEDY, cfg, data)
+    with pytest.raises(ValueError):
+        greedy_select_many([[0, 1]], 0, GreedyVariant.GREEDY, cfg, data)

@@ -1,17 +1,21 @@
 """Information kernels: hand values, conventions, exactness guarantees."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from divsel.data import dataset_from_matrices
+from divsel.data import BinningSpec, Dataset, DiscreteColumn, dataset_from_matrices
 from divsel.info import (
     ContingencyTable,
     InfoCache,
     entropy,
     entropy_rows,
     joint_entropy,
+    joint_entropy_rows,
     mutual_information,
     normalized_mi,
+    normalized_mi_rows,
     nvi_distance,
     nvi_distance_rows,
 )
@@ -209,3 +213,107 @@ def test_label_column_ids():
     assert cache.entropy(6) == entropy(data.labels[0].codes)
     with pytest.raises(ValueError):
         cache.entropy(99)
+
+
+def _ref_entropy(counts, n):
+    """The documented reduction: counts sorted ascending, one term
+    -(p * log2 p) per cell, added left to right from 0.0."""
+    c = np.sort(np.ravel(counts))
+    p = c / float(n)
+    terms = -(p * np.log2(np.where(c > 0, p, 1.0)))
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
+
+
+def _ref_pair(a, b):
+    """(H(a), H(b), H(a, b)) from ContingencyTable counts."""
+    tab = ContingencyTable.from_columns(a, b)
+    return (
+        _ref_entropy(tab.row_marginal, tab.n),
+        _ref_entropy(tab.col_marginal, tab.n),
+        _ref_entropy(tab.joint, tab.n),
+    )
+
+
+def _ref_nvi(ha, hb, hab):
+    mi = max(0.0, (ha + hb) - hab)
+    return min(1.0, max(0.0, 1.0 - mi / hab)) if hab > 0.0 else 0.0
+
+
+def _ref_nmi(ha, hb, hab):
+    mi = max(0.0, (ha + hb) - hab)
+    prod = ha * hb
+    return min(1.0, max(0.0, mi / np.sqrt(prod))) if prod > 0.0 else 0.0
+
+
+def _equivalence_columns(n, rng):
+    """Columns of cardinality 1..6 (capped at n) plus one all-distinct one."""
+    cols = []
+    for card in range(1, 7):
+        card = min(card, n)
+        codes = rng.integers(0, card, n)
+        codes[:card] = rng.permutation(card)
+        cols.append(DiscreteColumn(codes, card))
+    cols.append(DiscreteColumn.from_values(rng.permutation(n).astype(float), BinningSpec("none")))
+    return cols
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_kernel_matches_contingency_reference_bitwise(n):
+    rng = np.random.default_rng(100 + n)
+    feats = _equivalence_columns(n, rng)
+    binary = rng.integers(0, 2, n)
+    binary[: min(2, n)] = np.arange(min(2, n))
+    targets = [DiscreteColumn(np.zeros(n, dtype=int), 1), DiscreteColumn(binary, int(binary.max()) + 1)]
+    # with the all-distinct row every joint table is wide; without it most are narrow
+    for rows in (feats, feats[:-1]):
+        mat = np.vstack([f.codes for f in rows])
+        cards = np.array([f.cardinality for f in rows])
+        h_rows = entropy_rows(mat, cards)
+        assert h_rows.tolist() == [_ref_pair(f, f)[0] for f in rows]
+        for t in feats + targets:
+            refs = [_ref_pair(t, f) for f in rows]
+            h_t = refs[0][0]
+            assert entropy(t) == h_t
+            h_joint = joint_entropy_rows(t.codes, t.cardinality, mat, cards)
+            assert h_joint.tolist() == [r[2] for r in refs]
+            dist = nvi_distance_rows(t.codes, t.cardinality, h_t, mat, cards, h_rows)
+            assert dist.tolist() == [_ref_nvi(*r) for r in refs]
+            nmi = normalized_mi_rows(t.codes, t.cardinality, h_t, mat, cards, h_rows)
+            assert nmi.tolist() == [_ref_nmi(*r) for r in refs]
+
+    data = Dataset(feats, [f"f{i}" for i in range(len(feats))], targets, ["const", "bin"], n)
+    d = data.n_features
+    # the whole universe (all-distinct column included) and its low-cardinality part
+    for ids in (np.arange(d), np.arange(d - 1)):
+        cache = InfoCache(data, feature_ids=ids)
+        table = cache.mi_table()
+        for j, t in enumerate(targets):
+            assert table[:, j].tolist() == [_ref_nmi(*_ref_pair(feats[i], t)) for i in ids]
+        for cid in range(d + len(targets)):
+            t = (feats + targets)[cid]
+            assert cache.distance_block(cid, ids).tolist() == [
+                _ref_nvi(*_ref_pair(t, feats[i])) for i in ids
+            ]
+
+
+def test_distance_row_memory_is_linear_in_rows_times_n():
+    # all-distinct columns: the joint table is 600 x 600 cells per row, but
+    # the kernel must never hold more than a constant multiple of rows x n
+    rng = np.random.default_rng(21)
+    rows, n = 8, 600
+    cols = [DiscreteColumn.from_values(v, BinningSpec("none")) for v in rng.normal(size=(rows, n))]
+    assert all(c.cardinality == n for c in cols)
+    mat = np.vstack([c.codes for c in cols])
+    cards = np.array([c.cardinality for c in cols])
+    h_rows = entropy_rows(mat, cards)
+    target = cols[0]
+    tracemalloc.start()
+    try:
+        nvi_distance_rows(target.codes, target.cardinality, float(h_rows[0]), mat, cards, h_rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * rows * n * 8
