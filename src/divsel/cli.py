@@ -130,13 +130,27 @@ def _load_dataset(args, parser):
     return load_sparse_multilabel(stream, args.n_features, args.n_labels, binning=binning)
 
 
+def _to_stdout(write) -> None:
+    """Run ``write(sys.stdout)`` and flush. A reader that closes the pipe
+    early (e.g. ``| head``) is not an error: the rest of the output is
+    dropped and stdout is pointed at devnull, so that the interpreter's
+    final flush prints nothing."""
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(payload, output: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        _to_stdout(lambda out: out.write(text))
 
 
 def _check_positive(parser, value, flag):
@@ -215,7 +229,7 @@ def _cmd_gen_synth(args, parser) -> int:
     if args.output:
         write_dense_csv(data, args.output)
     else:
-        write_dense_csv(data, sys.stdout)
+        _to_stdout(lambda out: write_dense_csv(data, out))
     return EXIT_OK
 
 
@@ -307,11 +321,6 @@ def run(argv) -> int:
     except GuaranteeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except BrokenPipeError:
-        # the reader closed stdout early (e.g. `| head`); point stdout at
-        # devnull so that the interpreter's final flush prints nothing
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
 
 
 def main(argv=None) -> int:

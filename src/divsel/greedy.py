@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-from .info import PACKED_MAX_WIDTH, InfoCache, entropy_rows, nvi_distance_segments, pack_codes
+from .info import InfoCache
 from .objective import ObjectiveConfig, SelectionState, marginal_g, marginal_g_rows
 
 TIE_BAND = 1e-12
@@ -35,120 +34,78 @@ class GreedyVariant(enum.Enum):
         return 1.0 if self is GreedyVariant.GREEDY else 0.5
 
 
-def _band_argmax(ids: np.ndarray, scores: np.ndarray) -> int:
-    """Smallest id whose score is within TIE_BAND of the maximum.
+def _per_run(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """values[j] repeated over run j; a single run's value broadcasts as is."""
+    return values[0] if values.shape[0] == 1 else np.repeat(values, lengths, axis=0)
 
-    ids must be ascending. The winner depends only on the score values, not
-    on candidate enumeration order.
+
+def _band_argmax(ids: np.ndarray, scores: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """In each run of ``lengths[j]`` candidates from ``starts[j]``, the
+    smallest id whose score is within TIE_BAND of the run's maximum.
+
+    ids must ascend within each run. A winner depends only on its run's
+    score values, not on candidate enumeration order.
     """
-    best = scores.max()
-    idx = int(np.nonzero(scores >= best - TIE_BAND)[0][0])
-    return int(ids[idx])
+    floor = np.maximum.reduceat(scores, starts) - TIE_BAND
+    hits = np.flatnonzero(scores >= _per_run(floor, lengths))
+    return ids[hits[np.searchsorted(hits, starts)]]
+
+
+def _step(state: SelectionState, limit: np.ndarray, weight) -> np.ndarray:
+    """This step's pick in every group with fewer than ``limit`` picks: the
+    best alive candidate by relevance gain alone when ``weight`` is None (the
+    first pick), else by weight * scaled relevance gain + scaled distance
+    sum."""
+    cfg = state.cfg
+    pos = np.flatnonzero(state.alive)
+    # each group's run of alive positions; a group with none left is done,
+    # and one that has its picks may have some left but its pick is dropped
+    bounds = np.searchsorted(pos, state.bounds)
+    lengths = bounds[1:] - bounds[:-1]
+    live = lengths > 0
+    ids = state.order[pos]
+    rel = marginal_g_rows(state.mi[pos], _per_run(state.tracker.taus()[live], lengths[live]))
+    if weight is None:
+        scores = rel
+    else:
+        scores = weight * (cfg.relevance_scale * rel) + cfg.diversity_scale * state.dist_sum[pos]
+    best = _band_argmax(ids, scores, bounds[:-1][live], lengths[live])
+    picking = state.tracker.counts < limit
+    return best[picking[live]]
 
 
 def select_first(candidates, cfg: ObjectiveConfig) -> int:
     """The candidate with the largest total MI over labels (ties: smallest id)."""
     state = SelectionState.start(candidates, cfg, cache=None)
-    return _first_pick(state)
+    return int(_step(state, np.ones(1, dtype=np.int64), None)[0])
 
 
-def _first_pick(state: SelectionState) -> int:
-    ids = state.remaining_ids()
-    zeros = np.zeros(state.cfg.n_labels, dtype=np.float64)
-    scores = marginal_g_rows(state.cfg.mi_table[ids], zeros)
-    return _band_argmax(ids, scores)
+def greedy_states(groups, k: int, variant: GreedyVariant, cfg: ObjectiveConfig, caches) -> SelectionState:
+    """Greedy selection in each of several disjoint candidate groups, run
+    side by side; ``caches[g]`` serves group g.
+
+    Every step picks once in each group that has fewer than min(k, its size)
+    picks, so each group ends with exactly the picks it gets alone; the
+    groups share each step's scoring pass and distance_rows call.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    state = SelectionState.start_groups(groups, cfg, caches)
+    limit = np.minimum(k, np.diff(state.bounds))
+    state.add(_step(state, limit, None))
+    for _ in range(int(limit.max()) - 1):
+        state.add(_step(state, limit, variant.relevance_weight))
+    return state
 
 
 def greedy_state(candidates, k: int, variant: GreedyVariant, cfg: ObjectiveConfig, cache: InfoCache) -> SelectionState:
     """Run a greedy selection and return its final state."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    state = SelectionState.start(candidates, cfg, cache)
-    limit = min(k, state.order.size)
-    state.add(_first_pick(state))
-    w = variant.relevance_weight
-    while len(state.selected) < limit:
-        alive_pos = state.alive.nonzero()[0]
-        ids = state.order[alive_pos]
-        rel = marginal_g_rows(cfg.mi_table[ids], state.tracker.tau())
-        scores = w * (cfg.relevance_scale * rel) + cfg.diversity_scale * state.dist_sum[alive_pos]
-        state.add(_band_argmax(ids, scores))
-    return state
+    return greedy_states([candidates], k, variant, cfg, [cache])
 
 
 def greedy_select(candidates, k: int, variant: GreedyVariant, cfg: ObjectiveConfig, cache: InfoCache) -> list:
     """Ordered ids of min(k, |candidates|) greedily selected features."""
     return list(greedy_state(candidates, k, variant, cfg, cache).selected)
-
-
-def greedy_select_many(groups, k: int, variant: GreedyVariant, cfg: ObjectiveConfig, data: Dataset) -> list:
-    """greedy_select on each of several candidate groups, run in lockstep.
-
-    Each step picks once in every group that still needs a pick: one scoring
-    pass over all groups' candidates and one nvi_distance_segments call for
-    all groups' new distance rows. Every group gets exactly greedy_select's
-    picks for that group alone (same scores, bands and tie-breaks); batching
-    only saves the per-step overhead that many small groups would each pay.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    orders = [np.asarray(sorted(int(i) for i in g), dtype=np.int64) for g in groups]
-    if any(o.size == 0 for o in orders):
-        raise ValueError("no candidates")
-    if any(np.unique(o).size != o.size for o in orders):
-        raise ValueError("duplicate candidate ids")
-    sizes = np.array([o.size for o in orders])
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    order = np.concatenate(orders)
-    group = np.repeat(np.arange(len(orders)), sizes)
-    mat = data.feature_matrix[order]
-    cards = data.feature_cards[order]
-    packed = pack_codes(mat, int(cards.max())) if cards.max() <= PACKED_MAX_WIDTH else None
-    h_rows = entropy_rows(mat, cards, packed=packed)
-    mi_rows = cfg.mi_table[order]
-    limit = np.minimum(k, sizes)
-    picks = np.empty((len(orders), int(limit.max())), dtype=np.int64)
-    alive = np.ones(order.size, dtype=bool)
-    dist_sum = np.zeros(order.size, dtype=np.float64)
-    # per-group TopPTracker buffers
-    top = np.zeros((len(orders), cfg.n_labels, cfg.top_p), dtype=np.float64)
-    count = np.zeros(len(orders), dtype=np.int64)
-    w = variant.relevance_weight
-    for step in range(picks.shape[1]):
-        cand = np.flatnonzero(alive & (count < limit)[group])
-        cand_group = group[cand]
-        tau = np.where((count < cfg.top_p)[:, None], 0.0, top.min(axis=2))
-        rel = marginal_g_rows(mi_rows[cand], tau[cand_group])
-        if step == 0:
-            scores = rel
-        else:
-            scores = w * (cfg.relevance_scale * rel) + cfg.diversity_scale * dist_sum[cand]
-        # _band_argmax within each group's run of candidates
-        starts = np.flatnonzero(np.diff(cand_group, prepend=-1))
-        floor = np.maximum.reduceat(scores, starts) - TIE_BAND
-        hit = scores >= np.repeat(floor, np.diff(np.append(starts, cand.size)))
-        chosen = cand[np.minimum.reduceat(np.where(hit, np.arange(cand.size), cand.size), starts)]
-        g = cand_group[starts]
-        picks[g, step] = order[chosen]
-        # TopPTracker.insert for every picking group
-        row_mi = mi_rows[chosen]
-        fill = count[g] < cfg.top_p
-        top[g[fill], :, count[g[fill]]] = row_mi[fill]
-        full = g[~fill]
-        if full.size:
-            slot = top[full].argmin(axis=2)
-            current = np.take_along_axis(top[full], slot[:, :, None], axis=2)[:, :, 0]
-            f, lab = np.nonzero(row_mi[~fill] > current)
-            top[full[f], lab, slot[f, lab]] = row_mi[~fill][f, lab]
-        count[g] += 1
-        alive[chosen] = False
-        again = count[g] < limit[g]
-        if again.any():
-            segments = [(bounds[i], bounds[i + 1]) for i in g[again].tolist()]
-            rows = np.concatenate([np.arange(lo, hi) for lo, hi in segments])
-            # rows already picked get a sum too; they are never scored again
-            dist_sum[rows] += nvi_distance_segments(chosen[again], segments, mat, cards, h_rows, packed=packed)
-    return [picks[i, : limit[i]].tolist() for i in range(len(orders))]
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,14 @@ Sorting makes transposed tables sum identically, so d(a, b) == d(b, a)
 bit-for-bit; zero counts add -0.0 and change nothing, so a value does not
 depend on the path, on how many pairs are batched together, or on padding.
 Cached, batched, and one-off computations of the same pair agree exactly.
+``InfoCache`` packs its universe once; ``distance_rows`` computes the new
+distance rows of several caches in one batch, the way a greedy run over
+several machines' candidates needs them.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -127,6 +131,37 @@ def _entropy_from_counts(counts: np.ndarray, n: int, log_fn) -> np.ndarray:
     return total
 
 
+def _joint_counts(t_codes: np.ndarray, t_card: int, mat: np.ndarray, max_card: int, packed=None, t_bits=None):
+    """The count kernel: exact joint counts of a target column against each
+    row of a code matrix whose codes are below ``max_card``, yielded as
+    (rows, cells) blocks in row order.
+
+    ``packed`` may hand over ``pack_codes(mat, max_card)`` and ``t_bits`` the
+    target's bit planes (words, t_card) when they are already built; both
+    are used only on the packed-bit path.
+    """
+    rows, n = mat.shape
+    width = int(t_card) * int(max_card)
+    if _packs(t_card, max_card):
+        if packed is None:
+            packed = pack_codes(mat, max_card)
+        if t_bits is None:
+            t_bits = pack_codes(t_codes[None, :], int(t_card))[:, 0, :]
+        step = max(1, _BLOCK_CELLS // (packed.shape[0] * width))
+        for lo in range(0, rows, step):
+            yield _packed_counts(t_bits, packed[:, lo : lo + step])
+    else:
+        step = max(1, _BLOCK_CELLS // n)
+        for lo in range(0, rows, step):
+            yield _sorted_counts(t_codes, t_card, mat[lo : lo + step], width)
+
+
+def _entropies(blocks, n: int, log_fn) -> np.ndarray:
+    """The reduction, applied to count blocks in row order."""
+    out = [_entropy_from_counts(counts, n, log_fn) for counts in blocks]
+    return np.concatenate(out) if out else np.empty(0, dtype=np.float64)
+
+
 def entropy_rows(mat: np.ndarray, cards: np.ndarray, *, log_fn=np.log2, packed=None) -> np.ndarray:
     """Entropy of each row of a code matrix: its joint entropy with a
     constant column."""
@@ -144,28 +179,12 @@ def joint_entropy_rows(
     when it is already built; it is used only on the packed-bit path.
     """
     t_codes = np.asarray(t_codes)
-    rows, n = mat.shape
-    if n == 0:
+    if mat.shape[1] == 0:
         raise ValueError("columns must have at least one value")
-    if t_codes.size != n:
+    if t_codes.size != mat.shape[1]:
         raise ValueError("column lengths differ")
-    max_card = int(np.max(cards))
-    width = int(t_card) * max_card
-    out = np.empty(rows, dtype=np.float64)
-    if _packs(t_card, max_card):
-        if packed is None:
-            packed = pack_codes(mat, max_card)
-        t_bits = pack_codes(t_codes[None, :], int(t_card))[:, 0, :]
-        step = max(1, _BLOCK_CELLS // (packed.shape[0] * width))
-        for lo in range(0, rows, step):
-            counts = _packed_counts(t_bits, packed[:, lo : lo + step])
-            out[lo : lo + step] = _entropy_from_counts(counts, n, log_fn)
-    else:
-        step = max(1, _BLOCK_CELLS // n)
-        for lo in range(0, rows, step):
-            counts = _sorted_counts(t_codes, t_card, mat[lo : lo + step], width)
-            out[lo : lo + step] = _entropy_from_counts(counts, n, log_fn)
-    return out
+    blocks = _joint_counts(t_codes, t_card, mat, int(np.max(cards)), packed)
+    return _entropies(blocks, mat.shape[1], log_fn)
 
 
 def _nvi(h_target, h_rows, h_joint) -> np.ndarray:
@@ -181,44 +200,6 @@ def nvi_distance_rows(
     """Normalized variation-of-information distance, target vs. each row."""
     h_joint = joint_entropy_rows(t_codes, t_card, mat, cards, log_fn=log_fn, packed=packed)
     return _nvi(h_target, h_rows, h_joint)
-
-
-def nvi_distance_segments(
-    t_rows, segments, mat, cards, h_rows, *, log_fn=np.log2, packed=None
-) -> np.ndarray:
-    """Distances within row segments of one code matrix.
-
-    For each segment ``(lo, hi)`` with target row ``t``, the distance of row
-    ``t`` to each of rows ``lo:hi``, all segments' values concatenated.
-    Every value equals what nvi_distance_rows gives for that segment alone.
-    With ``packed = pack_codes(mat, max(cards))`` and only narrow joint
-    tables, the counts of all segments share one reduction; the target's bit
-    planes are its own row of ``packed``.
-    """
-    n = mat.shape[1]
-    t_cards = [int(cards[t]) for t in t_rows]
-    sizes = [hi - lo for lo, hi in segments]
-    rows = np.concatenate([np.arange(lo, hi) for lo, hi in segments])
-    h_target = h_rows[np.repeat(np.asarray(t_rows), sizes)]
-    if packed is None or not _packs(max(t_cards), int(np.max(cards))):
-        h_joint = [
-            joint_entropy_rows(mat[t], c, mat[lo:hi], cards[lo:hi], log_fn=log_fn)
-            for t, c, (lo, hi) in zip(t_rows, t_cards, segments)
-        ]
-        return _nvi(h_target, h_rows[rows], np.concatenate(h_joint))
-    words, _, card = packed.shape
-    width = max(t_cards) * card
-    counts = np.zeros((rows.size, width), dtype=np.intp)
-    step = max(1, _BLOCK_CELLS // (words * width))
-    at = 0
-    for t, c, (lo, hi) in zip(t_rows, t_cards, segments):
-        for b in range(lo, hi, step):
-            block = _packed_counts(packed[:, t, :c], packed[:, b : min(b + step, hi)])
-            counts[at : at + block.shape[0], : c * card] = block
-            at += block.shape[0]
-    step = max(1, _BLOCK_CELLS // width)
-    h_joint = [_entropy_from_counts(counts[b : b + step], n, log_fn) for b in range(0, rows.size, step)]
-    return _nvi(h_target, h_rows[rows], np.concatenate(h_joint))
 
 
 def normalized_mi_rows(
@@ -386,8 +367,9 @@ class InfoCache:
             self._upacked = pack_codes(self._umat, self._umax)
         return self._upacked
 
-    def distance_block(self, target_id: int, ids) -> np.ndarray:
-        """d(target, u) for each u in ids; ids must lie in the universe."""
+    def distance_block(self, target_id: int, ids=None) -> np.ndarray:
+        """d(target, u) for each u in ids, which must lie in the universe;
+        without ids, the whole universe row (read-only)."""
         row = self._rows.get(target_id)
         if row is None:
             col = self._column(target_id)
@@ -403,12 +385,16 @@ class InfoCache:
             )
             row.flags.writeable = False
             self._rows[target_id] = row
+        return row if ids is None else row[self.positions(ids)]
+
+    def positions(self, ids) -> np.ndarray:
+        """Index of each id in the universe."""
         ids = np.asarray(ids, dtype=np.int64)
         pos = np.searchsorted(self._universe, ids)
         # an id past the end clips onto the last universe id, which differs
         if np.any(self._universe.take(pos, mode="clip") != ids):
             raise ValueError("id outside this cache's feature universe")
-        return row[pos]
+        return pos
 
     def distance(self, i: int, j: int) -> float:
         key = (i, j) if i <= j else (j, i)
@@ -483,3 +469,36 @@ class InfoCache:
             table.flags.writeable = False
             self._mi_table = table
         return self._mi_table
+
+
+def distance_rows(caches, target_ids) -> list:
+    """``caches[i].distance_block(target_ids[i])`` for each i: whole universe
+    rows, for caches over one dataset.
+
+    When several rows are not memoized yet, they are computed and memoized
+    together: the targets' bit planes are packed at once and one _nvi call
+    covers all rows, so many small universes share those fixed costs. Every
+    value is what distance_block alone gives.
+    """
+    todo = [(cache, int(t)) for cache, t in zip(caches, target_ids) if int(t) not in cache._rows]
+    if len(todo) > 1:
+        jobs = [(cache, t, cache._column(t), cache._universe_arrays()) for cache, t in todo]
+        narrow = [i for i, (cache, _, col, _) in enumerate(jobs) if _packs(col.cardinality, cache._umax)]
+        t_bits = {}
+        if narrow:
+            cols = [jobs[i][2] for i in narrow]
+            planes = pack_codes(np.stack([c.codes for c in cols]), max(c.cardinality for c in cols))
+            t_bits = {i: planes[:, j, : c.cardinality] for j, (i, c) in enumerate(zip(narrow, cols))}
+        blocks, h_target, h_rows = [], [], []
+        for i, (cache, t, col, (mat, _, h)) in enumerate(jobs):
+            packed = cache._packed(col.cardinality)
+            blocks.append(_joint_counts(col.codes, col.cardinality, mat, cache._umax, packed, t_bits.get(i)))
+            h_target.append(cache.entropy(t))
+            h_rows.append(h)
+        h_joint = _entropies(itertools.chain.from_iterable(blocks), mat.shape[1], np.log2)
+        sizes = [h.size for h in h_rows]
+        rows = _nvi(np.repeat(h_target, sizes), np.concatenate(h_rows), h_joint)
+        rows.flags.writeable = False
+        for (cache, t, _, _), row in zip(jobs, np.split(rows, np.cumsum(sizes)[:-1])):
+            cache._rows[t] = row
+    return [cache.distance_block(t) for cache, t in zip(caches, target_ids)]

@@ -10,11 +10,11 @@ scaled distances stay a pseudometric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .info import InfoCache
+from .info import InfoCache, distance_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,38 +73,62 @@ class ObjectiveConfig:
 
 
 class TopPTracker:
-    """Per-label running top-``p`` MI values of the selected features.
+    """Per-label running top-``p`` MI values of the selected features, for
+    one group of candidates or for several groups side by side.
 
-    Keeps only a (n_labels, p) buffer. ``tau`` is the p-th largest inserted
-    value per label, or 0 while fewer than p features are selected, which
-    makes max(0, mi - tau) the exact relevance gain of a candidate.
+    Keeps only a (groups, n_labels, p) buffer. A group's threshold is the
+    p-th largest value inserted into it per label, or 0 while it holds fewer
+    than p, which makes max(0, mi - tau) the exact relevance gain of a
+    candidate.
     """
 
-    def __init__(self, n_labels: int, top_p: int):
+    def __init__(self, n_labels: int, top_p: int, groups: int = 1):
         self.top_p = top_p
         self.n_labels = n_labels
-        self._top = np.zeros((n_labels, top_p), dtype=np.float64)
-        self._count = 0
+        self._top = np.zeros((groups, n_labels, top_p), dtype=np.float64)
+        self._count = np.zeros(groups, dtype=np.int64)
+        self._taus = np.zeros((groups, n_labels), dtype=np.float64)
 
     @property
     def count(self) -> int:
+        return int(self._only(self._count))
+
+    def _only(self, per_group):
+        if len(per_group) != 1:
+            raise ValueError("the tracker holds several groups")
+        return per_group[0]
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Values inserted into each group so far."""
         return self._count
 
+    def taus(self) -> np.ndarray:
+        """Thresholds of every group, shape (groups, n_labels), read-only."""
+        view = self._taus.view()
+        view.flags.writeable = False
+        return view
+
     def tau(self) -> np.ndarray:
-        if self._count < self.top_p:
-            return np.zeros(self.n_labels, dtype=np.float64)
-        return self._top.min(axis=1)
+        return self._only(self.taus())
+
+    def insert_rows(self, groups: np.ndarray, mi_rows: np.ndarray) -> None:
+        """Insert ``mi_rows[i]`` into group ``groups[i]``; groups distinct."""
+        fill = self._count[groups] < self.top_p
+        self._top[groups[fill], :, self._count[groups[fill]]] = mi_rows[fill]
+        full, rows = groups[~fill], mi_rows[~fill]
+        if full.size:
+            slot = self._top[full].argmin(axis=2)
+            current = self._top[full[:, None], np.arange(self.n_labels), slot]
+            i, label = np.nonzero(rows > current)
+            self._top[full[i], label, slot[i, label]] = rows[i, label]
+        self._count[groups] += 1
+        full = groups[self._count[groups] >= self.top_p]
+        self._taus[full] = self._top[full].min(axis=2)
 
     def insert(self, mi_row: np.ndarray) -> None:
-        rows = np.arange(self.n_labels)
-        if self._count < self.top_p:
-            self._top[rows, self._count] = mi_row
-        else:
-            slot = self._top.argmin(axis=1)
-            current = self._top[rows, slot]
-            better = mi_row > current
-            self._top[rows[better], slot[better]] = mi_row[better]
-        self._count += 1
+        self._only(self._count)
+        self.insert_rows(np.zeros(1, dtype=np.int64), np.asarray(mi_row, dtype=np.float64)[None, :])
 
 
 def marginal_g_rows(mi_rows: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -157,55 +181,111 @@ def h_value(selected, cfg: ObjectiveConfig, cache: InfoCache) -> float:
 
 @dataclass
 class SelectionState:
-    """Incremental companion of a greedy run.
+    """Incremental companion of a greedy run over one group of candidates,
+    or over several disjoint groups selected side by side.
 
-    ``dist_sum`` holds, for every candidate position, the running sum of
-    raw distances to the selected set; ``objective_value`` tracks the
-    scaled objective of the selected set.
+    Group g owns positions ``bounds[g]:bounds[g + 1]`` of ``order`` (its
+    ids, ascending), ``caches[g]``, ``picks[g]``, ``values[g]`` (its scaled
+    objective) and its row of ``tracker``; it evolves exactly as it would
+    alone. ``mi`` holds each position's MI row and ``upos`` its index in its
+    group's cache universe. ``dist_sum`` holds, for every candidate
+    position, the running sum of raw distances to its group's selected set
+    (positions already picked stop being read). ``cache``, ``selected`` and
+    ``objective_value`` are the single group's.
     """
 
     cfg: ObjectiveConfig
-    cache: InfoCache
+    caches: list
     order: np.ndarray
+    bounds: np.ndarray
+    mi: np.ndarray
+    upos: np.ndarray
     alive: np.ndarray
     dist_sum: np.ndarray
     tracker: TopPTracker
-    selected: list = field(default_factory=list)
-    objective_value: float = 0.0
+    picks: list
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.group = np.repeat(np.arange(len(self.picks)), np.diff(self.bounds))
+        self._by_id = np.argsort(self.order, kind="stable")
+        self._sorted = self.order[self._by_id]
 
     @classmethod
     def start(cls, candidates, cfg: ObjectiveConfig, cache: InfoCache) -> "SelectionState":
-        order = np.asarray(sorted(int(i) for i in candidates), dtype=np.int64)
-        if order.size == 0:
+        return cls.start_groups([candidates], cfg, [cache])
+
+    @classmethod
+    def start_groups(cls, groups, cfg: ObjectiveConfig, caches) -> "SelectionState":
+        orders = [np.asarray(sorted(int(i) for i in g), dtype=np.int64) for g in groups]
+        if not orders or any(o.size == 0 for o in orders):
             raise ValueError("no candidates")
+        order = np.concatenate(orders)
         if np.unique(order).size != order.size:
             raise ValueError("duplicate candidate ids")
+        caches = list(caches)
+        # a state that only scores (select_first) has no cache
+        upos = None if None in caches else np.concatenate([c.positions(o) for c, o in zip(caches, orders)])
         return cls(
             cfg=cfg,
-            cache=cache,
+            caches=caches,
             order=order,
+            bounds=np.cumsum([0] + [o.size for o in orders]),
+            mi=cfg.mi_table[order],
+            upos=upos,
             alive=np.ones(order.size, dtype=bool),
             dist_sum=np.zeros(order.size, dtype=np.float64),
-            tracker=TopPTracker(cfg.n_labels, cfg.top_p),
+            tracker=TopPTracker(cfg.n_labels, cfg.top_p, len(orders)),
+            picks=[[] for _ in orders],
+            values=np.zeros(len(orders), dtype=np.float64),
         )
+
+    def _single(self, per_group):
+        if len(per_group) != 1:
+            raise ValueError("the state holds several groups")
+        return per_group[0]
+
+    @property
+    def cache(self) -> InfoCache:
+        return self._single(self.caches)
+
+    @property
+    def selected(self) -> list:
+        return self._single(self.picks)
+
+    @property
+    def objective_value(self) -> float:
+        return float(self._single(self.values))
 
     def remaining_ids(self) -> np.ndarray:
         return self.order[self.alive]
 
-    def add(self, feature_id: int) -> None:
-        """Select ``feature_id``: update the objective, thresholds, and the
-        running distance sums of the other candidates."""
-        pos = int(np.searchsorted(self.order, feature_id))
-        if pos >= self.order.size or self.order[pos] != feature_id or not self.alive[pos]:
-            raise ValueError(f"feature {feature_id} is not an available candidate")
-        gain = (
-            self.cfg.relevance_scale * marginal_g(feature_id, self.cfg, self.tracker)
+    def add(self, feature_ids) -> None:
+        """Select one candidate in each of some groups (one id, or one id per
+        picking group): update their objective values, thresholds, and the
+        running distance sums of their other candidates."""
+        ids = np.asarray(feature_ids, dtype=np.int64).reshape(-1)
+        pos = self._by_id[np.minimum(np.searchsorted(self._sorted, ids), self.order.size - 1)]
+        bad = (self.order[pos] != ids) | ~self.alive[pos]
+        if bad.any():
+            raise ValueError(f"feature {ids[bad][0]} is not an available candidate")
+        groups = self.group[pos]
+        if len(set(groups.tolist())) != groups.size:
+            raise ValueError("at most one pick per group")
+        mi_rows = self.mi[pos]
+        self.values[groups] += (
+            self.cfg.relevance_scale * marginal_g_rows(mi_rows, self.tracker.taus()[groups])
             + self.cfg.diversity_scale * self.dist_sum[pos]
         )
-        self.objective_value += gain
-        self.tracker.insert(self.cfg.mi_table[feature_id])
+        self.tracker.insert_rows(groups, mi_rows)
         self.alive[pos] = False
-        self.selected.append(int(feature_id))
-        rest = self.alive.nonzero()[0]
-        if rest.size:
-            self.dist_sum[rest] += self.cache.distance_block(feature_id, self.order[rest])
+        caches, picked, spans = [], [], []
+        for g, fid in zip(groups.tolist(), ids.tolist()):
+            self.picks[g].append(fid)
+            span = slice(self.bounds[g], self.bounds[g + 1])
+            if self.alive[span].any():
+                caches.append(self.caches[g])
+                picked.append(fid)
+                spans.append(span)
+        for span, row in zip(spans, distance_rows(caches, picked)):
+            self.dist_sum[span] += row[self.upos[span]]

@@ -21,7 +21,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .data import Dataset
-from .greedy import GreedyVariant, greedy_select, greedy_select_many
+from .greedy import GreedyVariant, greedy_select, greedy_states
 from .info import InfoCache
 from .objective import ObjectiveConfig, diversity, relevance_g
 
@@ -155,15 +155,19 @@ _WORK = None
 
 def _machine_job(machine_indices: list) -> list:
     data, cfg, k, variant, machine_ids = _WORK
-    return greedy_select_many([machine_ids[i] for i in machine_indices], k, variant, cfg, data)
+    groups = [machine_ids[i] for i in machine_indices]
+    caches = [InfoCache(data, feature_ids=ids) for ids in groups]
+    return greedy_states(groups, k, variant, cfg, caches).picks
 
 
 def _run_machines(data, cfg, k, variant, machine_ids, parallelism: int) -> list:
     """Per-machine core sets, in machine order regardless of scheduling.
 
-    With parallelism, each worker runs its share of the machines in
-    lockstep (greedy_select_many), which picks exactly what greedy_select
-    picks one machine at a time, as the serial path and streaming do.
+    With parallelism p, the machines are dealt into p shares: this process
+    runs the first and p - 1 forked workers run the others. Each share's
+    machines run side by side (greedy_states), which picks exactly what
+    greedy_select picks one machine at a time, as the serial path and
+    streaming do.
     """
     global _WORK
     jobs = [i for i in range(len(machine_ids)) if machine_ids[i].size > 0]
@@ -173,12 +177,18 @@ def _run_machines(data, cfg, k, variant, machine_ids, parallelism: int) -> list:
         try:
             workers = min(parallelism, len(jobs))
             shares = [jobs[w::workers] for w in range(workers)]
-            with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork")) as ex:
-                for share, sels in zip(shares, ex.map(_machine_job, shares)):
-                    for i, sel in zip(share, sels):
-                        results[i] = sel
+            pool = ProcessPoolExecutor(max_workers=workers - 1, mp_context=get_context("fork"))
+            try:
+                forked = pool.map(_machine_job, shares[1:])
+                picks = [_machine_job(shares[0])] + list(forked)
+            finally:
+                # the results are in hand; the workers wind down on their own
+                pool.shutdown(wait=False, cancel_futures=True)
         finally:
             _WORK = None
+        for share, sels in zip(shares, picks):
+            for i, sel in zip(share, sels):
+                results[i] = sel
     else:
         for i in jobs:
             cache = InfoCache(data, feature_ids=machine_ids[i])

@@ -263,9 +263,9 @@ def test_10_lambda_endpoints():
 @pytest.mark.skipif(USABLE_CPUS < 2, reason="a parallel speed-up cannot be measured on one usable CPU")
 def test_11_distributed_speed_direction():
     # one worker per usable CPU: more would only time-slice the same cores.
-    # On a 2-CPU VM this instance measured centralized 0.34-0.65 s against
-    # distributed 0.27-0.45 s at parallelism 2, each worker running its
-    # machines in lockstep (serially, one machine at a time: 0.55-0.78 s)
+    # On a 2-CPU VM this instance measured centralized 0.3-0.7 s against
+    # distributed 0.3-0.5 s at parallelism 2, the calling process and one
+    # forked worker each running half the machines side by side
     rng = np.random.default_rng(RNG_BASE + 11)
     feats = rng.integers(0, 4, size=(20000, 128))
     labels = rng.integers(0, 2, size=(4, 128))

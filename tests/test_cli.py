@@ -251,6 +251,16 @@ def test_gen_synth_into_closed_pipe_exits_quietly():
     assert "Traceback" not in err
 
 
+def test_broken_pipe_off_stdout_is_not_success(monkeypatch, tmp_path):
+    # only a reader closing stdout counts as a quiet exit
+    def reader_gone(data, target):
+        raise BrokenPipeError("reader gone")
+
+    monkeypatch.setattr("divsel.cli.write_dense_csv", reader_gone)
+    with pytest.raises(BrokenPipeError):
+        run(["gen-synth", "--seed", "0", "--output", str(tmp_path / "synth.csv")])
+
+
 def test_declared_console_script(tmp_path, small_csv):
     # runs the [project.scripts] target in a fresh interpreter the way a
     # generated console script does, so no install is needed

@@ -8,11 +8,12 @@ from divsel.greedy import (
     TIE_BAND,
     GreedyVariant,
     greedy_select,
-    greedy_select_many,
     greedy_state,
+    greedy_states,
     niceness_witness,
     select_first,
 )
+from divsel import info
 from divsel.info import InfoCache
 from divsel.objective import ObjectiveConfig, h_value, relevance_g
 from divsel.oracle import brute_force_opt, subset_value
@@ -198,26 +199,60 @@ def test_greedy_never_beats_oracle():
 
 
 @pytest.mark.parametrize("card_hi", [4, 40])
-def test_lockstep_groups_match_one_group_at_a_time(card_hi):
+def test_groups_side_by_side_match_one_group_at_a_time(card_hi):
     # planted duplicates give exact ties; card_hi=40 makes joint tables wide
     rng = np.random.default_rng(card_hi)
     for seed in range(6):
         data, cache = instance_with_cache(seed=300 + seed, d=60, n=48, t=3, card_hi=card_hi)
         cfg = weighted_cfg(cache, k=int(rng.integers(1, 14)), lam=float(rng.choice([0.0, 0.5, 1.0])), p=3)
-        groups = [g for g in np.array_split(rng.permutation(60), int(rng.integers(1, 7)))]
-        groups.append(rng.choice(60, size=2, replace=False))  # smaller than k
-        groups = [g for g in groups if g.size]
+        cut = np.sort(rng.choice(np.arange(1, 60), size=int(rng.integers(0, 7)), replace=False))
+        groups = np.split(rng.permutation(60), cut)  # some smaller than k
         for variant in GreedyVariant:
-            alone = [greedy_select(g, cfg.k, variant, cfg, InfoCache(data, feature_ids=g)) for g in groups]
-            assert greedy_select_many(groups, cfg.k, variant, cfg, data) == alone
+            alone = [greedy_state(g, cfg.k, variant, cfg, InfoCache(data, feature_ids=g)) for g in groups]
+            caches = [InfoCache(data, feature_ids=g) for g in groups]
+            state = greedy_states(groups, cfg.k, variant, cfg, caches)
+            assert state.picks == [s.selected for s in alone]
+            assert state.values.tolist() == [s.objective_value for s in alone]
 
 
-def test_lockstep_rejects_bad_groups():
+def test_groups_reject_bad_input():
     data, cache = instance_with_cache(seed=1, d=6, n=12, t=1)
     cfg = weighted_cfg(cache, k=2, lam=0.5)
+    for groups in ([[0, 1], []], [[0, 1], [1, 2]], []):
+        with pytest.raises(ValueError):
+            greedy_states(groups, 2, GreedyVariant.GREEDY, cfg, [cache, cache])
     with pytest.raises(ValueError):
-        greedy_select_many([[0, 1], []], 2, GreedyVariant.GREEDY, cfg, data)
+        greedy_states([[0, 1]], 0, GreedyVariant.GREEDY, cfg, [cache])
+    state = greedy_states([[0, 1, 2], [3, 4, 5]], 1, GreedyVariant.GREEDY, cfg, [cache, cache])
     with pytest.raises(ValueError):
-        greedy_select_many([[0, 0, 1]], 2, GreedyVariant.GREEDY, cfg, data)
+        state.selected  # several groups have no single selection
     with pytest.raises(ValueError):
-        greedy_select_many([[0, 1]], 0, GreedyVariant.GREEDY, cfg, data)
+        state.add([int(state.remaining_ids()[0]), int(state.remaining_ids()[1])])  # two picks in one group
+
+
+def test_groups_with_mixed_column_sizes_pack_each_universe_once(monkeypatch):
+    # narrow groups take the packed path; in the others most joint tables
+    # are wide. A step may pack the targets' own bit planes, but never a
+    # universe again after its cache packed it once
+    rng = np.random.default_rng(7)
+    narrow = rng.integers(0, 4, size=(40, 48))
+    wide = rng.integers(0, 40, size=(20, 48))
+    labels = rng.integers(0, 2, size=(2, 48))
+    data = dataset_from_matrices(np.vstack([narrow, wide]), labels)
+    cfg = weighted_cfg(InfoCache(data), k=6, lam=0.5, p=3)
+    groups = [np.arange(0, 20), np.arange(20, 50), np.arange(50, 60)]
+    alone = [greedy_select(g, 6, GreedyVariant.GREEDY, cfg, InfoCache(data, feature_ids=g)) for g in groups]
+    packed_rows = []
+    real = info.pack_codes
+
+    def counting(mat, card):
+        packed_rows.append(mat.shape[0])
+        return real(mat, card)
+
+    monkeypatch.setattr(info, "pack_codes", counting)
+    caches = [InfoCache(data, feature_ids=g) for g in groups]
+    assert greedy_states(groups, 6, GreedyVariant.GREEDY, cfg, caches).picks == alone
+    # every universe is packed once (for its entropies); any other call packs
+    # at most one target per group
+    assert sorted(r for r in packed_rows if r > len(groups)) == sorted(g.size for g in groups)
+    assert all(r <= len(groups) for r in packed_rows if r not in {g.size for g in groups})
