@@ -1,16 +1,18 @@
-"""Discrete dataset model: canonical integer-coded columns, CSV and sparse
+"""Discrete dataset model: canonical integer codes, CSV and sparse
 multi-label loaders, binning of continuous columns, and the synthesized
 benchmark generator.
 
-Columns are stored column-major as immutable int32 code arrays so a dataset
-can be handed to forked worker processes without copying payloads.
+A dataset holds one read-only int32 code matrix per group (features,
+labels), a row per variable, so forked worker processes share it without
+copying. Every loader builds it with one call of ``canonicalize``, which
+works a block of rows at a time; there is no per-column loop.
 """
 
 from __future__ import annotations
 
 import io
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +46,107 @@ class BinningSpec:
 DEFAULT_BINNING = BinningSpec()
 
 
+# Row blocks of the canonicalization and count kernels hold about this many
+# cells, which bounds their temporaries.
+BLOCK_CELLS = 1 << 18
+
+
+def canonicalize(values, binning: BinningSpec = DEFAULT_BINNING) -> tuple[np.ndarray, np.ndarray]:
+    """Canonicalize each row of a (rows, n) matrix of raw numeric values.
+
+    Returns read-only int32 codes of the same shape and the int64
+    cardinality of each row. A row with at most
+    ``binning.max_raw_categories`` distinct values (or any row under
+    strategy ``"none"``) maps to codes by sorted raw value; a wider row is
+    discretized per the strategy and the bins that occur are then densified
+    (quantile ties can merge bins). Rows are worked a block of about
+    ``BLOCK_CELLS`` cells at a time, so temporaries stay small.
+    """
+    values = np.asarray(values)
+    if values.ndim != 2:
+        raise ValueError("values must be two-dimensional")
+    rows, n = values.shape
+    codes = np.zeros((rows, n), dtype=np.int32)
+    cards = np.zeros(rows, dtype=np.int64)
+    if n:
+        step = max(1, BLOCK_CELLS // n)
+        for lo in range(0, rows, step):
+            codes[lo : lo + step], cards[lo : lo + step] = _canonicalize_block(values[lo : lo + step], binning)
+    codes.flags.writeable = False
+    cards.flags.writeable = False
+    return codes, cards
+
+
+def _canonicalize_block(values: np.ndarray, binning: BinningSpec) -> tuple[np.ndarray, np.ndarray]:
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    if not np.isfinite(v).all():
+        raise ValidationError("column contains non-finite values")
+    rows, n = v.shape
+    s = np.sort(v, axis=1)
+    new = s[:, 1:] != s[:, :-1]
+    cards = new.sum(axis=1, dtype=np.int64) + 1
+    codes = np.empty((rows, n), dtype=np.int32)
+    if binning.strategy == "none":
+        categorical = np.ones(rows, dtype=bool)
+    else:
+        categorical = cards <= binning.max_raw_categories
+    if categorical.any():
+        # dense ranks: the sorted row's count of value changes, put back
+        # where each value came from
+        ranks = np.zeros((int(categorical.sum()), n), dtype=np.int32)
+        np.cumsum(new[categorical], axis=1, out=ranks[:, 1:])
+        ranked = np.empty_like(ranks)
+        np.put_along_axis(ranked, np.argsort(v[categorical], axis=1), ranks, axis=1)
+        codes[categorical] = ranked
+    binned = ~categorical
+    if binned.any():
+        codes[binned], cards[binned] = _bin_rows(v[binned], s[binned], binning)
+    return codes, cards
+
+
+def _bin_rows(v: np.ndarray, s: np.ndarray, binning: BinningSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Bin ids (the count of cuts at or below a value) of rows with sorted
+    copies ``s``, densified to the bins that occur."""
+    rows, n = v.shape
+    bins = binning.bins
+    if binning.strategy == "equal_frequency":
+        cuts = s[:, [n * j // bins for j in range(1, bins)]]
+    else:
+        lo, hi = s[:, :1], s[:, -1:]
+        cuts = lo + (hi - lo) * np.arange(1, bins) / bins
+    ids = np.zeros((rows, n), dtype=np.int32)
+    for j in range(bins - 1):
+        ids += v >= cuts[:, j : j + 1]
+    offsets = (np.arange(rows, dtype=np.int64) * bins)[:, None]
+    occurs = np.bincount((ids + offsets).ravel(), minlength=rows * bins).reshape(rows, bins) > 0
+    dense = np.cumsum(occurs, axis=1, dtype=np.int32) - 1
+    return np.take_along_axis(dense, ids, axis=1), occurs.sum(axis=1)
+
+
+def check_codes(codes: np.ndarray, cards: np.ndarray) -> None:
+    """Raise ValueError unless each row r of a (rows, n) code matrix holds
+    exactly the codes 0..cards[r]-1, each at least once (cardinality 0 when
+    n is 0). Checked a block of rows at a time."""
+    rows, n = codes.shape
+    if cards.shape != (rows,):
+        raise ValueError("one cardinality per row is needed")
+    if n == 0:
+        if np.any(cards != 0):
+            raise ValueError("empty column must have cardinality 0")
+        return
+    step = max(1, BLOCK_CELLS // n)
+    for lo in range(0, rows, step):
+        block, card = codes[lo : lo + step], cards[lo : lo + step]
+        if block.min() < 0 or np.any(block.max(axis=1) >= card):
+            raise ValueError("codes out of range for cardinality")
+        if np.any(card > n):
+            raise ValueError("codes must cover 0..cardinality-1")
+        offsets = np.cumsum(card) - card
+        seen = np.bincount((block + offsets[:, None]).ravel(), minlength=int(card.sum()))
+        if np.any(seen == 0):
+            raise ValueError("codes must cover 0..cardinality-1")
+
+
 @dataclass(frozen=True)
 class DiscreteColumn:
     """A single variable as dense integer codes 0..cardinality-1.
@@ -59,17 +162,17 @@ class DiscreteColumn:
         codes = np.ascontiguousarray(self.codes, dtype=np.int32)
         if codes.ndim != 1:
             raise ValueError("codes must be one-dimensional")
-        if codes.size == 0:
-            if self.cardinality != 0:
-                raise ValueError("empty column must have cardinality 0")
-        else:
-            counts = np.bincount(codes, minlength=self.cardinality)
-            if codes.min() < 0 or codes.max() >= self.cardinality:
-                raise ValueError("codes out of range for cardinality")
-            if np.any(counts == 0):
-                raise ValueError("codes must cover 0..cardinality-1")
+        check_codes(codes[None, :], np.array([self.cardinality]))
         codes.flags.writeable = False
         object.__setattr__(self, "codes", codes)
+
+    @classmethod
+    def _row(cls, codes: np.ndarray, cardinality: int) -> "DiscreteColumn":
+        """A column over one row of a validated, read-only code matrix."""
+        col = object.__new__(cls)
+        object.__setattr__(col, "codes", codes)
+        object.__setattr__(col, "cardinality", cardinality)
+        return col
 
     @property
     def n(self) -> int:
@@ -77,104 +180,143 @@ class DiscreteColumn:
 
     @classmethod
     def from_values(cls, values, binning: BinningSpec = DEFAULT_BINNING) -> "DiscreteColumn":
-        """Canonicalize raw numeric values into a column.
-
-        Values with at most ``binning.max_raw_categories`` distinct entries
-        map to codes by sorted raw value; wider columns are discretized per
-        the strategy and then densified (quantile ties can merge bins).
-        """
-        values = np.asarray(values, dtype=np.float64)
+        """Canonicalize raw numeric values into a column: ``canonicalize``
+        of a one-row matrix."""
+        values = np.asarray(values)
         if values.ndim != 1:
             raise ValueError("values must be one-dimensional")
-        if values.size == 0:
-            return cls(np.empty(0, dtype=np.int32), 0)
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("column contains non-finite values")
-        distinct = np.unique(values)
-        if binning.strategy == "none" or distinct.size <= binning.max_raw_categories:
-            codes = np.searchsorted(distinct, values)
-            return cls(codes, distinct.size)
-        if binning.strategy == "equal_frequency":
-            s = np.sort(values)
-            n = s.size
-            cuts = np.unique(s[[n * j // binning.bins for j in range(1, binning.bins)]])
-            raw = np.searchsorted(cuts, values, side="right")
-        else:
-            lo, hi = values.min(), values.max()
-            edges = lo + (hi - lo) * np.arange(1, binning.bins) / binning.bins
-            raw = np.digitize(values, edges)
-        uniq, codes = np.unique(raw, return_inverse=True)
-        return cls(codes, uniq.size)
+        codes, cards = canonicalize(values[None, :], binning)
+        return cls._row(codes[0], int(cards[0]))
 
 
-@dataclass(frozen=True, eq=False)
+class _Columns(Sequence):
+    """Read-only columns over the rows of a code matrix, made on demand."""
+
+    def __init__(self, codes: np.ndarray, cards: np.ndarray):
+        self._codes = codes
+        self._cards = cards
+
+    def __len__(self) -> int:
+        return self._codes.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        return DiscreteColumn._row(self._codes[i], int(self._cards[i]))
+
+    def __add__(self, other):
+        return tuple(self) + tuple(other)
+
+
+def _stack_columns(columns, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One (len(columns), n) code matrix and its cardinalities, validated."""
+    columns = tuple(columns)
+    rows = [np.asarray(c.codes) for c in columns]
+    if any(r.shape != (n,) for r in rows):
+        raise ValidationError("column length differs from n_instances")
+    codes = np.stack(rows) if rows else np.zeros((0, n), dtype=np.int32)
+    cards = np.array([c.cardinality for c in columns], dtype=np.int64)
+    check_codes(codes, cards)
+    codes = codes.astype(np.int32)
+    codes.flags.writeable = False
+    cards.flags.writeable = False
+    return codes, cards
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Dataset:
-    """Feature and label columns over a common set of instances.
+    """Feature and label variables over a common set of instances.
 
-    Label columns are binary (cardinality <= 2) unless
-    ``allow_multiclass_labels`` is set. Names are unique within each group.
+    The state is one read-only int32 code matrix per group, a row per
+    variable, with the cardinality of each row. ``features[i]`` and
+    ``labels[j]`` are ``DiscreteColumn`` views of those rows. Label columns
+    are binary (cardinality <= 2) unless ``allow_multiclass_labels`` is
+    set. Names are unique within each group.
+
+    ``Dataset(features, feature_names, labels, label_names, n_instances)``
+    stacks and validates columns; the loaders build the matrices directly.
     """
 
-    features: tuple
+    feature_matrix: np.ndarray
+    feature_cards: np.ndarray
     feature_names: tuple
-    labels: tuple
+    label_matrix: np.ndarray
+    label_cards: np.ndarray
     label_names: tuple
-    n_instances: int
-    allow_multiclass_labels: bool = False
+    allow_multiclass_labels: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "features", tuple(self.features))
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "label_names", tuple(self.label_names))
-        if not self.features:
+    def __init__(
+        self, features, feature_names, labels, label_names, n_instances: int, allow_multiclass_labels: bool = False
+    ):
+        self._set(
+            *_stack_columns(features, n_instances),
+            feature_names,
+            *_stack_columns(labels, n_instances),
+            label_names,
+            allow_multiclass_labels,
+        )
+
+    @classmethod
+    def _from_codes(
+        cls, feature_matrix, feature_cards, feature_names, label_matrix, label_cards, label_names, allow_multiclass_labels=False
+    ) -> "Dataset":
+        """A dataset over matrices from ``canonicalize``, whose codes need no
+        re-validation."""
+        data = object.__new__(cls)
+        data._set(
+            feature_matrix, feature_cards, feature_names, label_matrix, label_cards, label_names, allow_multiclass_labels
+        )
+        return data
+
+    def _set(self, feature_matrix, feature_cards, feature_names, label_matrix, label_cards, label_names, multiclass):
+        feature_names, label_names = tuple(feature_names), tuple(label_names)
+        if feature_matrix.shape[0] == 0:
             raise ValidationError("dataset needs at least one feature")
-        if not self.labels:
+        if label_matrix.shape[0] == 0:
             raise ValidationError("dataset needs at least one label")
-        if len(self.features) != len(self.feature_names):
+        if feature_matrix.shape[0] != len(feature_names):
             raise ValidationError("feature name count mismatch")
-        if len(self.labels) != len(self.label_names):
+        if label_matrix.shape[0] != len(label_names):
             raise ValidationError("label name count mismatch")
-        for group in (self.feature_names, self.label_names):
+        for group in (feature_names, label_names):
             if len(set(group)) != len(group):
                 raise ValidationError("column names must be unique")
             if any(not isinstance(s, str) or not s for s in group):
                 raise ValidationError("column names must be non-empty strings")
-        for col in self.features + self.labels:
-            if col.n != self.n_instances:
-                raise ValidationError("column length differs from n_instances")
-        if not self.allow_multiclass_labels:
-            for name, col in zip(self.label_names, self.labels):
-                if col.cardinality > 2:
+        if not multiclass:
+            for name, card in zip(label_names, label_cards.tolist()):
+                if card > 2:
                     raise ValidationError(f"label {name!r} has more than 2 values")
+        for attr, value in (
+            ("feature_matrix", feature_matrix),
+            ("feature_cards", feature_cards),
+            ("feature_names", feature_names),
+            ("label_matrix", label_matrix),
+            ("label_cards", label_cards),
+            ("label_names", label_names),
+            ("allow_multiclass_labels", multiclass),
+        ):
+            object.__setattr__(self, attr, value)
+
+    @property
+    def n_instances(self) -> int:
+        return self.feature_matrix.shape[1]
 
     @property
     def n_features(self) -> int:
-        return len(self.features)
+        return self.feature_matrix.shape[0]
 
     @property
     def n_labels(self) -> int:
-        return len(self.labels)
+        return self.label_matrix.shape[0]
 
-    @cached_property
-    def feature_matrix(self) -> np.ndarray:
-        m = np.vstack([c.codes for c in self.features])
-        m.flags.writeable = False
-        return m
+    @property
+    def features(self) -> _Columns:
+        return _Columns(self.feature_matrix, self.feature_cards)
 
-    @cached_property
-    def feature_cards(self) -> np.ndarray:
-        return np.array([c.cardinality for c in self.features], dtype=np.int64)
-
-    @cached_property
-    def label_matrix(self) -> np.ndarray:
-        m = np.vstack([c.codes for c in self.labels])
-        m.flags.writeable = False
-        return m
-
-    @cached_property
-    def label_cards(self) -> np.ndarray:
-        return np.array([c.cardinality for c in self.labels], dtype=np.int64)
+    @property
+    def labels(self) -> _Columns:
+        return _Columns(self.label_matrix, self.label_cards)
 
 
 def _open_text(source):
@@ -240,17 +382,9 @@ def load_dense_csv(
     else:
         feature_names = [f"f{i}" for i in range(d)]
         label_names = [f"y{j}" for j in range(label_count)]
-    features = tuple(DiscreteColumn.from_values(table[:, i], binning) for i in range(d))
-    none_binning = BinningSpec(strategy="none")
-    labels = tuple(DiscreteColumn.from_values(table[:, d + j], none_binning) for j in range(label_count))
-    return Dataset(
-        features,
-        tuple(feature_names),
-        labels,
-        tuple(label_names),
-        table.shape[0],
-        allow_multiclass_labels=allow_multiclass_labels,
-    )
+    features = canonicalize(table[:, :d].T, binning)
+    labels = canonicalize(table[:, d:].T, BinningSpec(strategy="none"))
+    return Dataset._from_codes(*features, feature_names, *labels, label_names, allow_multiclass_labels)
 
 
 def _is_number(cell: str) -> bool:
@@ -319,15 +453,11 @@ def load_sparse_multilabel(
                 raise ParseError(f"{name}: line {row + 1}: value must be finite and >= 0")
             values[idx - 1, row] = val
             prev = idx
-    features = tuple(DiscreteColumn.from_values(values[i], binning) for i in range(n_features))
-    none_binning = BinningSpec(strategy="none")
-    labels = tuple(DiscreteColumn.from_values(label_hot[j], none_binning) for j in range(n_labels))
-    return Dataset(
-        features,
-        tuple(f"f{i}" for i in range(n_features)),
-        labels,
-        tuple(f"y{j}" for j in range(n_labels)),
-        n,
+    return Dataset._from_codes(
+        *canonicalize(values, binning),
+        [f"f{i}" for i in range(n_features)],
+        *canonicalize(label_hot, BinningSpec(strategy="none")),
+        [f"y{j}" for j in range(n_labels)],
     )
 
 
@@ -342,9 +472,8 @@ def write_dense_csv(data: Dataset, dest) -> None:
         fh = dest
     try:
         fh.write(",".join(data.feature_names + data.label_names) + "\n")
-        cols = [c.codes for c in data.features] + [c.codes for c in data.labels]
-        for i in range(data.n_instances):
-            fh.write(",".join(str(int(c[i])) for c in cols) + "\n")
+        for features, labels in zip(data.feature_matrix.T, data.label_matrix.T):
+            fh.write(",".join(map(str, features.tolist() + labels.tolist())) + "\n")
     finally:
         if close:
             fh.close()
@@ -359,27 +488,23 @@ def generate_synthesized(seed: int = 0) -> Dataset:
     """
     rng = np.random.default_rng(seed)
     n = 256
-    label_cols = []
-    feature_cols = []
+    label_rows = []
+    sources = []
     feature_names = []
     for lab in range(8):
         y = rng.integers(0, 2, n).astype(np.int64)
-        label_cols.append(y)
+        label_rows.append(y)
         for tag, disagree in (("a", 128), ("b", 192)):
             col = y.copy()
             flip = rng.choice(n, size=disagree, replace=False)
             col[flip] ^= 1
-            for rep in range(50):
-                feature_cols.append(col)
-                feature_names.append(f"x{lab}{tag}{rep:02d}")
-    features = tuple(DiscreteColumn.from_values(c) for c in feature_cols)
-    labels = tuple(DiscreteColumn.from_values(y) for y in label_cols)
-    return Dataset(
-        features,
-        tuple(feature_names),
-        labels,
-        tuple(f"y{j}" for j in range(8)),
-        n,
+            sources.append(col)
+            feature_names.extend(f"x{lab}{tag}{rep:02d}" for rep in range(50))
+    return Dataset._from_codes(
+        *canonicalize(np.repeat(np.stack(sources), 50, axis=0)),
+        feature_names,
+        *canonicalize(np.stack(label_rows)),
+        [f"y{j}" for j in range(8)],
     )
 
 
@@ -392,8 +517,6 @@ def dataset_from_matrices(feature_rows, label_rows, *, feature_names=None, label
     t = label_rows.shape[0]
     if label_rows.shape[1] != n:
         raise ValidationError("feature and label instance counts differ")
-    features = tuple(DiscreteColumn.from_values(feature_rows[i]) for i in range(d))
-    labels = tuple(DiscreteColumn.from_values(label_rows[j]) for j in range(t))
-    fnames = tuple(feature_names) if feature_names else tuple(f"f{i}" for i in range(d))
-    lnames = tuple(label_names) if label_names else tuple(f"y{j}" for j in range(t))
-    return Dataset(features, fnames, labels, lnames, n)
+    fnames = feature_names if feature_names else [f"f{i}" for i in range(d)]
+    lnames = label_names if label_names else [f"y{j}" for j in range(t)]
+    return Dataset._from_codes(*canonicalize(feature_rows), fnames, *canonicalize(label_rows), lnames)

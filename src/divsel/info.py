@@ -30,14 +30,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import Dataset, DiscreteColumn
+from .data import BLOCK_CELLS, Dataset, DiscreteColumn
 
 # Joint widths t_card * max(cards) up to this take the packed-bit path; wider
 # tables sort joint codes.
 PACKED_MAX_WIDTH = 64
-
-# Rows per kernel block hold about this many cells, which bounds temporaries.
-_BLOCK_CELLS = 1 << 18
 
 
 def _as_codes(col) -> tuple[np.ndarray, int]:
@@ -69,7 +66,7 @@ def pack_codes(mat: np.ndarray, card: int) -> np.ndarray:
     rows, n = mat.shape
     words = -(-n // 64)
     values = np.arange(card, dtype=mat.dtype)[:, None]
-    step = max(1, _BLOCK_CELLS // max(card * n, 1))
+    step = max(1, BLOCK_CELLS // max(card * n, 1))
     planes = np.zeros((rows, card, words * 8), dtype=np.uint8)
     for lo in range(0, rows, step):
         onehot = mat[lo : lo + step, None, :] == values
@@ -147,11 +144,11 @@ def _joint_counts(t_codes: np.ndarray, t_card: int, mat: np.ndarray, max_card: i
             packed = pack_codes(mat, max_card)
         if t_bits is None:
             t_bits = pack_codes(t_codes[None, :], int(t_card))[:, 0, :]
-        step = max(1, _BLOCK_CELLS // (packed.shape[0] * width))
+        step = max(1, BLOCK_CELLS // (packed.shape[0] * width))
         for lo in range(0, rows, step):
             yield _packed_counts(t_bits, packed[:, lo : lo + step])
     else:
-        step = max(1, _BLOCK_CELLS // n)
+        step = max(1, BLOCK_CELLS // n)
         for lo in range(0, rows, step):
             yield _sorted_counts(t_codes, t_card, mat[lo : lo + step], width)
 
@@ -332,26 +329,33 @@ class InfoCache:
     def universe(self) -> np.ndarray:
         return self._universe
 
-    def _column(self, cid: int) -> DiscreteColumn:
-        d = self._data.n_features
+    def _column(self, cid: int) -> tuple[np.ndarray, int]:
+        """Codes and cardinality of a column id: a row of the dataset's
+        feature or label matrix."""
+        data = self._data
+        d = data.n_features
         if 0 <= cid < d:
-            return self._data.features[cid]
-        if d <= cid < d + self._data.n_labels:
-            return self._data.labels[cid - d]
+            return data.feature_matrix[cid], int(data.feature_cards[cid])
+        if d <= cid < d + data.n_labels:
+            return data.label_matrix[cid - d], int(data.label_cards[cid - d])
         raise ValueError(f"column id {cid} out of range")
 
     def entropy(self, cid: int) -> float:
         h = self._entropies.get(cid)
         if h is None:
-            col = self._column(cid)
-            h = float(entropy_rows(col.codes[None, :], np.array([col.cardinality]))[0])
+            codes, card = self._column(cid)
+            h = float(entropy_rows(codes[None, :], np.array([card]))[0])
             self._entropies[cid] = h
         return h
 
     def _universe_arrays(self):
         if self._umat is None:
-            self._umat = self._data.feature_matrix[self._universe]
-            self._ucards = self._data.feature_cards[self._universe]
+            if self._universe.size == self._data.n_features:
+                # the universe is every feature, in order
+                self._umat, self._ucards = self._data.feature_matrix, self._data.feature_cards
+            else:
+                self._umat = self._data.feature_matrix[self._universe]
+                self._ucards = self._data.feature_cards[self._universe]
             self._umax = int(np.max(self._ucards))
             self._uH = entropy_rows(self._umat, self._ucards, packed=self._packed(1))
             for cid, h in zip(self._universe.tolist(), self._uH.tolist()):
@@ -372,16 +376,10 @@ class InfoCache:
         without ids, the whole universe row (read-only)."""
         row = self._rows.get(target_id)
         if row is None:
-            col = self._column(target_id)
+            codes, card = self._column(target_id)
             mat, cards, h_rows = self._universe_arrays()
             row = nvi_distance_rows(
-                col.codes,
-                col.cardinality,
-                self.entropy(target_id),
-                mat,
-                cards,
-                h_rows,
-                packed=self._packed(col.cardinality),
+                codes, card, self.entropy(target_id), mat, cards, h_rows, packed=self._packed(card)
             )
             row.flags.writeable = False
             self._rows[target_id] = row
@@ -409,15 +407,10 @@ class InfoCache:
             if row is not None and self._in_universe(i):
                 val = float(self.distance_block(j, np.array([i]))[0])
             else:
-                a, b = self._column(i), self._column(j)
+                (a, a_card), (b, b_card) = self._column(i), self._column(j)
                 val = float(
                     nvi_distance_rows(
-                        a.codes,
-                        a.cardinality,
-                        self.entropy(i),
-                        b.codes[None, :],
-                        np.array([b.cardinality]),
-                        np.array([self.entropy(j)]),
+                        a, a_card, self.entropy(i), b[None, :], np.array([b_card]), np.array([self.entropy(j)])
                     )[0]
                 )
         self._pair_d[key] = val
@@ -431,15 +424,10 @@ class InfoCache:
         key = (i, j) if i <= j else (j, i)
         val = self._pair_nmi.get(key)
         if val is None:
-            a, b = self._column(i), self._column(j)
+            (a, a_card), (b, b_card) = self._column(i), self._column(j)
             val = float(
                 normalized_mi_rows(
-                    a.codes,
-                    a.cardinality,
-                    self.entropy(i),
-                    b.codes[None, :],
-                    np.array([b.cardinality]),
-                    np.array([self.entropy(j)]),
+                    a, a_card, self.entropy(i), b[None, :], np.array([b_card]), np.array([self.entropy(j)])
                 )[0]
             )
             self._pair_nmi[key] = val
@@ -453,16 +441,10 @@ class InfoCache:
             mat, cards, h_rows = self._universe_arrays()
             cols = []
             for j in range(self._data.n_labels):
-                lab = self._data.labels[j]
+                codes, card = self._column(d + j)
                 cols.append(
                     normalized_mi_rows(
-                        lab.codes,
-                        lab.cardinality,
-                        self.entropy(d + j),
-                        mat,
-                        cards,
-                        h_rows,
-                        packed=self._packed(lab.cardinality),
+                        codes, card, self.entropy(d + j), mat, cards, h_rows, packed=self._packed(card)
                     )
                 )
             table = np.column_stack(cols)
@@ -482,23 +464,23 @@ def distance_rows(caches, target_ids) -> list:
     """
     todo = [(cache, int(t)) for cache, t in zip(caches, target_ids) if int(t) not in cache._rows]
     if len(todo) > 1:
-        jobs = [(cache, t, cache._column(t), cache._universe_arrays()) for cache, t in todo]
-        narrow = [i for i, (cache, _, col, _) in enumerate(jobs) if _packs(col.cardinality, cache._umax)]
+        jobs = [(cache, t, *cache._column(t), cache._universe_arrays()) for cache, t in todo]
+        narrow = [i for i, (cache, _, _, card, _) in enumerate(jobs) if _packs(card, cache._umax)]
         t_bits = {}
         if narrow:
-            cols = [jobs[i][2] for i in narrow]
-            planes = pack_codes(np.stack([c.codes for c in cols]), max(c.cardinality for c in cols))
-            t_bits = {i: planes[:, j, : c.cardinality] for j, (i, c) in enumerate(zip(narrow, cols))}
+            cols = [jobs[i][2:4] for i in narrow]
+            planes = pack_codes(np.stack([codes for codes, _ in cols]), max(card for _, card in cols))
+            t_bits = {i: planes[:, j, :card] for j, (i, (_, card)) in enumerate(zip(narrow, cols))}
         blocks, h_target, h_rows = [], [], []
-        for i, (cache, t, col, (mat, _, h)) in enumerate(jobs):
-            packed = cache._packed(col.cardinality)
-            blocks.append(_joint_counts(col.codes, col.cardinality, mat, cache._umax, packed, t_bits.get(i)))
+        for i, (cache, t, codes, card, (mat, _, h)) in enumerate(jobs):
+            packed = cache._packed(card)
+            blocks.append(_joint_counts(codes, card, mat, cache._umax, packed, t_bits.get(i)))
             h_target.append(cache.entropy(t))
             h_rows.append(h)
         h_joint = _entropies(itertools.chain.from_iterable(blocks), mat.shape[1], np.log2)
         sizes = [h.size for h in h_rows]
         rows = _nvi(np.repeat(h_target, sizes), np.concatenate(h_rows), h_joint)
         rows.flags.writeable = False
-        for (cache, t, _, _), row in zip(jobs, np.split(rows, np.cumsum(sizes)[:-1])):
+        for (cache, t, _, _, _), row in zip(jobs, np.split(rows, np.cumsum(sizes)[:-1])):
             cache._rows[t] = row
     return [cache.distance_block(t) for cache, t in zip(caches, target_ids)]

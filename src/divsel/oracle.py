@@ -29,13 +29,14 @@ RATIO_SLACK = 1e-9
 
 
 def distance_matrix(ids, cache: InfoCache) -> np.ndarray:
-    """Symmetric pairwise distance matrix over the given feature ids."""
-    ids = [int(i) for i in ids]
-    c = len(ids)
-    mat = np.zeros((c, c), dtype=np.float64)
-    for a in range(c):
-        for b in range(a + 1, c):
-            mat[a, b] = mat[b, a] = cache.distance(ids[a], ids[b])
+    """Symmetric pairwise distance matrix over the given feature ids, which
+    must lie in the cache's universe: one memoized distance row per id.
+    The kernel gives d(a, b) == d(b, a) and d(a, a) == 0 exactly, so the
+    rows form a symmetric matrix with a zero diagonal."""
+    ids = np.asarray([int(i) for i in ids], dtype=np.int64)
+    mat = np.zeros((ids.size, ids.size), dtype=np.float64)
+    for a, i in enumerate(ids.tolist()):
+        mat[a] = cache.distance_block(i, ids)
     return mat
 
 

@@ -1,14 +1,20 @@
 """Dataset loading, binning, canonicalization, and the synthesized benchmark."""
 
+import dataclasses
 import io
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from divsel import data as data_module
 from divsel.data import (
     BinningSpec,
     Dataset,
     DiscreteColumn,
+    canonicalize,
+    check_codes,
     dataset_from_matrices,
     generate_synthesized,
     load_dense_csv,
@@ -16,7 +22,7 @@ from divsel.data import (
     write_dense_csv,
 )
 from divsel.errors import ParseError, ValidationError
-from divsel.info import nvi_distance
+from divsel.info import InfoCache, nvi_distance
 
 DENSE_EXAMPLE = "a,b,y\n0,0,0\n0,1,0\n1,0,1\n1,1,1\n"
 
@@ -231,3 +237,150 @@ def test_synthesized_names(synth):
     assert synth.feature_names[50] == "x0b00"
     assert synth.feature_names[799] == "x7b49"
     assert synth.label_names == tuple(f"y{j}" for j in range(8))
+
+
+def _reference_codes(values, binning):
+    """One row canonicalized as np.unique, searchsorted and digitize give it."""
+    values = np.asarray(values, dtype=np.float64)
+    distinct = np.unique(values)
+    if binning.strategy == "none" or distinct.size <= binning.max_raw_categories:
+        return np.searchsorted(distinct, values), distinct.size
+    if binning.strategy == "equal_frequency":
+        s = np.sort(values)
+        cuts = np.unique(s[[s.size * j // binning.bins for j in range(1, binning.bins)]])
+        raw = np.searchsorted(cuts, values, side="right")
+    else:
+        lo, hi = values.min(), values.max()
+        raw = np.digitize(values, lo + (hi - lo) * np.arange(1, binning.bins) / binning.bins)
+    uniq, codes = np.unique(raw, return_inverse=True)
+    return codes, uniq.size
+
+
+def _canonicalization_rows(n=100):
+    rng = np.random.default_rng(41)
+    ties = np.concatenate([np.zeros(60), np.arange(1.0, 41.0)])
+    return [
+        rng.integers(-5, 5, n).astype(float),
+        rng.normal(size=n) - 10.0,
+        np.tile([-0.0, 0.0, 1.0, -0.0], n // 4),
+        np.concatenate([[-0.0, 0.0], np.linspace(0.0, 5.0, n - 2)]),
+        np.concatenate([[0.0, -0.0], -np.linspace(0.0, 5.0, n - 2)]),
+        np.full(n, 7.0),
+        rng.permutation(np.resize(np.arange(32.0), n)),
+        rng.permutation(np.resize(np.arange(33.0) - 16.5, n)),
+        rng.permutation(ties),  # equal-frequency cuts 0, 0, ... merge bins
+        rng.integers(0, 3, n) * 1e9 + rng.normal(size=n),
+        rng.exponential(size=n),
+    ]
+
+
+@pytest.mark.parametrize("block_cells", [None, 250])
+@pytest.mark.parametrize(
+    "binning",
+    [
+        BinningSpec(),
+        BinningSpec(bins=3),
+        BinningSpec(strategy="equal_width", bins=4),
+        BinningSpec(strategy="none"),
+        BinningSpec(bins=5, max_raw_categories=3),
+    ],
+)
+def test_canonicalize_matches_from_values_per_row(monkeypatch, binning, block_cells):
+    if block_cells is not None:
+        # two rows per block: categorical and binned rows meet in one block
+        monkeypatch.setattr(data_module, "BLOCK_CELLS", block_cells)
+    rows = _canonicalization_rows()
+    codes, cards = canonicalize(np.stack(rows), binning)
+    assert codes.dtype == np.int32 and cards.dtype == np.int64
+    assert not codes.flags.writeable and not cards.flags.writeable
+    for row, got, card in zip(rows, codes, cards):
+        want, want_card = _reference_codes(row, binning)
+        assert got.tolist() == want.tolist()
+        assert card == want_card
+        col = DiscreteColumn.from_values(row, binning)
+        assert col.codes.tolist() == want.tolist() and col.cardinality == want_card
+    ints = np.stack([np.arange(-3, 97), np.arange(100) % 4]).astype(np.int64)
+    int_codes, int_cards = canonicalize(ints, binning)
+    for row, got, card in zip(ints, int_codes, int_cards):
+        want, want_card = _reference_codes(row, binning)
+        assert got.tolist() == want.tolist() and card == want_card
+
+
+def test_canonicalize_rejects_bad_input():
+    with pytest.raises(ValidationError, match="non-finite"):
+        canonicalize(np.array([[0.0, 1.0], [np.inf, 1.0]]))
+    with pytest.raises(ValueError, match="two-dimensional"):
+        canonicalize(np.zeros(3))
+    codes, cards = canonicalize(np.zeros((2, 0)))
+    assert codes.shape == (2, 0) and cards.tolist() == [0, 0]
+
+
+def test_columns_are_read_only_views_of_one_matrix():
+    data = dataset_from_matrices([[0, 1, 1], [5, 5, 2]], [[1, 0, 1]])
+    assert data.feature_matrix.tolist() == [[0, 1, 1], [1, 1, 0]]
+    assert data.feature_cards.tolist() == [2, 2]
+    assert len(data.features) == 2 and len(data.labels) == 1
+    for i, col in enumerate(data.features):
+        assert isinstance(col, DiscreteColumn)
+        assert np.shares_memory(col.codes, data.feature_matrix)
+        assert col.codes.tolist() == data.feature_matrix[i].tolist()
+        assert col.cardinality == data.feature_cards[i]
+    assert np.shares_memory(data.labels[0].codes, data.label_matrix)
+    assert data.features[-1].codes.tolist() == [1, 1, 0]
+    for arr in (data.feature_matrix, data.feature_cards, data.label_matrix, data.label_cards, data.features[0].codes):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.feature_matrix = None
+    # an InfoCache over every feature reads the dataset's own matrix
+    assert InfoCache(data)._universe_arrays()[0] is data.feature_matrix
+    # the positional constructor stacks columns, views included
+    sub = Dataset(data.features[1:], ("b",), data.labels, ("y",), 3)
+    assert sub.feature_matrix.tolist() == [[1, 1, 0]]
+    assert not np.shares_memory(sub.feature_matrix, data.feature_matrix)
+
+
+def test_dataset_validates_stacked_code_matrices(monkeypatch):
+    ok = SimpleNamespace(codes=np.array([0, 1, 1]), cardinality=2)
+    gap = SimpleNamespace(codes=np.array([0, 2, 2]), cardinality=3)
+    high = SimpleNamespace(codes=np.array([0, 1, 2]), cardinality=2)
+    negative = SimpleNamespace(codes=np.array([0, -1, 1]), cardinality=2)
+    data = Dataset((ok,), ("a",), (ok,), ("y",), 3)
+    assert data.feature_matrix.dtype == np.int32
+    for bad, message in ((gap, "cover"), (high, "range"), (negative, "range")):
+        with pytest.raises(ValueError, match=message):
+            Dataset((ok, bad), ("a", "b"), (ok,), ("y",), 3)
+        with pytest.raises(ValueError, match=message):
+            Dataset((ok,), ("a",), (bad,), ("y",), 3)
+    # one row per block: a bad row in a later block is found too
+    monkeypatch.setattr(data_module, "BLOCK_CELLS", 1)
+    codes = np.array([[0, 1, 1], [0, 0, 0], [0, 2, 2]])
+    with pytest.raises(ValueError, match="cover"):
+        check_codes(codes, np.array([2, 1, 3]))
+    with pytest.raises(ValueError, match="range"):
+        check_codes(codes, np.array([2, 1, 2]))
+    with pytest.raises(ValueError, match="cover"):
+        check_codes(codes[:2], np.array([2, 9]))
+    with pytest.raises(ValueError, match="cover"):
+        check_codes(codes[:2], np.array([2, 10**15]))  # no count table that wide
+    check_codes(codes[:2], np.array([2, 1]))
+
+
+def test_setup_memory_is_bounded():
+    rng = np.random.default_rng(11)
+    feats = rng.integers(0, 4, size=(20000, 128))
+    labels = rng.integers(0, 2, size=(4, 128))
+    tracemalloc.start()
+    try:
+        data = dataset_from_matrices(feats, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * data.feature_matrix.nbytes
+
+
+def test_write_dense_csv_expected_text():
+    data = dataset_from_matrices([[0, 1, 1], [2, 0, 1], [1, 1, 0]], [[0, 1, 1]], feature_names=["a", "b", "c"])
+    buf = io.StringIO()
+    write_dense_csv(data, buf)
+    assert buf.getvalue() == "a,b,c,y0\n0,2,1,0\n1,0,1,1\n1,1,0,1\n"

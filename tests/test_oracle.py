@@ -11,7 +11,7 @@ from divsel.errors import BudgetError
 from divsel.greedy import GreedyVariant, greedy_select, select_first
 from divsel.info import InfoCache
 from divsel.objective import ObjectiveConfig, diversity, h_value, relevance_g
-from divsel.oracle import OracleResult, approximation_report, brute_force_opt, subset_value
+from divsel.oracle import OracleResult, approximation_report, brute_force_opt, distance_matrix, subset_value
 from divsel.runner import random_partition
 from helpers import instance_with_cache, plain_cfg, weighted_cfg
 
@@ -70,6 +70,20 @@ def test_oracle_whole_set_and_k1():
     plain1 = plain_cfg(cache, k=1, p=2)
     top = brute_force_opt(range(10), 1, plain1, cache)
     assert top.ids == (select_first(range(10), plain1),)
+
+
+@pytest.mark.parametrize("card_hi", [4, 40])
+def test_distance_matrix_rows_equal_scalar_distances(card_hi):
+    # card_hi 40 puts wide joint tables on the sorted-codes path
+    data, cache = instance_with_cache(seed=72, d=10, n=60, t=2, card_hi=card_hi)
+    ids = [7, 0, 3, 9, 4]
+    mat = distance_matrix(ids, cache)
+    scalar = InfoCache(data)
+    for a, i in enumerate(ids):
+        for b, j in enumerate(ids):
+            assert mat[a, b] == (0.0 if i == j else scalar.distance(i, j))
+    with pytest.raises(ValueError, match="universe"):
+        distance_matrix([0, 1], InfoCache(data, feature_ids=[0]))
 
 
 def test_oracle_budget_refusal():
