@@ -313,7 +313,6 @@ class InfoCache:
         self._entropies: dict[int, float] = {}
         self._rows: dict[int, np.ndarray] = {}
         self._pair_d: dict[tuple, float] = {}
-        self._pair_nmi: dict[tuple, float] = {}
         self._mi_table = None
         self._umat = None
         self._ucards = None
@@ -419,19 +418,6 @@ class InfoCache:
     def _in_universe(self, cid: int) -> bool:
         pos = np.searchsorted(self._universe, cid)
         return pos < self._universe.size and self._universe[pos] == cid
-
-    def nmi(self, i: int, j: int) -> float:
-        key = (i, j) if i <= j else (j, i)
-        val = self._pair_nmi.get(key)
-        if val is None:
-            (a, a_card), (b, b_card) = self._column(i), self._column(j)
-            val = float(
-                normalized_mi_rows(
-                    a, a_card, self.entropy(i), b[None, :], np.array([b_card]), np.array([self.entropy(j)])
-                )[0]
-            )
-            self._pair_nmi[key] = val
-        return val
 
     def mi_table(self) -> np.ndarray:
         """Normalized MI of every universe feature against every label,

@@ -8,7 +8,6 @@ evaluation path is deliberately separate from objective.h_value.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,17 +39,83 @@ def distance_matrix(ids, cache: InfoCache) -> np.ndarray:
     return mat
 
 
+def _combinations(c: int, k: int, chunk: int):
+    """Every k-subset of range(c) in lexicographic order, as (rows, k) int64
+    blocks of at most ``chunk`` rows whose columns are contiguous. Memory is
+    O(chunk * k) whatever C(c, k) is.
+
+    Lexicographic rank r of (a_0 < ... < a_{k-1}) is C(c, k) - 1 - N, where
+    N = sum_i C(c - 1 - a_i, k - i) is the combinatorial-number-system rank
+    of the reversed ids; a block unranks N greedily, one position at a time.
+    """
+    total = math.comb(c, k)
+    # binom[m][b] = C(b, m) for b <= c - 1 - k + m, the entries position
+    # k - m reads; all are at most C(c, k)
+    binom = [np.ones(c - k, dtype=np.int64)]
+    for _ in range(k):
+        binom.append(np.concatenate(([0], np.cumsum(binom[-1]))))
+    for start in range(0, total, chunk):
+        rows = min(chunk, total - start)
+        rest = np.arange(total - 1 - start, total - 1 - start - rows, -1, dtype=np.int64)
+        block = np.empty((k, rows), dtype=np.int64)
+        for i in range(k):
+            table = binom[k - i]
+            b = np.searchsorted(table, rest, side="right") - 1
+            rest -= table[b]
+            np.subtract(c - 1, b, out=block[i])
+        yield block.T
+
+
 def _values_for_combos(combos: np.ndarray, dmat: np.ndarray, mi_sub: np.ndarray, cfg: ObjectiveConfig) -> np.ndarray:
-    k = combos.shape[1]
-    div = np.zeros(combos.shape[0], dtype=np.float64)
-    for a in range(k):
+    """Objective value of each row of ``combos`` (positions into dmat and
+    mi_sub), evaluated one position column at a time.
+
+    Bit-identical to gathering each subset's (k, t) MI block, sorting it
+    along positions and summing the top min(top_p, k) of them over
+    positions, then over labels: pair distances are added in (a, b) order
+    from 0.0, and bubble passes of compare-exchange, which only permute
+    values, leave the top values in the same ascending order as the sort.
+    """
+    n, k = combos.shape
+    c = dmat.shape[0]
+    cols = [combos[:, a] for a in range(k)]
+    dflat = dmat.reshape(-1)
+    div = np.zeros(n, dtype=np.float64)
+    flat = np.empty(n, dtype=np.int64)
+    dist = np.empty(n, dtype=np.float64)
+    for a in range(k - 1):
+        row = cols[a] * c
         for b in range(a + 1, k):
-            div = div + dmat[combos[:, a], combos[:, b]]
+            np.add(row, cols[b], out=flat)
+            np.take(dflat, flat, out=dist)
+            div += dist
     take = min(cfg.top_p, k)
-    mi = mi_sub[combos]
-    top = np.sort(mi, axis=1)[:, k - take :, :]
-    rel = top.sum(axis=1).sum(axis=1)
+    mi = [mi_sub.take(col, axis=0) for col in cols]
+    spare = np.empty_like(mi[0])
+    for p in range(take):
+        # carry the running maximum from position 0 up to position k - 1 - p
+        for j in range(k - 1 - p):
+            np.minimum(mi[j], mi[j + 1], out=spare)
+            np.maximum(mi[j], mi[j + 1], out=mi[j + 1])
+            mi[j], spare = spare, mi[j]
+    top = mi[k - take :]
+    # numpy sums a (rows, take, t) block over positions pairwise when t == 1
+    # and position by position otherwise
+    if mi_sub.shape[1] == 1:
+        rel = np.concatenate(top, axis=1).sum(axis=1)
+    else:
+        rel = top[0]
+        for col in top[1:]:
+            rel += col
+        rel = rel.sum(axis=1)
     return cfg.relevance_scale * rel + cfg.diversity_scale * div
+
+
+def _sorted_ids(ids) -> list:
+    ids = sorted(int(i) for i in ids)
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate candidate ids")
+    return ids
 
 
 @dataclass(frozen=True)
@@ -62,7 +127,7 @@ class OracleResult:
 
 def subset_value(ids, cfg: ObjectiveConfig, cache: InfoCache) -> float:
     """Objective value of one subset, through the oracle's evaluator."""
-    ids = sorted(int(i) for i in ids)
+    ids = _sorted_ids(ids)
     if not ids:
         return 0.0
     dmat = distance_matrix(ids, cache)
@@ -77,15 +142,17 @@ def brute_force_opt(
     cfg: ObjectiveConfig,
     cache: InfoCache,
     budget: int = DEFAULT_BUDGET,
-    chunk: int = 65536,
+    chunk: int = 8192,
 ) -> OracleResult:
     """Exact maximizer over all k-subsets of the candidates.
 
-    Refuses (BudgetError) when C(|candidates|, k) exceeds the budget. Ties
-    resolve to the lexicographically smallest id tuple; the result depends
-    only on the candidate set.
+    Refuses (BudgetError) when C(|candidates|, k) exceeds the budget and
+    ValueError on duplicate ids. Subsets are enumerated and evaluated
+    ``chunk`` at a time, so memory does not grow with C(|candidates|, k).
+    Ties resolve to the lexicographically smallest id tuple; the result
+    depends only on the candidate set.
     """
-    ids = sorted(int(i) for i in candidates)
+    ids = _sorted_ids(candidates)
     c = len(ids)
     if not 1 <= k <= c:
         raise ValueError("need 1 <= k <= |candidates|")
@@ -97,18 +164,13 @@ def brute_force_opt(
     best_value = -np.inf
     best_combo = None
     seen = 0
-    gen = itertools.combinations(range(c), k)
-    while True:
-        block = list(itertools.islice(gen, chunk))
-        if not block:
-            break
-        combos = np.asarray(block, dtype=np.int64)
+    for combos in _combinations(c, k, chunk):
         values = _values_for_combos(combos, dmat, mi_sub, cfg)
         seen += combos.shape[0]
         local = int(np.argmax(values))
         if values[local] > best_value:
             best_value = float(values[local])
-            best_combo = combos[local]
+            best_combo = combos[local].copy()
     id_arr = np.asarray(ids, dtype=np.int64)
     return OracleResult(tuple(int(i) for i in id_arr[best_combo]), best_value, seen)
 

@@ -2,6 +2,8 @@
 distributed-merge bounds checked at desk scale."""
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,13 +13,36 @@ from divsel.errors import BudgetError
 from divsel.greedy import GreedyVariant, greedy_select, select_first
 from divsel.info import InfoCache
 from divsel.objective import ObjectiveConfig, diversity, h_value, relevance_g
-from divsel.oracle import OracleResult, approximation_report, brute_force_opt, distance_matrix, subset_value
+from divsel.oracle import (
+    OracleResult,
+    _combinations,
+    _values_for_combos,
+    approximation_report,
+    brute_force_opt,
+    distance_matrix,
+    subset_value,
+)
 from divsel.runner import random_partition
 from helpers import instance_with_cache, plain_cfg, weighted_cfg
 
 # frozen from one run; reproduced below by an independent reverse-order scan
 GOLDEN_OPT_IDS = (0, 3, 7)
 GOLDEN_OPT_VALUE = 1.7315917660674351
+
+
+def _sorting_values_for_combos(combos, dmat, mi_sub, cfg):
+    """Reference evaluator: gathers each subset's (k, t) MI block and sorts
+    it along positions."""
+    k = combos.shape[1]
+    div = np.zeros(combos.shape[0], dtype=np.float64)
+    for a in range(k):
+        for b in range(a + 1, k):
+            div = div + dmat[combos[:, a], combos[:, b]]
+    take = min(cfg.top_p, k)
+    mi = mi_sub[combos]
+    top = np.sort(mi, axis=1)[:, k - take :, :]
+    rel = top.sum(axis=1).sum(axis=1)
+    return cfg.relevance_scale * rel + cfg.diversity_scale * div
 
 
 def _golden_instance():
@@ -57,9 +82,61 @@ def test_oracle_candidate_order_irrelevant():
 
 def test_oracle_chunking_irrelevant():
     _, cache, cfg = _golden_instance()
-    a = brute_force_opt(range(10), 3, cfg, cache, chunk=7)
-    b = brute_force_opt(range(10), 3, cfg, cache, chunk=100000)
-    assert a.ids == b.ids and a.value == b.value
+    base = brute_force_opt(range(10), 3, cfg, cache)
+    for chunk in (1, 7, math.comb(10, 3), math.comb(10, 3) + 1, 100000):
+        again = brute_force_opt(range(10), 3, cfg, cache, chunk=chunk)
+        assert (again.ids, again.value, again.n_evaluated) == (base.ids, base.value, 120)
+
+
+@pytest.mark.parametrize("c,k", [(1, 1), (6, 1), (6, 6), (7, 3), (10, 4), (12, 7)])
+def test_combinations_enumerate_in_lexicographic_order(c, k):
+    expected = list(itertools.combinations(range(c), k))
+    for chunk in (1, 5, len(expected), 100000):
+        blocks = list(_combinations(c, k, chunk))
+        assert all(0 < b.shape[0] <= chunk and b.shape[1] == k for b in blocks)
+        assert [tuple(row) for b in blocks for row in b.tolist()] == expected
+
+
+@pytest.mark.parametrize("t", [1, 2, 8])
+@pytest.mark.parametrize("k", [1, 2, 5, 10])
+def test_evaluator_bitwise_equals_sorting_reference(k, t):
+    rng = np.random.default_rng(100 * k + t)
+    c = 14
+    dmat = rng.random((c, c))
+    dmat = dmat + dmat.T
+    np.fill_diagonal(dmat, 0.0)
+    mi_sub = rng.random((c, t))
+    mi_sub[rng.random((c, t)) < 0.2] = 0.0
+    mi_sub[1] = mi_sub[0]  # exact ties across positions
+    combos = np.sort(np.argsort(rng.random((500, c)), axis=1)[:, :k], axis=1)
+    for top_p in sorted({max(1, k - 1), k, k + 1}):
+        cfg = ObjectiveConfig(mi_sub, k, top_p, float(rng.random()), float(rng.random()))
+        got = _values_for_combos(combos, dmat, mi_sub, cfg)
+        ref = _sorting_values_for_combos(combos, dmat, mi_sub, cfg)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64)), top_p
+
+
+def test_oracle_rejects_duplicate_ids():
+    _, cache, cfg = _golden_instance()
+    with pytest.raises(ValueError, match="duplicate candidate ids"):
+        brute_force_opt([3, 3, 3, 3], 2, cfg, cache)
+    with pytest.raises(ValueError, match="duplicate candidate ids"):
+        subset_value([3, 3], cfg, cache)
+
+
+def test_oracle_memory_does_not_grow_with_subset_count():
+    # C(40, 5) = 658,008 subsets; the evaluator's temporaries are
+    # O(chunk * k * t), about 2.6 MB at the default chunk
+    _, cache = instance_with_cache(seed=73, d=40, n=64, t=4)
+    cfg = weighted_cfg(cache, k=5, lam=0.5, p=3)
+    tracemalloc.start()
+    try:
+        opt = brute_force_opt(range(40), 5, cfg, cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert opt.n_evaluated == 658008
+    assert peak < 8_000_000
 
 
 def test_oracle_whole_set_and_k1():
@@ -149,7 +226,7 @@ def test_distributed_merge_bounds_at_desk_scale():
     across 50 partition seeds."""
     data, cache = instance_with_cache(seed=77, d=24, n=24, t=2)
     cfg = plain_cfg(cache, k=10, p=3)
-    opt = brute_force_opt(range(24), 10, cfg, cache, chunk=262144)
+    opt = brute_force_opt(range(24), 10, cfg, cache)
     d_opt = diversity(opt.ids, cache)
     g_opt = relevance_g(opt.ids, cfg)
 
