@@ -11,6 +11,8 @@ works a block of rows at a time; there is no per-column loop.
 from __future__ import annotations
 
 import io
+import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -337,45 +339,39 @@ def load_dense_csv(
     columns are labels.
 
     No quoting or escaping; a missing or non-numeric cell is a parse error
-    naming the line. Feature columns are discretized per ``binning``.
+    naming the line. A cell is read as ``float()`` reads it, so surrounding
+    whitespace and underscores between digits are accepted; blank lines and
+    non-finite values are errors. Feature columns are discretized per
+    ``binning``.
+
+    Lines are read and parsed a block of about ``BLOCK_CELLS`` cells at a
+    time by numpy's text parser. A block it refuses is parsed again line by
+    line with ``float()`` (``_parse_lines``), which raises the block's first
+    error in line order or returns the values ``float()`` gives.
     """
     if label_count < 1:
         raise ValueError("label_count must be >= 1")
     name, fh, owned = _open_text(source)
     try:
-        lines = fh.read().split("\n")
+        lines = iter(fh)
+        raw_first = next(lines, None)
+        if raw_first is None:
+            raise ParseError(f"{name}: file is empty")
+        first = _strip_line_end(raw_first)
+        width = first.count(",") + 1
+        if width <= label_count:
+            raise ValidationError(f"{name}: no feature columns remain with label_count={label_count}")
+        if has_header:
+            header = [c.strip() for c in first.split(",")]
+            table = _read_rows(name, lines, 2, width)
+        else:
+            header = None
+            table = _read_rows(name, itertools.chain([raw_first], lines), 1, width)
     finally:
         if owned:
             fh.close()
-    if lines and lines[-1] == "":
-        lines.pop()
-    lines = [ln[:-1] if ln.endswith("\r") else ln for ln in lines]
-    if not lines:
-        raise ParseError(f"{name}: file is empty")
-    width = len(lines[0].split(","))
-    header = None
-    start = 0
-    if has_header:
-        header = [c.strip() for c in lines[0].split(",")]
-        start = 1
-    if width <= label_count:
-        raise ValidationError(f"{name}: no feature columns remain with label_count={label_count}")
-    rows = []
-    for idx in range(start, len(lines)):
-        cells = lines[idx].split(",")
-        if len(cells) != width:
-            raise ParseError(f"{name}: line {idx + 1}: expected {width} cells, got {len(cells)}")
-        try:
-            row = [float(c) for c in cells]
-        except ValueError:
-            bad = next(c for c in cells if not _is_number(c))
-            raise ParseError(f"{name}: line {idx + 1}: non-numeric cell {bad!r}") from None
-        if not all(np.isfinite(row)):
-            raise ParseError(f"{name}: line {idx + 1}: non-finite value")
-        rows.append(row)
-    if not rows:
+    if table.shape[0] == 0:
         raise ValidationError(f"{name}: no data rows")
-    table = np.asarray(rows, dtype=np.float64)
     d = width - label_count
     if header is not None:
         feature_names, label_names = header[:d], header[d:]
@@ -385,6 +381,62 @@ def load_dense_csv(
     features = canonicalize(table[:, :d].T, binning)
     labels = canonicalize(table[:, d:].T, BinningSpec(strategy="none"))
     return Dataset._from_codes(*features, feature_names, *labels, label_names, allow_multiclass_labels)
+
+
+def _strip_line_end(line: str) -> str:
+    return line.removesuffix("\n").removesuffix("\r")
+
+
+# ASCII separators that numpy's text parser strips as whitespace around a
+# number but float() refuses; a line holding one is parsed by float().
+_FLOAT_REFUSES = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _read_rows(name: str, lines, lineno: int, width: int) -> np.ndarray:
+    """The (rows, width) float64 table of the remaining ``lines``, the first
+    of which is line ``lineno``, parsed a block of lines at a time."""
+    step = max(1, BLOCK_CELLS // width)
+    blocks = []
+    while block := [_strip_line_end(line) for line in itertools.islice(lines, step)]:
+        blocks.append(_parse_block(name, block, lineno, width))
+        lineno += len(block)
+    return np.concatenate(blocks) if blocks else np.empty((0, width))
+
+
+def _parse_block(name: str, lines: list, lineno: int, width: int) -> np.ndarray:
+    """Parse ``lines`` with numpy's text parser; on any fault, fall back to
+    ``_parse_lines``."""
+    commas = width - 1
+    # np.loadtxt skips blank lines, so the cell count is checked first
+    if all(line.count(",") == commas and not any(c in line for c in _FLOAT_REFUSES) for line in lines):
+        try:
+            values = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if values.shape == (len(lines), width) and np.isfinite(values).all():
+                return values
+    return _parse_lines(name, lines, lineno, width)
+
+
+def _parse_lines(name: str, lines: list, lineno: int, width: int) -> np.ndarray:
+    """Parse ``lines``, the first of which is line ``lineno``, one cell at a
+    time with ``float()``. Raises on the first faulty line: a wrong cell
+    count, a non-numeric cell or a non-finite value."""
+    rows = []
+    for i, line in enumerate(lines, lineno):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ParseError(f"{name}: line {i}: expected {width} cells, got {len(cells)}")
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            bad = next(c for c in cells if not _is_number(c))
+            raise ParseError(f"{name}: line {i}: non-numeric cell {bad!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise ParseError(f"{name}: line {i}: non-finite value")
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)
 
 
 def _is_number(cell: str) -> bool:
@@ -449,7 +501,7 @@ def load_sparse_multilabel(
                 raise ParseError(f"{name}: line {row + 1}: feature index {idx} out of range")
             if idx <= prev:
                 raise ParseError(f"{name}: line {row + 1}: feature indices must increase")
-            if not np.isfinite(val) or val < 0:
+            if not math.isfinite(val) or val < 0:
                 raise ParseError(f"{name}: line {row + 1}: value must be finite and >= 0")
             values[idx - 1, row] = val
             prev = idx

@@ -150,14 +150,25 @@ def centralized_select(
     )
 
 
-_WORK = None
-
-
-def _machine_job(machine_indices: list) -> list:
-    data, cfg, k, variant, machine_ids = _WORK
+def _machine_job(work, machine_indices: list) -> list:
+    data, cfg, k, variant, machine_ids = work
     groups = [machine_ids[i] for i in machine_indices]
     caches = [InfoCache(data, feature_ids=ids) for ids in groups]
     return greedy_states(groups, k, variant, cfg, caches).picks
+
+
+# A forked worker's work, set by the pool's initializer in the worker only;
+# the calling process hands its own share's work to _machine_job directly.
+_forked_work = None
+
+
+def _init_forked_worker(work) -> None:
+    global _forked_work
+    _forked_work = work
+
+
+def _forked_machine_job(machine_indices: list) -> list:
+    return _machine_job(_forked_work, machine_indices)
 
 
 def _run_machines(data, cfg, k, variant, machine_ids, parallelism: int) -> list:
@@ -167,25 +178,27 @@ def _run_machines(data, cfg, k, variant, machine_ids, parallelism: int) -> list:
     runs the first and p - 1 forked workers run the others. Each share's
     machines run side by side (greedy_states), which picks exactly what
     greedy_select picks one machine at a time, as the serial path and
-    streaming do.
+    streaming do. The workers inherit the work through the fork, not by
+    pickling.
     """
-    global _WORK
     jobs = [i for i in range(len(machine_ids)) if machine_ids[i].size > 0]
     results = [[] for _ in machine_ids]
     if parallelism > 1 and len(jobs) > 1:
-        _WORK = (data, cfg, k, variant, machine_ids)
+        work = (data, cfg, k, variant, machine_ids)
+        workers = min(parallelism, len(jobs))
+        shares = [jobs[w::workers] for w in range(workers)]
+        pool = ProcessPoolExecutor(
+            max_workers=workers - 1,
+            mp_context=get_context("fork"),
+            initializer=_init_forked_worker,
+            initargs=(work,),
+        )
         try:
-            workers = min(parallelism, len(jobs))
-            shares = [jobs[w::workers] for w in range(workers)]
-            pool = ProcessPoolExecutor(max_workers=workers - 1, mp_context=get_context("fork"))
-            try:
-                forked = pool.map(_machine_job, shares[1:])
-                picks = [_machine_job(shares[0])] + list(forked)
-            finally:
-                # the results are in hand; the workers wind down on their own
-                pool.shutdown(wait=False, cancel_futures=True)
+            forked = pool.map(_forked_machine_job, shares[1:])
+            picks = [_machine_job(work, shares[0])] + list(forked)
         finally:
-            _WORK = None
+            # the results are in hand; the workers wind down on their own
+            pool.shutdown(wait=False, cancel_futures=True)
         for share, sels in zip(shares, picks):
             for i, sel in zip(share, sels):
                 results[i] = sel

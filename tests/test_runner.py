@@ -136,6 +136,25 @@ def test_parallel_pool_matches_serial():
     assert serial.objective == pooled.objective
 
 
+def test_back_to_back_parallel_runs_keep_their_own_work():
+    # two datasets of different shape; each pooled run must match its own
+    # serial run, whatever the run before it handed its workers
+    def canonical(report):
+        doc = report.to_json_dict()
+        del doc["timings_ms"]
+        doc["config"].pop("parallelism")
+        return json.dumps(doc, sort_keys=True)
+
+    runs = []
+    for seed, d in ((54, 48), (55, 70)):
+        data, cache = instance_with_cache(seed=seed, d=d, n=30, t=2)
+        runs.append((data, weighted_cfg(cache, k=5, lam=0.5, p=3)))
+    pooled = [distributed_select(data, 5, cfg, m=4, seed=3, parallelism=2) for data, cfg in runs]
+    serial = [distributed_select(data, 5, cfg, m=4, seed=3, parallelism=1) for data, cfg in runs]
+    assert [canonical(r) for r in pooled] == [canonical(r) for r in serial]
+    assert pooled[0].selected_ids != pooled[1].selected_ids
+
+
 def test_streaming_equals_distributed_quick():
     for seed in range(5):
         data, cache = instance_with_cache(seed=60 + seed, d=30, n=26, t=2)
