@@ -19,7 +19,6 @@ from .data import (
 from .errors import BudgetError, DataError, GuaranteeError, ParseError, ValidationError
 from .greedy import GreedyVariant, NicenessReport, greedy_select, greedy_state, niceness_witness
 from .info import (
-    ContingencyTable,
     InfoCache,
     entropy,
     joint_entropy,
@@ -52,7 +51,6 @@ __all__ = [
     "ApproximationReport",
     "BinningSpec",
     "BudgetError",
-    "ContingencyTable",
     "DataError",
     "Dataset",
     "DiscreteColumn",

@@ -14,6 +14,7 @@ import io
 import itertools
 import math
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -321,10 +322,21 @@ class Dataset:
         return _Columns(self.label_matrix, self.label_cards)
 
 
-def _open_text(source):
-    if isinstance(source, (str, Path)):
-        return str(source), open(source, "r", encoding="utf-8", newline=None), True
-    return "<stream>", source, False
+@contextmanager
+def open_text(source):
+    """(name, text handle) of a path, opened as UTF-8 and closed on exit, or
+    of an open text stream, named ``<stream>``. Bytes that do not decode
+    raise ``ParseError``."""
+    owned = isinstance(source, (str, Path))
+    name = str(source) if owned else "<stream>"
+    fh = open(source, "r", encoding="utf-8", newline=None) if owned else source
+    try:
+        yield name, fh
+    except UnicodeDecodeError:
+        raise ParseError(f"{name}: not valid UTF-8 text") from None
+    finally:
+        if owned:
+            fh.close()
 
 
 def load_dense_csv(
@@ -351,8 +363,7 @@ def load_dense_csv(
     """
     if label_count < 1:
         raise ValueError("label_count must be >= 1")
-    name, fh, owned = _open_text(source)
-    try:
+    with open_text(source) as (name, fh):
         lines = iter(fh)
         raw_first = next(lines, None)
         if raw_first is None:
@@ -367,9 +378,6 @@ def load_dense_csv(
         else:
             header = None
             table = _read_rows(name, itertools.chain([raw_first], lines), 1, width)
-    finally:
-        if owned:
-            fh.close()
     if table.shape[0] == 0:
         raise ValidationError(f"{name}: no data rows")
     d = width - label_count
@@ -463,12 +471,8 @@ def load_sparse_multilabel(
     """
     if n_features < 1 or n_labels < 1:
         raise ValueError("n_features and n_labels must be >= 1")
-    name, fh, owned = _open_text(source)
-    try:
+    with open_text(source) as (name, fh):
         lines = fh.read().split("\n")
-    finally:
-        if owned:
-            fh.close()
     if lines and lines[-1] == "":
         lines.pop()
     lines = [ln[:-1] if ln.endswith("\r") else ln for ln in lines]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .info import InfoCache
-from .objective import ObjectiveConfig, SelectionState, marginal_g, marginal_g_rows
+from .objective import ObjectiveConfig, SelectionState, marginal_g_rows
 
 TIE_BAND = 1e-12
 
@@ -148,35 +148,32 @@ def niceness_witness(
     state = greedy_state(ids, k, variant, cfg, cache)
     selected = state.selected
     chosen = set(selected)
+    rejected = [t for t in ids if t not in chosen]
     f_val = state.objective_value
-    max_gain = 0.0
-    max_dist = 0.0
-    stable = True
-    for t in ids:
-        if t in chosen:
-            continue
-        dist_sum = 0.0
-        for x in selected:
-            dist_sum += cache.distance(t, x)
-        gain = (
-            cfg.relevance_scale * marginal_g(t, cfg, state.tracker)
-            + cfg.diversity_scale * dist_sum
-        )
-        weighted_dist = cfg.diversity_scale * dist_sum
-        if f_val > 0.0:
-            max_gain = max(max_gain, gain * k / f_val)
-            max_dist = max(max_dist, weighted_dist * (k - 1) / f_val)
-        elif gain > 0.0 or weighted_dist > 0.0:
-            max_gain = float("inf")
-            max_dist = float("inf")
-        if check_stability:
-            rerun = greedy_state([i for i in ids if i != t], k, variant, cfg, cache)
-            if rerun.selected != selected:
-                stable = False
+    # each rejected candidate's distances to the selected set, added in
+    # selected order from 0.0
+    pos = cache.positions(rejected)
+    dist_sum = np.zeros(len(rejected), dtype=np.float64)
+    for x in selected:
+        dist_sum += cache.distance_block(x)[pos]
+    rel = marginal_g_rows(cfg.mi_table[rejected], state.tracker.tau())
+    gain = cfg.relevance_scale * rel + cfg.diversity_scale * dist_sum
+    weighted_dist = cfg.diversity_scale * dist_sum
+    if f_val > 0.0:
+        max_gain = max(0.0, float(np.max(gain * k / f_val)))
+        max_dist = max(0.0, float(np.max(weighted_dist * (k - 1) / f_val)))
+    elif np.any(gain > 0.0) or np.any(weighted_dist > 0.0):
+        max_gain = max_dist = float("inf")
+    else:
+        max_gain = max_dist = 0.0
+    stable = not check_stability or all(
+        greedy_state([i for i in ids if i != t], k, variant, cfg, cache).selected == selected
+        for t in rejected
+    )
     return NicenessReport(
         selected=tuple(selected),
         f_value=f_val,
-        rejected_count=len(ids) - len(selected),
+        rejected_count=len(rejected),
         max_gain_ratio=max_gain,
         max_distance_ratio=max_dist,
         removal_stable=stable,

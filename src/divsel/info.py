@@ -234,71 +234,38 @@ def mutual_information(a, b, *, log_fn=np.log2) -> float:
     return max(0.0, (ha + hb) - hab)
 
 
+def _pair(rows_fn, a, b, log_fn) -> float:
+    """``rows_fn`` of column a against the one-row matrix of column b."""
+    a_codes, a_card = _as_codes(a)
+    b_codes, b_card = _as_codes(b)
+    ha = float(entropy_rows(a_codes[None, :], np.array([a_card]), log_fn=log_fn)[0])
+    hb = entropy_rows(b_codes[None, :], np.array([b_card]), log_fn=log_fn)
+    return float(rows_fn(a_codes, a_card, ha, b_codes[None, :], np.array([b_card]), hb, log_fn=log_fn)[0])
+
+
 def nvi_distance(a, b, *, log_fn=np.log2) -> float:
     """1 - I(a; b) / H(a, b): a [0, 1] pseudometric on discrete columns.
 
     Zero exactly when the columns induce the same partition (duplicates
     included); 0 by convention when H(a, b) = 0.
     """
-    a_codes, a_card = _as_codes(a)
-    b_codes, b_card = _as_codes(b)
-    ha = float(entropy_rows(a_codes[None, :], np.array([a_card]), log_fn=log_fn)[0])
-    hb = float(entropy_rows(b_codes[None, :], np.array([b_card]), log_fn=log_fn)[0])
-    return float(
-        nvi_distance_rows(
-            a_codes, a_card, ha, b_codes[None, :], np.array([b_card]), np.array([hb]), log_fn=log_fn
-        )[0]
-    )
+    return _pair(nvi_distance_rows, a, b, log_fn)
 
 
 def normalized_mi(a, b, *, log_fn=np.log2) -> float:
     """I(a; b) / sqrt(H(a) H(b)) in [0, 1]; 0 if either entropy is 0."""
-    a_codes, a_card = _as_codes(a)
-    b_codes, b_card = _as_codes(b)
-    ha = float(entropy_rows(a_codes[None, :], np.array([a_card]), log_fn=log_fn)[0])
-    hb = float(entropy_rows(b_codes[None, :], np.array([b_card]), log_fn=log_fn)[0])
-    return float(
-        normalized_mi_rows(
-            a_codes, a_card, ha, b_codes[None, :], np.array([b_card]), np.array([hb]), log_fn=log_fn
-        )[0]
-    )
-
-
-class ContingencyTable:
-    """Joint count matrix for a column pair plus its marginals."""
-
-    def __init__(self, joint: np.ndarray, n: int):
-        joint = np.asarray(joint, dtype=np.int64)
-        if joint.ndim != 2:
-            raise ValueError("joint must be a matrix")
-        if int(joint.sum()) != n:
-            raise ValueError("joint counts must total n")
-        if joint.min() < 0:
-            raise ValueError("counts must be non-negative")
-        self.joint = joint
-        self.n = n
-        self.row_marginal = joint.sum(axis=1)
-        self.col_marginal = joint.sum(axis=0)
-
-    @classmethod
-    def from_columns(cls, a, b) -> "ContingencyTable":
-        a_codes, a_card = _as_codes(a)
-        b_codes, b_card = _as_codes(b)
-        if a_codes.size != b_codes.size:
-            raise ValueError("column lengths differ")
-        flat = a_codes.astype(np.int64) * b_card + b_codes
-        joint = np.bincount(flat, minlength=a_card * b_card).reshape(a_card, b_card)
-        return cls(joint, a_codes.size)
+    return _pair(normalized_mi_rows, a, b, log_fn)
 
 
 class InfoCache:
-    """Memoized entropies, pairwise distances, and normalized MI for one
-    dataset's columns.
+    """Memoized entropies, distance rows, and the normalized MI table for
+    one dataset's columns.
 
     Column ids: features are 0..d-1; label j is d+j. ``feature_ids``
-    restricts the universe that vectorized distance rows cover (a machine's
-    partition); scalar lookups accept any id. Lookups are idempotent, so
-    duplicated concurrent computation is harmless.
+    restricts the universe that distance rows cover (a machine's partition);
+    the vectorized lookups (``distance_block``, ``positions``) take only
+    universe ids. ``distance`` accepts any two column ids and is one
+    unmemoized kernel call.
     """
 
     def __init__(self, data: Dataset, feature_ids=None):
@@ -312,7 +279,6 @@ class InfoCache:
         self._universe = universe
         self._entropies: dict[int, float] = {}
         self._rows: dict[int, np.ndarray] = {}
-        self._pair_d: dict[tuple, float] = {}
         self._mi_table = None
         self._umat = None
         self._ucards = None
@@ -394,30 +360,10 @@ class InfoCache:
         return pos
 
     def distance(self, i: int, j: int) -> float:
-        key = (i, j) if i <= j else (j, i)
-        val = self._pair_d.get(key)
-        if val is not None:
-            return val
-        row = self._rows.get(i)
-        if row is not None and self._in_universe(j):
-            val = float(self.distance_block(i, np.array([j]))[0])
-        else:
-            row = self._rows.get(j)
-            if row is not None and self._in_universe(i):
-                val = float(self.distance_block(j, np.array([i]))[0])
-            else:
-                (a, a_card), (b, b_card) = self._column(i), self._column(j)
-                val = float(
-                    nvi_distance_rows(
-                        a, a_card, self.entropy(i), b[None, :], np.array([b_card]), np.array([self.entropy(j)])
-                    )[0]
-                )
-        self._pair_d[key] = val
-        return val
-
-    def _in_universe(self, cid: int) -> bool:
-        pos = np.searchsorted(self._universe, cid)
-        return pos < self._universe.size and self._universe[pos] == cid
+        """d(i, j) for any two column ids: one kernel call, not memoized."""
+        (a, a_card), (b, b_card) = self._column(i), self._column(j)
+        h_b = np.array([self.entropy(j)])
+        return float(nvi_distance_rows(a, a_card, self.entropy(i), b[None, :], np.array([b_card]), h_b)[0])
 
     def mi_table(self) -> np.ndarray:
         """Normalized MI of every universe feature against every label,

@@ -8,10 +8,9 @@ average.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
+from .data import open_text
 from .errors import ParseError, ValidationError
 
 
@@ -37,11 +36,8 @@ class PredictionMatrix:
     @classmethod
     def from_csv(cls, source) -> "PredictionMatrix":
         """Dense CSV of 0/1 cells, no header."""
-        name = str(source) if isinstance(source, (str, Path)) else "<stream>"
-        if isinstance(source, (str, Path)):
-            text = Path(source).read_text(encoding="utf-8")
-        else:
-            text = source.read()
+        with open_text(source) as (name, fh):
+            text = fh.read()
         lines = text.split("\n")
         if lines and lines[-1] == "":
             lines.pop()

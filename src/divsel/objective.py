@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info import InfoCache, distance_rows
+from .info import PACKED_MAX_WIDTH, InfoCache, distance_rows, nvi_distance_rows, pack_codes
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,12 +141,6 @@ def marginal_g_rows(mi_rows: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return total
 
 
-def marginal_g(feature_id: int, cfg: ObjectiveConfig, tracker: TopPTracker) -> float:
-    """g(S + {x}) - g(S) for the tracker's current selection (unscaled)."""
-    row = cfg.mi_table[int(feature_id)][None, :]
-    return float(marginal_g_rows(row, tracker.tau())[0])
-
-
 def relevance_g(selected, cfg: ObjectiveConfig) -> float:
     """Sum over labels of the top_p largest MI values among ``selected``.
 
@@ -163,12 +157,29 @@ def relevance_g(selected, cfg: ObjectiveConfig) -> float:
 
 
 def diversity(selected, cache: InfoCache) -> float:
-    """Sum of pairwise distances over unordered pairs of ``selected``."""
-    ids = sorted(int(i) for i in selected)
+    """Sum of pairwise distances over unordered pairs of ``selected``.
+
+    The ids are sorted and their rows gathered once; each id is one kernel
+    call against the later ids, and the pairs are added in that (a, b)
+    order from 0.0. The ids need not lie in the cache's universe, and only
+    their entropies are memoized.
+    """
+    ids = np.asarray(sorted(int(i) for i in selected), dtype=np.int64)
+    data = cache.data
+    if ids.size and (ids[0] < 0 or ids[-1] >= data.n_features):
+        raise ValueError("feature id out of range")
+    mat, cards = data.feature_matrix[ids], data.feature_cards[ids]
+    h = np.array([cache.entropy(i) for i in ids.tolist()])
+    # bit planes packed once, for the calls that take the packed path;
+    # planes wider than a call's rows need only add zero counts
+    top = int(cards.max(initial=0))
+    packed = pack_codes(mat, top) if top <= PACKED_MAX_WIDTH else None
     total = 0.0
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            total += cache.distance(ids[a], ids[b])
+    for a in range(ids.size - 1):
+        rest = None if packed is None else packed[:, a + 1 :]
+        row = nvi_distance_rows(mat[a], cards[a], h[a], mat[a + 1 :], cards[a + 1 :], h[a + 1 :], packed=rest)
+        for value in row.tolist():
+            total += value
     return total
 
 

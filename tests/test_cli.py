@@ -90,6 +90,50 @@ def test_data_errors(tmp_path, small_csv):
     assert code == 3
 
 
+NON_UTF8_CASES = {
+    "select-dense": (b"a,y\n0,1\n\xff,1\n", ["select", "--labels", "1", "--k", "1", "--input"]),
+    "select-sparse": (
+        b"0 1:1\n\xff 1:2\n",
+        ["select", "--format", "sparse-ml", "--n-features", "1", "--n-labels", "1", "--k", "1", "--input"],
+    ),
+    "eval-metrics": (b"0,1\n\xff,1\n", ["eval-metrics", "--truth", "TRUTH", "--pred"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_UTF8_CASES))
+def test_non_utf8_file_is_a_data_error(tmp_path, case):
+    payload, argv = NON_UTF8_CASES[case]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(payload)
+    truth = tmp_path / "truth.csv"
+    truth.write_text("0,1\n1,1\n")
+    argv = [str(truth) if a == "TRUTH" else a for a in argv] + [str(bad)]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: {bad}: not valid UTF-8 text\n"
+
+
+def test_non_utf8_stdin_is_a_data_error():
+    # under a C or POSIX locale stdin decodes with surrogateescape and the
+    # byte is a non-numeric cell; under a UTF-8 locale it does not decode
+    env = dict(os.environ)
+    pkg_parent = str(Path(divsel.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_parent, env.get("PYTHONPATH")]))
+    launcher = "import sys; from divsel.cli import main; sys.exit(main())"
+    done = subprocess.run(
+        [sys.executable, "-c", launcher, "select", "--input", "-", "--labels", "1", "--k", "1"],
+        input=b"a,y\n0,1\n\xff,1\n",
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (3, b"")
+    assert done.stderr.decode("utf-8", "replace") in (
+        "error: <stream>: line 3: non-numeric cell '\\udcff'\n",
+        "error: <stream>: not valid UTF-8 text\n",
+    )
+
+
 def test_budget_exit(small_csv):
     code, _, err = run_cli(
         ["oracle", "--input", "-", "--labels", "2", "--binning", "none", "--k", "3", "--budget", "10"],

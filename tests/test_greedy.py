@@ -17,7 +17,7 @@ from divsel import info
 from divsel.info import InfoCache
 from divsel.objective import ObjectiveConfig, h_value, relevance_g
 from divsel.oracle import brute_force_opt, subset_value
-from helpers import instance_with_cache, plain_cfg, weighted_cfg
+from helpers import instance_with_cache, pair_loop_niceness, plain_cfg, weighted_cfg
 
 # frozen from one run over the seed-0 fixture; the same instance is
 # re-validated against the exhaustive optimum below
@@ -186,6 +186,21 @@ def test_niceness_holds_under_lambda_weighting():
         report = niceness_witness(range(32), 10, cfg, cache, check_stability=False)
         assert report.max_gain_ratio <= 5.0 + 1e-9
         assert report.max_distance_ratio <= 4.5 + 1e-9
+
+
+def test_niceness_matches_pair_loop_reference():
+    # distance sums from kernel rows and relevance gains from one batched
+    # call give the one-candidate-at-a-time values exactly
+    data, cache = instance_with_cache(seed=35, d=30, n=32, t=2)
+    cfg = plain_cfg(cache, k=10, p=3)
+    for variant in GreedyVariant:
+        report = niceness_witness(range(30), 10, cfg, cache, variant)
+        assert report == pair_loop_niceness(range(30), 10, cfg, InfoCache(data), variant)
+    for lam in (0.25, 0.75):
+        data, cache = instance_with_cache(seed=36, d=32, n=32, t=2)
+        cfg = weighted_cfg(cache, k=10, lam=lam, p=3)
+        report = niceness_witness(range(32), 10, cfg, cache, check_stability=False)
+        assert report == pair_loop_niceness(range(32), 10, cfg, InfoCache(data), check_stability=False)
 
 
 def test_greedy_never_beats_oracle():

@@ -7,7 +7,6 @@ import pytest
 
 from divsel.data import BinningSpec, Dataset, DiscreteColumn, dataset_from_matrices
 from divsel.info import (
-    ContingencyTable,
     InfoCache,
     entropy,
     entropy_rows,
@@ -19,6 +18,7 @@ from divsel.info import (
     nvi_distance,
     nvi_distance_rows,
 )
+from helpers import ContingencyTable
 
 A = np.array([0, 0, 1, 1])
 B = np.array([0, 0, 0, 1])

@@ -12,10 +12,10 @@ from divsel.objective import (
     TopPTracker,
     diversity,
     h_value,
-    marginal_g,
+    marginal_g_rows,
     relevance_g,
 )
-from helpers import instance_with_cache, weighted_cfg
+from helpers import instance_with_cache, pair_loop_diversity, random_instance, weighted_cfg
 
 DIVERSITY_TRIPLE = 2.584962500721156
 
@@ -58,6 +58,30 @@ def test_diversity_of_duplicates_is_zero():
     assert diversity([0, 1], InfoCache(data)) == 0.0
 
 
+def _bits(x):
+    return int(np.float64(x).view(np.int64))
+
+
+@pytest.mark.parametrize("card_hi", [4, 40])
+def test_diversity_matches_pair_loop_bitwise(card_hi):
+    # card_hi=4 keeps every kernel call on the packed path; card_hi=40 sends
+    # most of them through sorted joint codes
+    data = random_instance(seed=70 + card_hi, d=40, n=48, t=2, card_hi=card_hi)
+    universe = np.arange(0, 40, 3)
+    rng = np.random.default_rng(card_hi)
+    for size in (0, 1, 2, 12):
+        ids = rng.choice(40, size=size, replace=False).tolist()
+        expect = _bits(pair_loop_diversity(ids, data))
+        full, restricted = InfoCache(data), InfoCache(data, feature_ids=universe)
+        assert _bits(diversity(ids, full)) == expect
+        assert _bits(diversity(ids, restricted)) == expect
+        # no distance row is memoized
+        assert not full._rows and not restricted._rows
+    assert not set(ids) <= set(universe.tolist())
+    with pytest.raises(ValueError):
+        diversity([0, 40], InfoCache(data))
+
+
 def test_h_value_lambda_midpoint():
     # k=2, p=1, one label: relevance scale (1-0.5)*2*1/(2*1*1) = 0.5
     _, cache = _fixture_cache()
@@ -78,6 +102,11 @@ def test_h_value_endpoints_are_exact():
     lam0 = ObjectiveConfig.weighted(cache.mi_table(), k=3, lam=0.0, top_p=1)
     scale = 3 * 2 / (2.0 * 1 * 1)
     assert h_value([0, 1, 2], lam0, cache) == scale * relevance_g([0, 1, 2], lam0)
+
+
+def marginal_g(feature_id, cfg, tracker):
+    """g(S + {x}) - g(S) for the tracker's current selection (unscaled)."""
+    return float(marginal_g_rows(cfg.mi_table[[feature_id]], tracker.tau())[0])
 
 
 def test_marginal_g_hand_values():
