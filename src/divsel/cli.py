@@ -39,6 +39,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_BUDGET = 4
 
+MODES = ("centralized", "distributed", "streaming")
+
 
 def _add_dataset_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", default="-", help="input path, '-' for stdin")
@@ -72,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_select = subs.add_parser("select", help="run one selection")
     _add_dataset_flags(p_select)
     _add_objective_flags(p_select)
-    p_select.add_argument("--mode", choices=("centralized", "distributed", "streaming"), default="centralized")
+    p_select.add_argument("--mode", choices=MODES, default="centralized")
     p_select.add_argument("--algorithm", choices=("greedy", "altgreedy"), default="altgreedy")
     p_select.add_argument("--machines", type=int, help="default: ceil(sqrt(d/k))")
     p_select.add_argument("--seed", type=int, default=0)
@@ -158,6 +160,16 @@ def _check_positive(parser, value, flag):
         parser.error(f"{flag} must be >= 1")
 
 
+def _run_mode(mode, data, k, cfg, cache, algorithm, machines, seed, parallelism):
+    """One selection run in ``mode``; ``cache`` and ``algorithm`` serve the
+    centralized run, ``machines`` (None: the default count) the others."""
+    if mode == "centralized":
+        return centralized_select(data, k, cfg, GreedyVariant(algorithm), cache)
+    if mode == "distributed":
+        return distributed_select(data, k, cfg, m=machines, seed=seed, parallelism=parallelism)
+    return streaming_select(data, k, cfg, m=machines, seed=seed)
+
+
 def _cmd_select(args, parser) -> int:
     _check_positive(parser, args.k, "--k")
     _check_positive(parser, args.p, "--p")
@@ -170,14 +182,9 @@ def _cmd_select(args, parser) -> int:
         parser.error(f"--k {args.k} exceeds the {data.n_features} available features")
     cache = InfoCache(data)
     cfg = ObjectiveConfig.weighted(cache.mi_table(), args.k, args.lam, args.p)
-    if args.mode == "centralized":
-        report = centralized_select(data, args.k, cfg, GreedyVariant(args.algorithm), cache)
-    elif args.mode == "distributed":
-        report = distributed_select(
-            data, args.k, cfg, m=args.machines, seed=args.seed, parallelism=args.parallelism
-        )
-    else:
-        report = streaming_select(data, args.k, cfg, m=args.machines, seed=args.seed)
+    report = _run_mode(
+        args.mode, data, args.k, cfg, cache, args.algorithm, args.machines, args.seed, args.parallelism
+    )
     payload = report.to_json_dict()
     payload["config"]["bins"] = args.bins
     _emit(payload, args.output)
@@ -242,7 +249,7 @@ def _cmd_bench(args, parser) -> int:
         parser.error("--k values must be >= 1")
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     for mode in modes:
-        if mode not in ("centralized", "distributed", "streaming"):
+        if mode not in MODES:
             parser.error(f"--modes: unknown mode {mode!r}")
     _check_positive(parser, args.p, "--p")
     _check_positive(parser, args.parallelism, "--parallelism")
@@ -257,14 +264,7 @@ def _cmd_bench(args, parser) -> int:
         cfg = ObjectiveConfig.weighted(cache.mi_table(), k, args.lam, args.p)
         machines = default_machine_count(data.n_features, k)
         for mode in modes:
-            if mode == "centralized":
-                rep = centralized_select(data, k, cfg, GreedyVariant.ALTGREEDY, cache)
-            elif mode == "distributed":
-                rep = distributed_select(
-                    data, k, cfg, m=machines, seed=args.seed, parallelism=args.parallelism
-                )
-            else:
-                rep = streaming_select(data, k, cfg, m=machines, seed=args.seed)
+            rep = _run_mode(mode, data, k, cfg, cache, "altgreedy", machines, args.seed, args.parallelism)
             runs.append(
                 {
                     "mode": mode,

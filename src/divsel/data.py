@@ -467,7 +467,8 @@ def load_sparse_multilabel(
     Each line is ``<comma-separated 0-based label ids> <idx>:<value> ...``
     with 1-based, strictly increasing feature indices and non-negative
     values; the label field may be empty. Absent features take value 0, so
-    they canonicalize to code 0.
+    they canonicalize to code 0, and a blank line is a row. Input without
+    any line is a ValidationError.
     """
     if n_features < 1 or n_labels < 1:
         raise ValueError("n_features and n_labels must be >= 1")
@@ -475,6 +476,8 @@ def load_sparse_multilabel(
         lines = fh.read().split("\n")
     if lines and lines[-1] == "":
         lines.pop()
+    if not lines:
+        raise ValidationError(f"{name}: no data rows")
     lines = [ln[:-1] if ln.endswith("\r") else ln for ln in lines]
     n = len(lines)
     values = np.zeros((n_features, n), dtype=np.float64)

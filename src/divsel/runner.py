@@ -2,12 +2,17 @@
 
 The distributed pipeline assigns each feature to one of m machines
 uniformly at random (seeded), runs the plain greedy per machine, then runs
-the half-relevance greedy over the union of the machines' picks. Machines
-are simulated by a fork-based process pool: forked workers share the
-dataset pages copy-on-write, so column payloads are not copied, and results
-are collected in machine-index order, so the output is independent of
-worker count and scheduling. The streaming driver processes the same
-partitions one at a time, keeping only survivor columns between steps.
+the half-relevance greedy over the union of the machines' picks. Distributed
+and streaming runs share this partition -> map -> reduce driver and differ
+only in how the map batches the machines; a batch is one greedy_states call
+over its machines side by side. Serial distributed is one batch holding
+every machine. With parallelism p the machines are dealt into p batches:
+this process runs the first and p - 1 forked workers run the others,
+sharing the dataset pages copy-on-write, so column payloads are not copied.
+Streaming is the same driver run one machine at a time, keeping only
+survivor columns between machines. Core sets are collected in
+machine-index order, so the output is independent of batching, worker
+count and scheduling.
 """
 
 from __future__ import annotations
@@ -102,22 +107,37 @@ class RunReport:
         }
 
 
-def _objective_block(selected, cfg: ObjectiveConfig, cache: InfoCache) -> dict:
+def _report(
+    mode: str, data: Dataset, selected, cfg: ObjectiveConfig, cache: InfoCache, config: dict, marks, **extra
+) -> RunReport:
+    """A run's report. ``marks`` are the perf_counter readings at the start
+    and at the ends of the partition, map and reduce phases; ``h`` is
+    recomputed from ``selected`` with ``cache``."""
     rel = cfg.relevance_scale * relevance_g(selected, cfg)
     div = cfg.diversity_scale * diversity(selected, cache)
-    return {"h": rel + div, "relevance_term": rel, "diversity_term": div}
-
-
-def _config_echo(cfg: ObjectiveConfig, **extra) -> dict:
-    echo = {
-        "k": cfg.k,
-        "lambda": cfg.diversity_weight,
-        "p": cfg.top_p,
-        "relevance_scale": cfg.relevance_scale,
-        "diversity_scale": cfg.diversity_scale,
-    }
-    echo.update(extra)
-    return echo
+    t0, t1, t2, t3 = marks
+    total = time.perf_counter() - t0
+    return RunReport(
+        mode=mode,
+        selected_ids=tuple(selected),
+        selected_names=tuple(data.feature_names[i] for i in selected),
+        objective={"h": rel + div, "relevance_term": rel, "diversity_term": div},
+        config={
+            "k": cfg.k,
+            "lambda": cfg.diversity_weight,
+            "p": cfg.top_p,
+            "relevance_scale": cfg.relevance_scale,
+            "diversity_scale": cfg.diversity_scale,
+            **config,
+        },
+        timings_ms={
+            "partition": (t1 - t0) * 1000.0,
+            "map": (t2 - t1) * 1000.0,
+            "reduce": (t3 - t2) * 1000.0,
+            "total": total * 1000.0,
+        },
+        **extra,
+    )
 
 
 def centralized_select(
@@ -133,32 +153,26 @@ def centralized_select(
         cache = InfoCache(data)
     selected = greedy_select(range(data.n_features), k, variant, cfg, cache)
     t1 = time.perf_counter()
-    objective = _objective_block(selected, cfg, cache)
-    total = time.perf_counter() - t0
-    return RunReport(
-        mode="centralized",
-        selected_ids=tuple(selected),
-        selected_names=tuple(data.feature_names[i] for i in selected),
-        objective=objective,
-        config=_config_echo(cfg, algorithm=variant.value, seed=None, machines=None, parallelism=1),
-        timings_ms={
-            "partition": 0.0,
-            "map": (t1 - t0) * 1000.0,
-            "reduce": 0.0,
-            "total": total * 1000.0,
-        },
-    )
+    config = {"algorithm": variant.value, "seed": None, "machines": None, "parallelism": 1}
+    return _report("centralized", data, selected, cfg, cache, config, (t0, t0, t1, t1))
 
 
-def _machine_job(work, machine_indices: list) -> list:
-    data, cfg, k, variant, machine_ids = work
-    groups = [machine_ids[i] for i in machine_indices]
+# The partition pipeline's variants: plain greedy on every machine, the
+# half-relevance greedy over the union of their core sets.
+_MACHINE_VARIANT = GreedyVariant.GREEDY
+_MERGE_VARIANT = GreedyVariant.ALTGREEDY
+
+
+def _machine_job(work, batch: list) -> list:
+    """Core sets of a batch of machines, selected side by side."""
+    data, cfg, k, machine_ids = work
+    groups = [machine_ids[i] for i in batch]
     caches = [InfoCache(data, feature_ids=ids) for ids in groups]
-    return greedy_states(groups, k, variant, cfg, caches).picks
+    return greedy_states(groups, k, _MACHINE_VARIANT, cfg, caches).picks
 
 
 # A forked worker's work, set by the pool's initializer in the worker only;
-# the calling process hands its own share's work to _machine_job directly.
+# the calling process hands its own batch's work to _machine_job directly.
 _forked_work = None
 
 
@@ -167,46 +181,84 @@ def _init_forked_worker(work) -> None:
     _forked_work = work
 
 
-def _forked_machine_job(machine_indices: list) -> list:
-    return _machine_job(_forked_work, machine_indices)
+def _forked_machine_job(batch: list) -> list:
+    return _machine_job(_forked_work, batch)
 
 
-def _run_machines(data, cfg, k, variant, machine_ids, parallelism: int) -> list:
-    """Per-machine core sets, in machine order regardless of scheduling.
+def _run_machines(work, batches: list, fork: bool) -> list:
+    """One _machine_job per batch, results in batch order.
 
-    With parallelism p, the machines are dealt into p shares: this process
-    runs the first and p - 1 forked workers run the others. Each share's
-    machines run side by side (greedy_states), which picks exactly what
-    greedy_select picks one machine at a time, as the serial path and
-    streaming do. The workers inherit the work through the fork, not by
-    pickling.
+    Without ``fork`` the batches run here one after another. With it, this
+    process runs the first batch and one forked worker each of the others;
+    the workers inherit the work through the fork, not by pickling.
     """
-    jobs = [i for i in range(len(machine_ids)) if machine_ids[i].size > 0]
-    results = [[] for _ in machine_ids]
-    if parallelism > 1 and len(jobs) > 1:
-        work = (data, cfg, k, variant, machine_ids)
-        workers = min(parallelism, len(jobs))
-        shares = [jobs[w::workers] for w in range(workers)]
-        pool = ProcessPoolExecutor(
-            max_workers=workers - 1,
-            mp_context=get_context("fork"),
-            initializer=_init_forked_worker,
-            initargs=(work,),
-        )
-        try:
-            forked = pool.map(_forked_machine_job, shares[1:])
-            picks = [_machine_job(work, shares[0])] + list(forked)
-        finally:
-            # the results are in hand; the workers wind down on their own
-            pool.shutdown(wait=False, cancel_futures=True)
-        for share, sels in zip(shares, picks):
-            for i, sel in zip(share, sels):
-                results[i] = sel
+    if not fork or len(batches) == 1:
+        return [_machine_job(work, batch) for batch in batches]
+    pool = ProcessPoolExecutor(
+        max_workers=len(batches) - 1,
+        mp_context=get_context("fork"),
+        initializer=_init_forked_worker,
+        initargs=(work,),
+    )
+    try:
+        forked = pool.map(_forked_machine_job, batches[1:])
+        return [_machine_job(work, batches[0])] + list(forked)
+    finally:
+        # the results are in hand; the workers wind down on their own
+        pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _partition_select(
+    data: Dataset, k: int, cfg: ObjectiveConfig, m: int | None, seed: int, parallelism: int, mode: str
+) -> RunReport:
+    """Partition the features across m machines, select a core set on each
+    machine (map), then select from the union of the core sets (reduce).
+
+    The map runs batches of non-empty machines: one batch of every machine
+    when distributed serially, the machines dealt into ``parallelism``
+    batches otherwise, and one batch per machine, in machine order, when
+    streaming. A machine's core set does not depend on its batch, and the
+    union is taken in machine order, so every batching selects the same
+    features.
+    """
+    if not 1 <= k <= data.n_features:
+        raise ValueError("need 1 <= k <= n_features")
+    if parallelism < 1:
+        raise ValueError("parallelism must be >= 1")
+    t0 = time.perf_counter()
+    if m is None:
+        m = default_machine_count(data.n_features, k)
+    plan = random_partition(data.n_features, m, seed)
+    machine_ids = plan.machines()
+    t1 = time.perf_counter()
+    jobs = [i for i, ids in enumerate(machine_ids) if ids.size > 0]
+    streaming = mode == "streaming"
+    if streaming:
+        batches = [[i] for i in jobs]
     else:
-        for i in jobs:
-            cache = InfoCache(data, feature_ids=machine_ids[i])
-            results[i] = greedy_select(machine_ids[i], k, variant, cfg, cache)
-    return results
+        workers = min(parallelism, len(jobs))
+        batches = [jobs[w::workers] for w in range(workers)]
+    picks = _run_machines((data, cfg, k, machine_ids), batches, fork=not streaming)
+    core_sets = {i: core for batch, cores in zip(batches, picks) for i, core in zip(batch, cores)}
+    t2 = time.perf_counter()
+    union = [i for j in jobs for i in core_sets[j]]
+    merge_cache = InfoCache(data, feature_ids=np.asarray(union, dtype=np.int64))
+    selected = greedy_select(union, k, _MERGE_VARIANT, cfg, merge_cache)
+    t3 = time.perf_counter()
+    peak = None
+    if streaming:
+        # while a machine runs, the survivors of the machines before it and
+        # its own columns are held; after the last, every survivor
+        retained = peak = 0
+        for j in jobs:
+            peak = max(peak, retained + machine_ids[j].size)
+            retained += len(core_sets[j])
+        peak = max(peak, retained)
+    config = {"seed": seed, "machines": m, "parallelism": parallelism}
+    return _report(
+        mode, data, selected, cfg, merge_cache, config, (t0, t1, t2, t3),
+        plan=plan, peak_retained_feature_columns=peak,
+    )
 
 
 def distributed_select(
@@ -216,41 +268,11 @@ def distributed_select(
     m: int | None = None,
     seed: int = 0,
     parallelism: int = 1,
-    machine_variant: GreedyVariant = GreedyVariant.GREEDY,
-    merge_variant: GreedyVariant = GreedyVariant.ALTGREEDY,
 ) -> RunReport:
     """Partition features across m machines, select per machine, then
-    select from the union of the machines' picks."""
-    if not 1 <= k <= data.n_features:
-        raise ValueError("need 1 <= k <= n_features")
-    t0 = time.perf_counter()
-    if m is None:
-        m = default_machine_count(data.n_features, k)
-    plan = random_partition(data.n_features, m, seed)
-    machine_ids = plan.machines()
-    t1 = time.perf_counter()
-    core_sets = _run_machines(data, cfg, k, machine_variant, machine_ids, parallelism)
-    t2 = time.perf_counter()
-    union = [i for core in core_sets for i in core]
-    merge_cache = InfoCache(data, feature_ids=np.asarray(union, dtype=np.int64))
-    selected = greedy_select(union, k, merge_variant, cfg, merge_cache)
-    t3 = time.perf_counter()
-    objective = _objective_block(selected, cfg, merge_cache)
-    total = time.perf_counter() - t0
-    return RunReport(
-        mode="distributed",
-        selected_ids=tuple(selected),
-        selected_names=tuple(data.feature_names[i] for i in selected),
-        objective=objective,
-        config=_config_echo(cfg, seed=seed, machines=m, parallelism=parallelism),
-        timings_ms={
-            "partition": (t1 - t0) * 1000.0,
-            "map": (t2 - t1) * 1000.0,
-            "reduce": (t3 - t2) * 1000.0,
-            "total": total * 1000.0,
-        },
-        plan=plan,
-    )
+    select from the union of the machines' picks; ``parallelism`` processes
+    share the machines."""
+    return _partition_select(data, k, cfg, m, seed, parallelism, "distributed")
 
 
 def streaming_select(
@@ -267,41 +289,4 @@ def streaming_select(
     The report records the peak number of feature columns held at once,
     which stays at or below max partition size + m*k.
     """
-    if not 1 <= k <= data.n_features:
-        raise ValueError("need 1 <= k <= n_features")
-    t0 = time.perf_counter()
-    if m is None:
-        m = default_machine_count(data.n_features, k)
-    plan = random_partition(data.n_features, m, seed)
-    machine_ids = plan.machines()
-    t1 = time.perf_counter()
-    retained: list = []
-    peak = 0
-    for ids in machine_ids:
-        if ids.size == 0:
-            continue
-        peak = max(peak, len(retained) + ids.size)
-        cache = InfoCache(data, feature_ids=ids)
-        retained.extend(greedy_select(ids, k, GreedyVariant.GREEDY, cfg, cache))
-    peak = max(peak, len(retained))
-    t2 = time.perf_counter()
-    merge_cache = InfoCache(data, feature_ids=np.asarray(retained, dtype=np.int64))
-    selected = greedy_select(retained, k, GreedyVariant.ALTGREEDY, cfg, merge_cache)
-    t3 = time.perf_counter()
-    objective = _objective_block(selected, cfg, merge_cache)
-    total = time.perf_counter() - t0
-    return RunReport(
-        mode="streaming",
-        selected_ids=tuple(selected),
-        selected_names=tuple(data.feature_names[i] for i in selected),
-        objective=objective,
-        config=_config_echo(cfg, seed=seed, machines=m, parallelism=1),
-        timings_ms={
-            "partition": (t1 - t0) * 1000.0,
-            "map": (t2 - t1) * 1000.0,
-            "reduce": (t3 - t2) * 1000.0,
-            "total": total * 1000.0,
-        },
-        plan=plan,
-        peak_retained_feature_columns=peak,
-    )
+    return _partition_select(data, k, cfg, m, seed, 1, "streaming")

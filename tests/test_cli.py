@@ -191,6 +191,15 @@ def test_sparse_input():
     assert len(doc["selected_ids"]) == 2
 
 
+def test_empty_sparse_input_is_a_data_error():
+    argv = ["select", "--input", "-", "--format", "sparse-ml", "--n-features", "3", "--n-labels", "2", "--k", "1"]
+    assert run_cli(argv, stdin_text="") == (3, "", "error: <stream>: no data rows\n")
+    # a blank line is a row: no labels, every feature 0
+    code, out, _ = run_cli(argv, stdin_text="\n")
+    assert code == 0
+    assert len(json.loads(out)["selected_ids"]) == 1
+
+
 def test_distributed_and_streaming_agree(small_csv):
     base = SELECT_BASE + ["--k", "3", "--machines", "2", "--seed", "5"]
     dist = run_cli(base + ["--mode", "distributed"], stdin_text=small_csv)

@@ -154,14 +154,14 @@ def test_sparse_basic():
     assert data.features[1].codes.tolist() == [0, 1, 1]
 
 
-def test_sparse_empty_file_loads_then_fails_downstream():
-    data = load_sparse_multilabel(io.StringIO(""), 2, 1)
-    assert data.n_instances == 0
-    from divsel.info import InfoCache
-
-    cache = InfoCache(data)
-    with pytest.raises(ValueError):
-        cache.mi_table()
+def test_sparse_empty_file_is_a_validation_error():
+    with pytest.raises(ValidationError, match="no data rows"):
+        load_sparse_multilabel(io.StringIO(""), 2, 1)
+    # a blank line is a row: no labels, every feature 0
+    data = load_sparse_multilabel(io.StringIO("\n"), 2, 1)
+    assert data.n_instances == 1
+    assert data.feature_matrix.tolist() == [[0], [0]]
+    assert data.label_matrix.tolist() == [[0]]
 
 
 def test_sparse_parse_errors():

@@ -180,6 +180,56 @@ def test_streaming_single_partition_retains_everything():
     assert rep.peak_retained_feature_columns == 35
 
 
+def one_machine_at_a_time(data, cfg, k, plan):
+    """Reference map: machines in order, each through greedy_select alone.
+    Returns the core-set union and the peak count of columns held."""
+    retained, peak = [], 0
+    for ids in plan.machines():
+        if ids.size == 0:
+            continue
+        peak = max(peak, len(retained) + ids.size)
+        retained.extend(greedy_select(ids, k, GreedyVariant.GREEDY, cfg, InfoCache(data, feature_ids=ids)))
+    return retained, max(peak, len(retained))
+
+
+@pytest.mark.parametrize("d, m", [(30, 1), (30, 3), (30, 7), (12, 10)])
+def test_streaming_peak_matches_one_machine_at_a_time(d, m):
+    data, cache = instance_with_cache(seed=69, d=d, n=24, t=2)
+    cfg = weighted_cfg(cache, k=2, lam=0.5, p=2)
+    rep = streaming_select(data, 2, cfg, m=m, seed=3)
+    _, peak = one_machine_at_a_time(data, cfg, 2, rep.plan)
+    assert rep.peak_retained_feature_columns == peak
+
+
+def test_every_batching_reports_the_same_run():
+    # d = 12 over m = 10 machines at seed 3 leaves three machines empty
+    data, cache = instance_with_cache(seed=70, d=12, n=24, t=2)
+    cfg = weighted_cfg(cache, k=2, lam=0.5, p=2)
+
+    def canonical(report):
+        doc = report.to_json_dict()
+        for key in ("mode", "timings_ms", "peak_retained_feature_columns"):
+            del doc[key]
+        del doc["config"]["parallelism"]
+        return json.dumps(doc, sort_keys=True)
+
+    runs = [distributed_select(data, 2, cfg, m=10, seed=3, parallelism=p) for p in (1, 2, 3)]
+    runs.append(streaming_select(data, 2, cfg, m=10, seed=3))
+    assert runs[0].plan.sizes().count(0) == 3
+    assert len({canonical(r) for r in runs}) == 1
+    union, _ = one_machine_at_a_time(data, cfg, 2, runs[0].plan)
+    merge_cache = InfoCache(data, feature_ids=np.array(union))
+    assert list(runs[0].selected_ids) == greedy_select(union, 2, GreedyVariant.ALTGREEDY, cfg, merge_cache)
+
+
+@pytest.mark.parametrize("parallelism", [0, -3])
+def test_distributed_rejects_bad_parallelism(parallelism):
+    data, cache = instance_with_cache(seed=71, d=20, n=20, t=2)
+    cfg = weighted_cfg(cache, k=3, lam=0.5, p=2)
+    with pytest.raises(ValueError, match="parallelism"):
+        distributed_select(data, 3, cfg, m=2, seed=0, parallelism=parallelism)
+
+
 def test_run_report_json_round_trip():
     data, cache = instance_with_cache(seed=68, d=20, n=20, t=2)
     cfg = weighted_cfg(cache, k=3, lam=0.5, p=2)
