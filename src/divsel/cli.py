@@ -121,6 +121,10 @@ def _binning_from_args(args, parser) -> BinningSpec:
 
 
 def _load_dataset(args, parser):
+    _check_positive(parser, args.labels, "--labels")
+    _check_positive(parser, args.n_features, "--n-features")
+    _check_positive(parser, args.n_labels, "--n-labels")
+    _check_positive(parser, args.max_raw_categories, "--max-raw-categories")
     binning = _binning_from_args(args, parser)
     stream = sys.stdin if args.input == "-" else args.input
     if args.format == "dense-csv":
@@ -248,6 +252,8 @@ def _cmd_bench(args, parser) -> int:
     if not ks or any(k < 1 for k in ks):
         parser.error("--k values must be >= 1")
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    if not modes:
+        parser.error("--modes must name at least one mode")
     for mode in modes:
         if mode not in MODES:
             parser.error(f"--modes: unknown mode {mode!r}")

@@ -522,7 +522,12 @@ def load_sparse_multilabel(
 
 def write_dense_csv(data: Dataset, dest) -> None:
     """Write integer codes as dense CSV (header row, labels last). Reloading
-    with ``binning='none'`` reproduces the codes exactly."""
+    with ``binning='none'`` reproduces names and codes exactly; a name the
+    header cannot carry (a comma, a line break, surrounding whitespace) is
+    a ValidationError, raised before ``dest`` is opened."""
+    for name in data.feature_names + data.label_names:
+        if name != name.strip() or any(c in name for c in ",\n\r"):
+            raise ValidationError(f"column name {name!r} cannot be written as a dense CSV header cell")
     close = False
     if isinstance(dest, (str, Path)):
         fh = open(dest, "w", encoding="utf-8", newline="")

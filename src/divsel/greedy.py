@@ -80,17 +80,17 @@ def select_first(candidates, cfg: ObjectiveConfig) -> int:
     return int(_step(state, np.ones(1, dtype=np.int64), None)[0])
 
 
-def greedy_states(groups, k: int, variant: GreedyVariant, cfg: ObjectiveConfig, caches) -> SelectionState:
+def greedy_states(groups, k: int, variant: GreedyVariant, cfg: ObjectiveConfig, cache: InfoCache) -> SelectionState:
     """Greedy selection in each of several disjoint candidate groups, run
-    side by side; ``caches[g]`` serves group g.
+    side by side over one cache's dataset.
 
     Every step picks once in each group that has fewer than min(k, its size)
     picks, so each group ends with exactly the picks it gets alone; the
-    groups share each step's scoring pass and distance_rows call.
+    groups share each step's scoring pass and distance-row batch.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    state = SelectionState.start_groups(groups, cfg, caches)
+    state = SelectionState.start_groups(groups, cfg, cache)
     limit = np.minimum(k, np.diff(state.bounds))
     state.add(_step(state, limit, None))
     for _ in range(int(limit.max()) - 1):
@@ -100,7 +100,7 @@ def greedy_states(groups, k: int, variant: GreedyVariant, cfg: ObjectiveConfig, 
 
 def greedy_state(candidates, k: int, variant: GreedyVariant, cfg: ObjectiveConfig, cache: InfoCache) -> SelectionState:
     """Run a greedy selection and return its final state."""
-    return greedy_states([candidates], k, variant, cfg, [cache])
+    return greedy_states([candidates], k, variant, cfg, cache)
 
 
 def greedy_select(candidates, k: int, variant: GreedyVariant, cfg: ObjectiveConfig, cache: InfoCache) -> list:
@@ -152,10 +152,9 @@ def niceness_witness(
     f_val = state.objective_value
     # each rejected candidate's distances to the selected set, added in
     # selected order from 0.0
-    pos = cache.positions(rejected)
     dist_sum = np.zeros(len(rejected), dtype=np.float64)
     for x in selected:
-        dist_sum += cache.distance_block(x)[pos]
+        dist_sum += cache.distance_block(x, rejected)
     rel = marginal_g_rows(cfg.mi_table[rejected], state.tracker.tau())
     gain = cfg.relevance_scale * rel + cfg.diversity_scale * dist_sum
     weighted_dist = cfg.diversity_scale * dist_sum

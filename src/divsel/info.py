@@ -18,8 +18,9 @@ Sorting makes transposed tables sum identically, so d(a, b) == d(b, a)
 bit-for-bit; zero counts add -0.0 and change nothing, so a value does not
 depend on the path, on how many pairs are batched together, or on padding.
 Cached, batched, and one-off computations of the same pair agree exactly.
-``InfoCache`` packs its universe once; ``distance_rows`` computes the new
-distance rows of several caches in one batch, the way a greedy run over
+``InfoCache`` packs every feature once and memoizes whole distance rows;
+``nvi_distance_spans`` computes the rows of several targets, each against
+its own span of one code matrix, in one batch, the way a greedy run over
 several machines' candidates needs them.
 """
 
@@ -102,20 +103,20 @@ def _sorted_counts(t_codes: np.ndarray, t_card: int, mat: np.ndarray, width: int
 
 
 @lru_cache(maxsize=16)
-def _term_table(n: int, log_fn) -> np.ndarray:
-    """``-(p * log_fn(p))`` for p = c / n, c = 0..n; the c = 0 term is -0.0."""
+def _term_table(n: int) -> np.ndarray:
+    """``-(p * log2(p))`` for p = c / n, c = 0..n; the c = 0 term is -0.0."""
     counts = np.arange(n + 1, dtype=np.int64)
     p = counts / float(n)
-    table = -(p * log_fn(np.where(counts > 0, p, 1.0)))
+    table = -(p * np.log2(np.where(counts > 0, p, 1.0)))
     table.flags.writeable = False
     return table
 
 
-def _entropy_from_counts(counts: np.ndarray, n: int, log_fn) -> np.ndarray:
+def _entropy_from_counts(counts: np.ndarray, n: int) -> np.ndarray:
     """Entropy per row of a count matrix, which is sorted in place: terms of
     the ascending counts, added left to right. Zero cells contribute nothing."""
     counts.sort(axis=1)
-    table = _term_table(n, log_fn)
+    table = _term_table(n)
     if counts.shape[0] < counts.shape[1]:
         # few rows: one running sum per row costs less than a loop over
         # columns; + 0.0 turns the -0.0 of an all -0.0 row into the 0.0
@@ -153,21 +154,21 @@ def _joint_counts(t_codes: np.ndarray, t_card: int, mat: np.ndarray, max_card: i
             yield _sorted_counts(t_codes, t_card, mat[lo : lo + step], width)
 
 
-def _entropies(blocks, n: int, log_fn) -> np.ndarray:
+def _entropies(blocks, n: int) -> np.ndarray:
     """The reduction, applied to count blocks in row order."""
-    out = [_entropy_from_counts(counts, n, log_fn) for counts in blocks]
+    out = [_entropy_from_counts(counts, n) for counts in blocks]
     return np.concatenate(out) if out else np.empty(0, dtype=np.float64)
 
 
-def entropy_rows(mat: np.ndarray, cards: np.ndarray, *, log_fn=np.log2, packed=None) -> np.ndarray:
+def entropy_rows(mat: np.ndarray, cards: np.ndarray, *, packed=None) -> np.ndarray:
     """Entropy of each row of a code matrix: its joint entropy with a
     constant column."""
     t_codes = np.zeros(mat.shape[1], dtype=np.int32)
-    return joint_entropy_rows(t_codes, 1, mat, cards, log_fn=log_fn, packed=packed)
+    return joint_entropy_rows(t_codes, 1, mat, cards, packed=packed)
 
 
 def joint_entropy_rows(
-    t_codes: np.ndarray, t_card: int, mat: np.ndarray, cards: np.ndarray, *, log_fn=np.log2, packed=None
+    t_codes: np.ndarray, t_card: int, mat: np.ndarray, cards: np.ndarray, *, packed=None
 ) -> np.ndarray:
     """Joint entropy of a target column with each row of a code matrix: the
     count kernel followed by the reduction, a block of rows at a time.
@@ -181,7 +182,7 @@ def joint_entropy_rows(
     if t_codes.size != mat.shape[1]:
         raise ValueError("column lengths differ")
     blocks = _joint_counts(t_codes, t_card, mat, int(np.max(cards)), packed)
-    return _entropies(blocks, mat.shape[1], log_fn)
+    return _entropies(blocks, mat.shape[1])
 
 
 def _nvi(h_target, h_rows, h_joint) -> np.ndarray:
@@ -192,18 +193,18 @@ def _nvi(h_target, h_rows, h_joint) -> np.ndarray:
 
 
 def nvi_distance_rows(
-    t_codes, t_card, h_target, mat, cards, h_rows, *, log_fn=np.log2, packed=None
+    t_codes, t_card, h_target, mat, cards, h_rows, *, packed=None
 ) -> np.ndarray:
     """Normalized variation-of-information distance, target vs. each row."""
-    h_joint = joint_entropy_rows(t_codes, t_card, mat, cards, log_fn=log_fn, packed=packed)
+    h_joint = joint_entropy_rows(t_codes, t_card, mat, cards, packed=packed)
     return _nvi(h_target, h_rows, h_joint)
 
 
 def normalized_mi_rows(
-    t_codes, t_card, h_target, mat, cards, h_rows, *, log_fn=np.log2, packed=None
+    t_codes, t_card, h_target, mat, cards, h_rows, *, packed=None
 ) -> np.ndarray:
     """Mutual information scaled by sqrt(H(a) H(b)), target vs. each row."""
-    h_joint = joint_entropy_rows(t_codes, t_card, mat, cards, log_fn=log_fn, packed=packed)
+    h_joint = joint_entropy_rows(t_codes, t_card, mat, cards, packed=packed)
     mi = np.maximum(0.0, (h_target + h_rows) - h_joint)
     prod = h_target * h_rows
     denom = np.sqrt(np.where(prod > 0.0, prod, 1.0))
@@ -211,88 +212,111 @@ def normalized_mi_rows(
     return np.clip(nmi, 0.0, 1.0)
 
 
-def entropy(col, *, log_fn=np.log2) -> float:
-    """Shannon entropy of one column, in bits for the default log."""
+def entropy(col) -> float:
+    """Shannon entropy of one column, in bits."""
     codes, card = _as_codes(col)
-    return float(entropy_rows(codes[None, :], np.array([card]), log_fn=log_fn)[0])
+    return float(entropy_rows(codes[None, :], np.array([card]))[0])
 
 
-def joint_entropy(a, b, *, log_fn=np.log2) -> float:
+def joint_entropy(a, b) -> float:
     """Shannon entropy of the paired column (a, b)."""
     a_codes, a_card = _as_codes(a)
     b_codes, b_card = _as_codes(b)
     return float(
-        joint_entropy_rows(a_codes, a_card, b_codes[None, :], np.array([b_card]), log_fn=log_fn)[0]
+        joint_entropy_rows(a_codes, a_card, b_codes[None, :], np.array([b_card]))[0]
     )
 
 
-def mutual_information(a, b, *, log_fn=np.log2) -> float:
+def mutual_information(a, b) -> float:
     """I(a; b) = H(a) + H(b) - H(a, b), clamped to be non-negative."""
-    ha = entropy(a, log_fn=log_fn)
-    hb = entropy(b, log_fn=log_fn)
-    hab = joint_entropy(a, b, log_fn=log_fn)
+    ha = entropy(a)
+    hb = entropy(b)
+    hab = joint_entropy(a, b)
     return max(0.0, (ha + hb) - hab)
 
 
-def _pair(rows_fn, a, b, log_fn) -> float:
+def _pair(rows_fn, a, b) -> float:
     """``rows_fn`` of column a against the one-row matrix of column b."""
     a_codes, a_card = _as_codes(a)
     b_codes, b_card = _as_codes(b)
-    ha = float(entropy_rows(a_codes[None, :], np.array([a_card]), log_fn=log_fn)[0])
-    hb = entropy_rows(b_codes[None, :], np.array([b_card]), log_fn=log_fn)
-    return float(rows_fn(a_codes, a_card, ha, b_codes[None, :], np.array([b_card]), hb, log_fn=log_fn)[0])
+    ha = float(entropy_rows(a_codes[None, :], np.array([a_card]))[0])
+    hb = entropy_rows(b_codes[None, :], np.array([b_card]))
+    return float(rows_fn(a_codes, a_card, ha, b_codes[None, :], np.array([b_card]), hb)[0])
 
 
-def nvi_distance(a, b, *, log_fn=np.log2) -> float:
+def nvi_distance(a, b) -> float:
     """1 - I(a; b) / H(a, b): a [0, 1] pseudometric on discrete columns.
 
     Zero exactly when the columns induce the same partition (duplicates
     included); 0 by convention when H(a, b) = 0.
     """
-    return _pair(nvi_distance_rows, a, b, log_fn)
+    return _pair(nvi_distance_rows, a, b)
 
 
-def normalized_mi(a, b, *, log_fn=np.log2) -> float:
+def normalized_mi(a, b) -> float:
     """I(a; b) / sqrt(H(a) H(b)) in [0, 1]; 0 if either entropy is 0."""
-    return _pair(normalized_mi_rows, a, b, log_fn)
+    return _pair(normalized_mi_rows, a, b)
+
+
+def entropies_and_planes(mat: np.ndarray, cards: np.ndarray):
+    """Entropy of each row of a code matrix, and the rows' bit planes at
+    their widest column, which later calls against these rows reuse; None
+    when that column is wider than PACKED_MAX_WIDTH."""
+    top = int(np.max(cards))
+    planes = pack_codes(mat, top) if _packs(1, top) else None
+    return entropy_rows(mat, cards, packed=planes), planes
+
+
+def nvi_distance_spans(mat, cards, h, jobs) -> list:
+    """For each job (t, span, planes): ``nvi_distance_rows`` of row t of a
+    code matrix against its rows ``span``, whose ``entropies_and_planes``
+    are ``h[span]`` and ``planes``.
+
+    One job is that one call. Several share their fixed costs: the targets'
+    bit planes are packed at once and one _nvi call covers every row. Every
+    value is what the call alone gives.
+    """
+    if len(jobs) < 2:
+        return [nvi_distance_rows(mat[t], cards[t], h[t], mat[s], cards[s], h[s], packed=p) for t, s, p in jobs]
+    targets = [t for t, _, _ in jobs]
+    tops = [int(np.max(cards[span])) for _, span, _ in jobs]
+    narrow = [i for i, (t, top) in enumerate(zip(targets, tops)) if _packs(cards[t], top)]
+    t_bits = {}
+    if narrow:
+        picked = [targets[i] for i in narrow]
+        bits = pack_codes(mat[picked], int(np.max(cards[picked])))
+        t_bits = {i: bits[:, j, : cards[t]] for j, (i, t) in enumerate(zip(narrow, picked))}
+    blocks = [
+        _joint_counts(mat[t], cards[t], mat[span], top, planes, t_bits.get(i))
+        for i, ((t, span, planes), top) in enumerate(zip(jobs, tops))
+    ]
+    sizes = [span.stop - span.start for _, span, _ in jobs]
+    h_joint = _entropies(itertools.chain.from_iterable(blocks), mat.shape[1])
+    rows = _nvi(np.repeat(h[targets], sizes), np.concatenate([h[span] for _, span, _ in jobs]), h_joint)
+    return np.split(rows, np.cumsum(sizes)[:-1])
 
 
 class InfoCache:
-    """Memoized entropies, distance rows, and the normalized MI table for
+    """Memoized entropies, distance rows, and the normalized MI table of
     one dataset's columns.
 
-    Column ids: features are 0..d-1; label j is d+j. ``feature_ids``
-    restricts the universe that distance rows cover (a machine's partition);
-    the vectorized lookups (``distance_block``, ``positions``) take only
-    universe ids. ``distance`` accepts any two column ids and is one
-    unmemoized kernel call.
+    Column ids: features are 0..d-1; label j is d+j. A distance row is one
+    column's distance to every feature; ``distance_block`` memoizes it.
+    ``distance`` accepts any two column ids and is one unmemoized kernel
+    call.
     """
 
-    def __init__(self, data: Dataset, feature_ids=None):
+    def __init__(self, data: Dataset):
         self._data = data
-        if feature_ids is None:
-            universe = np.arange(data.n_features, dtype=np.int64)
-        else:
-            universe = np.unique(np.asarray(feature_ids, dtype=np.int64))
-            if universe.size and (universe[0] < 0 or universe[-1] >= data.n_features):
-                raise ValueError("feature id out of range")
-        self._universe = universe
         self._entropies: dict[int, float] = {}
         self._rows: dict[int, np.ndarray] = {}
         self._mi_table = None
-        self._umat = None
-        self._ucards = None
-        self._uH = None
-        self._umax = None
-        self._upacked = None
+        self._h = None
+        self._planes = None
 
     @property
     def data(self) -> Dataset:
         return self._data
-
-    @property
-    def universe(self) -> np.ndarray:
-        return self._universe
 
     def _column(self, cid: int) -> tuple[np.ndarray, int]:
         """Codes and cardinality of a column id: a row of the dataset's
@@ -313,51 +337,43 @@ class InfoCache:
             self._entropies[cid] = h
         return h
 
-    def _universe_arrays(self):
-        if self._umat is None:
-            if self._universe.size == self._data.n_features:
-                # the universe is every feature, in order
-                self._umat, self._ucards = self._data.feature_matrix, self._data.feature_cards
-            else:
-                self._umat = self._data.feature_matrix[self._universe]
-                self._ucards = self._data.feature_cards[self._universe]
-            self._umax = int(np.max(self._ucards))
-            self._uH = entropy_rows(self._umat, self._ucards, packed=self._packed(1))
-            for cid, h in zip(self._universe.tolist(), self._uH.tolist()):
+    def feature_arrays(self):
+        """Every feature's codes, cardinalities and entropies, and their bit
+        planes (None when a feature has more than PACKED_MAX_WIDTH values).
+        The codes are the dataset's own matrix; the rest is built once."""
+        data = self._data
+        mat, cards = data.feature_matrix, data.feature_cards
+        if self._h is None:
+            self._h, self._planes = entropies_and_planes(mat, cards)
+            self._h.flags.writeable = False
+            for cid, h in enumerate(self._h.tolist()):
                 self._entropies.setdefault(cid, h)
-        return self._umat, self._ucards, self._uH
+        return mat, cards, self._h, self._planes
 
-    def _packed(self, t_card: int):
-        """The universe's bit planes if a target with ``t_card`` values takes
-        the packed path against it, else None. Packed once, on first use."""
-        if not _packs(t_card, self._umax):
-            return None
-        if self._upacked is None:
-            self._upacked = pack_codes(self._umat, self._umax)
-        return self._upacked
+    def _kernel_rows(self, rows_fn, cid: int) -> np.ndarray:
+        """``rows_fn`` of column ``cid`` against every feature."""
+        codes, card = self._column(cid)
+        mat, cards, h, planes = self.feature_arrays()
+        return rows_fn(codes, card, self.entropy(cid), mat, cards, h, packed=planes)
+
+    def memoized_row(self, cid: int):
+        """The memoized distance row of column ``cid``, or None."""
+        return self._rows.get(cid)
 
     def distance_block(self, target_id: int, ids=None) -> np.ndarray:
-        """d(target, u) for each u in ids, which must lie in the universe;
-        without ids, the whole universe row (read-only)."""
+        """d(target, u) for each feature id u in ids; without ids, the whole
+        row over every feature (read-only)."""
         row = self._rows.get(target_id)
         if row is None:
-            codes, card = self._column(target_id)
-            mat, cards, h_rows = self._universe_arrays()
-            row = nvi_distance_rows(
-                codes, card, self.entropy(target_id), mat, cards, h_rows, packed=self._packed(card)
-            )
+            row = self._kernel_rows(nvi_distance_rows, target_id)
             row.flags.writeable = False
             self._rows[target_id] = row
-        return row if ids is None else row[self.positions(ids)]
-
-    def positions(self, ids) -> np.ndarray:
-        """Index of each id in the universe."""
+        if ids is None:
+            return row
         ids = np.asarray(ids, dtype=np.int64)
-        pos = np.searchsorted(self._universe, ids)
-        # an id past the end clips onto the last universe id, which differs
-        if np.any(self._universe.take(pos, mode="clip") != ids):
-            raise ValueError("id outside this cache's feature universe")
-        return pos
+        if ids.size and (ids.min() < 0 or ids.max() >= row.size):
+            raise ValueError("feature id out of range")
+        return row[ids]
 
     def distance(self, i: int, j: int) -> float:
         """d(i, j) for any two column ids: one kernel call, not memoized."""
@@ -366,53 +382,12 @@ class InfoCache:
         return float(nvi_distance_rows(a, a_card, self.entropy(i), b[None, :], np.array([b_card]), h_b)[0])
 
     def mi_table(self) -> np.ndarray:
-        """Normalized MI of every universe feature against every label,
-        shape (universe size, n_labels)."""
+        """Normalized MI of every feature against every label, shape
+        (n_features, n_labels)."""
         if self._mi_table is None:
             d = self._data.n_features
-            mat, cards, h_rows = self._universe_arrays()
-            cols = []
-            for j in range(self._data.n_labels):
-                codes, card = self._column(d + j)
-                cols.append(
-                    normalized_mi_rows(
-                        codes, card, self.entropy(d + j), mat, cards, h_rows, packed=self._packed(card)
-                    )
-                )
+            cols = [self._kernel_rows(normalized_mi_rows, d + j) for j in range(self._data.n_labels)]
             table = np.column_stack(cols)
             table.flags.writeable = False
             self._mi_table = table
         return self._mi_table
-
-
-def distance_rows(caches, target_ids) -> list:
-    """``caches[i].distance_block(target_ids[i])`` for each i: whole universe
-    rows, for caches over one dataset.
-
-    When several rows are not memoized yet, they are computed and memoized
-    together: the targets' bit planes are packed at once and one _nvi call
-    covers all rows, so many small universes share those fixed costs. Every
-    value is what distance_block alone gives.
-    """
-    todo = [(cache, int(t)) for cache, t in zip(caches, target_ids) if int(t) not in cache._rows]
-    if len(todo) > 1:
-        jobs = [(cache, t, *cache._column(t), cache._universe_arrays()) for cache, t in todo]
-        narrow = [i for i, (cache, _, _, card, _) in enumerate(jobs) if _packs(card, cache._umax)]
-        t_bits = {}
-        if narrow:
-            cols = [jobs[i][2:4] for i in narrow]
-            planes = pack_codes(np.stack([codes for codes, _ in cols]), max(card for _, card in cols))
-            t_bits = {i: planes[:, j, :card] for j, (i, (_, card)) in enumerate(zip(narrow, cols))}
-        blocks, h_target, h_rows = [], [], []
-        for i, (cache, t, codes, card, (mat, _, h)) in enumerate(jobs):
-            packed = cache._packed(card)
-            blocks.append(_joint_counts(codes, card, mat, cache._umax, packed, t_bits.get(i)))
-            h_target.append(cache.entropy(t))
-            h_rows.append(h)
-        h_joint = _entropies(itertools.chain.from_iterable(blocks), mat.shape[1], np.log2)
-        sizes = [h.size for h in h_rows]
-        rows = _nvi(np.repeat(h_target, sizes), np.concatenate(h_rows), h_joint)
-        rows.flags.writeable = False
-        for (cache, t, _, _, _), row in zip(jobs, np.split(rows, np.cumsum(sizes)[:-1])):
-            cache._rows[t] = row
-    return [cache.distance_block(t) for cache, t in zip(caches, target_ids)]

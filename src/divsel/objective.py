@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .info import PACKED_MAX_WIDTH, InfoCache, distance_rows, nvi_distance_rows, pack_codes
+from .info import InfoCache, entropies_and_planes, nvi_distance_rows, nvi_distance_spans
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,10 +89,6 @@ class TopPTracker:
         self._count = np.zeros(groups, dtype=np.int64)
         self._taus = np.zeros((groups, n_labels), dtype=np.float64)
 
-    @property
-    def count(self) -> int:
-        return int(self._only(self._count))
-
     def _only(self, per_group):
         if len(per_group) != 1:
             raise ValueError("the tracker holds several groups")
@@ -159,21 +155,19 @@ def relevance_g(selected, cfg: ObjectiveConfig) -> float:
 def diversity(selected, cache: InfoCache) -> float:
     """Sum of pairwise distances over unordered pairs of ``selected``.
 
-    The ids are sorted and their rows gathered once; each id is one kernel
-    call against the later ids, and the pairs are added in that (a, b)
-    order from 0.0. The ids need not lie in the cache's universe, and only
-    their entropies are memoized.
+    The ids are sorted and their rows gathered and packed once; each id is
+    one kernel call against the later ids, and the pairs are added in that
+    (a, b) order from 0.0. Nothing is memoized.
     """
     ids = np.asarray(sorted(int(i) for i in selected), dtype=np.int64)
     data = cache.data
     if ids.size and (ids[0] < 0 or ids[-1] >= data.n_features):
         raise ValueError("feature id out of range")
+    if ids.size < 2:
+        return 0.0
     mat, cards = data.feature_matrix[ids], data.feature_cards[ids]
-    h = np.array([cache.entropy(i) for i in ids.tolist()])
-    # bit planes packed once, for the calls that take the packed path;
     # planes wider than a call's rows need only add zero counts
-    top = int(cards.max(initial=0))
-    packed = pack_codes(mat, top) if top <= PACKED_MAX_WIDTH else None
+    h, packed = entropies_and_planes(mat, cards)
     total = 0.0
     for a in range(ids.size - 1):
         rest = None if packed is None else packed[:, a + 1 :]
@@ -190,27 +184,46 @@ def h_value(selected, cfg: ObjectiveConfig, cache: InfoCache) -> float:
     )
 
 
+def _gather(cache: InfoCache, order: np.ndarray, bounds: np.ndarray):
+    """Codes, cardinalities and entropies of the candidates in ``order``,
+    and each group's bit planes: the cache's own arrays for every feature
+    as one group, else gathered, and packed group by group."""
+    data = cache.data
+    # one group's ids are distinct, non-negative and ascending, so d of them
+    # ending at d - 1 are 0..d-1 in order
+    if bounds.size == 2 and order.size == data.n_features and order[-1] == order.size - 1:
+        mat, cards, h, planes = cache.feature_arrays()
+        return mat, cards, h, [planes]
+    mat, cards = data.feature_matrix[order], data.feature_cards[order]
+    spans = [entropies_and_planes(mat[lo:hi], cards[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return mat, cards, np.concatenate([h for h, _ in spans]), [planes for _, planes in spans]
+
+
 @dataclass
 class SelectionState:
     """Incremental companion of a greedy run over one group of candidates,
     or over several disjoint groups selected side by side.
 
-    Group g owns positions ``bounds[g]:bounds[g + 1]`` of ``order`` (its
-    ids, ascending), ``caches[g]``, ``picks[g]``, ``values[g]`` (its scaled
-    objective) and its row of ``tracker``; it evolves exactly as it would
-    alone. ``mi`` holds each position's MI row and ``upos`` its index in its
-    group's cache universe. ``dist_sum`` holds, for every candidate
-    position, the running sum of raw distances to its group's selected set
-    (positions already picked stop being read). ``cache``, ``selected`` and
-    ``objective_value`` are the single group's.
+    Group g owns the span ``bounds[g]:bounds[g + 1]`` of positions in
+    ``order`` (its ids, ascending), ``picks[g]``, ``values[g]`` (its scaled
+    objective), its row of ``tracker`` and its bit planes ``planes[g]``; it
+    evolves exactly as it would alone. Per position, ``mi`` holds the MI
+    row and ``mat``, ``cards`` and ``h`` the codes, cardinality and
+    entropy, gathered once from ``cache``'s dataset; ``dist_sum`` holds the
+    running sum of raw distances to its group's selected set (positions
+    already picked stop being read). ``selected`` and ``objective_value``
+    are the single group's.
     """
 
     cfg: ObjectiveConfig
-    caches: list
+    cache: InfoCache | None
     order: np.ndarray
     bounds: np.ndarray
     mi: np.ndarray
-    upos: np.ndarray
+    mat: np.ndarray | None
+    cards: np.ndarray | None
+    h: np.ndarray | None
+    planes: list
     alive: np.ndarray
     dist_sum: np.ndarray
     tracker: TopPTracker
@@ -223,27 +236,29 @@ class SelectionState:
         self._sorted = self.order[self._by_id]
 
     @classmethod
-    def start(cls, candidates, cfg: ObjectiveConfig, cache: InfoCache) -> "SelectionState":
-        return cls.start_groups([candidates], cfg, [cache])
+    def start(cls, candidates, cfg: ObjectiveConfig, cache: InfoCache | None) -> "SelectionState":
+        return cls.start_groups([candidates], cfg, cache)
 
     @classmethod
-    def start_groups(cls, groups, cfg: ObjectiveConfig, caches) -> "SelectionState":
+    def start_groups(cls, groups, cfg: ObjectiveConfig, cache: InfoCache | None) -> "SelectionState":
         orders = [np.asarray(sorted(int(i) for i in g), dtype=np.int64) for g in groups]
         if not orders or any(o.size == 0 for o in orders):
             raise ValueError("no candidates")
         order = np.concatenate(orders)
         if np.unique(order).size != order.size:
             raise ValueError("duplicate candidate ids")
-        caches = list(caches)
+        if order.min() < 0 or order.max() >= cfg.mi_table.shape[0]:
+            raise ValueError("feature id out of range")
+        bounds = np.cumsum([0] + [o.size for o in orders])
         # a state that only scores (select_first) has no cache
-        upos = None if None in caches else np.concatenate([c.positions(o) for c, o in zip(caches, orders)])
+        columns = (None, None, None, []) if cache is None else _gather(cache, order, bounds)
         return cls(
-            cfg=cfg,
-            caches=caches,
-            order=order,
-            bounds=np.cumsum([0] + [o.size for o in orders]),
-            mi=cfg.mi_table[order],
-            upos=upos,
+            cfg,
+            cache,
+            order,
+            bounds,
+            cfg.mi_table[order],
+            *columns,
             alive=np.ones(order.size, dtype=bool),
             dist_sum=np.zeros(order.size, dtype=np.float64),
             tracker=TopPTracker(cfg.n_labels, cfg.top_p, len(orders)),
@@ -255,10 +270,6 @@ class SelectionState:
         if len(per_group) != 1:
             raise ValueError("the state holds several groups")
         return per_group[0]
-
-    @property
-    def cache(self) -> InfoCache:
-        return self._single(self.caches)
 
     @property
     def selected(self) -> list:
@@ -274,7 +285,9 @@ class SelectionState:
     def add(self, feature_ids) -> None:
         """Select one candidate in each of some groups (one id, or one id per
         picking group): update their objective values, thresholds, and the
-        running distance sums of their other candidates."""
+        running distance sums of their other candidates. A pick's distances
+        are read from its memoized row in the cache if there is one, else
+        computed over its group's span, every group's in one batch."""
         ids = np.asarray(feature_ids, dtype=np.int64).reshape(-1)
         pos = self._by_id[np.minimum(np.searchsorted(self._sorted, ids), self.order.size - 1)]
         bad = (self.order[pos] != ids) | ~self.alive[pos]
@@ -290,13 +303,14 @@ class SelectionState:
         )
         self.tracker.insert_rows(groups, mi_rows)
         self.alive[pos] = False
-        caches, picked, spans = [], [], []
-        for g, fid in zip(groups.tolist(), ids.tolist()):
+        jobs = []
+        for g, fid, p in zip(groups.tolist(), ids.tolist(), pos.tolist()):
             self.picks[g].append(fid)
             span = slice(self.bounds[g], self.bounds[g + 1])
-            if self.alive[span].any():
-                caches.append(self.caches[g])
-                picked.append(fid)
-                spans.append(span)
-        for span, row in zip(spans, distance_rows(caches, picked)):
-            self.dist_sum[span] += row[self.upos[span]]
+            row = self.cache.memoized_row(fid)
+            if row is not None:
+                self.dist_sum[span] += row[self.order[span]]
+            elif self.alive[span].any():
+                jobs.append((p, span, self.planes[g]))
+        for (_, span, _), row in zip(jobs, nvi_distance_spans(self.mat, self.cards, self.h, jobs)):
+            self.dist_sum[span] += row

@@ -28,8 +28,8 @@ RATIO_SLACK = 1e-9
 
 
 def distance_matrix(ids, cache: InfoCache) -> np.ndarray:
-    """Symmetric pairwise distance matrix over the given feature ids, which
-    must lie in the cache's universe: one memoized distance row per id.
+    """Symmetric pairwise distance matrix over the given feature ids: one
+    memoized distance row per id.
     The kernel gives d(a, b) == d(b, a) and d(a, a) == 0 exactly, so the
     rows form a symmetric matrix with a zero diagonal."""
     ids = np.asarray([int(i) for i in ids], dtype=np.int64)

@@ -5,7 +5,9 @@ uniformly at random (seeded), runs the plain greedy per machine, then runs
 the half-relevance greedy over the union of the machines' picks. Distributed
 and streaming runs share this partition -> map -> reduce driver and differ
 only in how the map batches the machines; a batch is one greedy_states call
-over its machines side by side. Serial distributed is one batch holding
+over its machines side by side, each machine one contiguous span of the
+state's gathered columns. One InfoCache of the whole dataset serves every
+batch, the merge and the report. Serial distributed is one batch holding
 every machine. With parallelism p the machines are dealt into p batches:
 this process runs the first and p - 1 forked workers run the others,
 sharing the dataset pages copy-on-write, so column payloads are not copied.
@@ -165,10 +167,8 @@ _MERGE_VARIANT = GreedyVariant.ALTGREEDY
 
 def _machine_job(work, batch: list) -> list:
     """Core sets of a batch of machines, selected side by side."""
-    data, cfg, k, machine_ids = work
-    groups = [machine_ids[i] for i in batch]
-    caches = [InfoCache(data, feature_ids=ids) for ids in groups]
-    return greedy_states(groups, k, _MACHINE_VARIANT, cfg, caches).picks
+    cache, cfg, k, machine_ids = work
+    return greedy_states([machine_ids[i] for i in batch], k, _MACHINE_VARIANT, cfg, cache).picks
 
 
 # A forked worker's work, set by the pool's initializer in the worker only;
@@ -226,6 +226,7 @@ def _partition_select(
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     t0 = time.perf_counter()
+    cache = InfoCache(data)
     if m is None:
         m = default_machine_count(data.n_features, k)
     plan = random_partition(data.n_features, m, seed)
@@ -238,12 +239,11 @@ def _partition_select(
     else:
         workers = min(parallelism, len(jobs))
         batches = [jobs[w::workers] for w in range(workers)]
-    picks = _run_machines((data, cfg, k, machine_ids), batches, fork=not streaming)
+    picks = _run_machines((cache, cfg, k, machine_ids), batches, fork=not streaming)
     core_sets = {i: core for batch, cores in zip(batches, picks) for i, core in zip(batch, cores)}
     t2 = time.perf_counter()
     union = [i for j in jobs for i in core_sets[j]]
-    merge_cache = InfoCache(data, feature_ids=np.asarray(union, dtype=np.int64))
-    selected = greedy_select(union, k, _MERGE_VARIANT, cfg, merge_cache)
+    selected = greedy_select(union, k, _MERGE_VARIANT, cfg, cache)
     t3 = time.perf_counter()
     peak = None
     if streaming:
@@ -256,7 +256,7 @@ def _partition_select(
         peak = max(peak, retained)
     config = {"seed": seed, "machines": m, "parallelism": parallelism}
     return _report(
-        mode, data, selected, cfg, merge_cache, config, (t0, t1, t2, t3),
+        mode, data, selected, cfg, cache, config, (t0, t1, t2, t3),
         plan=plan, peak_retained_feature_columns=peak,
     )
 

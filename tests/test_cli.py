@@ -79,6 +79,23 @@ def test_usage_errors(small_csv):
     for argv, text in cases:
         code, _, _ = run_cli(argv, stdin_text=text)
         assert code == 2, argv
+    sparse = ["select", "--input", "-", "--format", "sparse-ml", "--k", "1"]
+    named = [
+        (["select", "--input", "-", "--labels", "0", "--k", "1"], small_csv, "--labels must be >= 1"),
+        (["select", "--input", "-", "--labels", "-1", "--k", "1"], small_csv, "--labels must be >= 1"),
+        (SELECT_BASE + ["--k", "1", "--max-raw-categories", "0"], small_csv, "--max-raw-categories must be >= 1"),
+        (sparse + ["--n-features", "0", "--n-labels", "1"], "0 1:1\n", "--n-features must be >= 1"),
+        (sparse + ["--n-features", "2", "--n-labels", "0"], "0 1:1\n", "--n-labels must be >= 1"),
+        (
+            ["bench", "--input", "-", "--labels", "2", "--k", "2", "--modes", ","],
+            small_csv,
+            "--modes must name at least one mode",
+        ),
+    ]
+    for argv, text, message in named:
+        code, out, err = run_cli(argv, stdin_text=text)
+        assert (code, out) == (2, ""), argv
+        assert message in err and "Traceback" not in err, argv
 
 
 def test_data_errors(tmp_path, small_csv):

@@ -23,6 +23,7 @@ from divsel.data import (
 )
 from divsel.errors import ParseError, ValidationError
 from divsel.info import InfoCache, nvi_distance
+from divsel.objective import ObjectiveConfig, SelectionState
 
 DENSE_EXAMPLE = "a,b,y\n0,0,0\n0,1,0\n1,0,1\n1,1,1\n"
 
@@ -332,8 +333,10 @@ def test_columns_are_read_only_views_of_one_matrix():
             arr[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         data.feature_matrix = None
-    # an InfoCache over every feature reads the dataset's own matrix
-    assert InfoCache(data)._universe_arrays()[0] is data.feature_matrix
+    # a selection state over every feature reads the dataset's own matrix
+    cache = InfoCache(data)
+    state = SelectionState.start(range(2), ObjectiveConfig.plain(cache.mi_table(), 1), cache)
+    assert state.mat is data.feature_matrix
     # the positional constructor stacks columns, views included
     sub = Dataset(data.features[1:], ("b",), data.labels, ("y",), 3)
     assert sub.feature_matrix.tolist() == [[1, 1, 0]]
@@ -384,3 +387,27 @@ def test_write_dense_csv_expected_text():
     buf = io.StringIO()
     write_dense_csv(data, buf)
     assert buf.getvalue() == "a,b,c,y0\n0,2,1,0\n1,0,1,1\n1,1,0,1\n"
+
+
+@pytest.mark.parametrize("bad", ["a,b", " c", "c ", "x\ny", "x\rz", "\tt"])
+@pytest.mark.parametrize("column", ["feature", "label"])
+def test_write_dense_csv_refuses_names_it_cannot_round_trip(tmp_path, bad, column):
+    names = {"feature_names": ["f0", "f1"], "label_names": ["y0"]}
+    names[f"{column}_names"][0] = bad
+    data = dataset_from_matrices([[0, 1, 1], [2, 0, 1]], [[0, 1, 1]], **names)
+    dest = tmp_path / "out.csv"
+    with pytest.raises(ValidationError, match="cannot be written"):
+        write_dense_csv(data, dest)
+    assert not dest.exists()
+
+
+def test_write_dense_csv_round_trips_unusual_names(tmp_path):
+    names = {"feature_names": ["a b", "x;y", '"q"', "t\tab", "ü"], "label_names": ["label 0", "y-1"]}
+    rng = np.random.default_rng(10)
+    data = dataset_from_matrices(rng.integers(0, 4, (5, 12)), rng.integers(0, 2, (2, 12)), **names)
+    dest = tmp_path / "out.csv"
+    write_dense_csv(data, dest)
+    back = load_dense_csv(dest, 2, binning=BinningSpec(strategy="none"))
+    assert (back.feature_names, back.label_names) == (data.feature_names, data.label_names)
+    assert back.feature_matrix.tolist() == data.feature_matrix.tolist()
+    assert back.label_matrix.tolist() == data.label_matrix.tolist()

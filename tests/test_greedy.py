@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from divsel.data import dataset_from_matrices
+from divsel.data import BinningSpec, Dataset, DiscreteColumn, dataset_from_matrices
 from divsel.greedy import (
     TIE_BAND,
     GreedyVariant,
@@ -223,11 +223,33 @@ def test_groups_side_by_side_match_one_group_at_a_time(card_hi):
         cut = np.sort(rng.choice(np.arange(1, 60), size=int(rng.integers(0, 7)), replace=False))
         groups = np.split(rng.permutation(60), cut)  # some smaller than k
         for variant in GreedyVariant:
-            alone = [greedy_state(g, cfg.k, variant, cfg, InfoCache(data, feature_ids=g)) for g in groups]
-            caches = [InfoCache(data, feature_ids=g) for g in groups]
-            state = greedy_states(groups, cfg.k, variant, cfg, caches)
+            alone = [greedy_state(g, cfg.k, variant, cfg, InfoCache(data)) for g in groups]
+            state = greedy_states(groups, cfg.k, variant, cfg, InfoCache(data))
             assert state.picks == [s.selected for s in alone]
             assert state.values.tolist() == [s.objective_value for s in alone]
+
+
+def test_states_read_memoized_rows(monkeypatch):
+    # a single group computes each pick's row through the module's
+    # nvi_distance_rows; a pick whose whole row the cache memoized costs no
+    # kernel call, and the run is bit for bit the one that computes it
+    data, cache = instance_with_cache(seed=37, d=30, n=24, t=2)
+    cfg = weighted_cfg(cache, k=8, lam=0.5, p=3)
+    calls = []
+    real = info.nvi_distance_rows
+    monkeypatch.setattr(info, "nvi_distance_rows", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    for candidates in (range(30), range(1, 30)):
+        calls.clear()
+        computed = greedy_state(candidates, 8, GreedyVariant.GREEDY, cfg, InfoCache(data))
+        assert len(calls) == 8
+        for x in computed.selected:
+            cache.distance_block(x)
+        calls.clear()
+        read = greedy_state(candidates, 8, GreedyVariant.GREEDY, cfg, cache)
+        assert calls == []
+        assert read.selected == computed.selected
+        assert read.objective_value == computed.objective_value
+        assert read.dist_sum.tolist() == computed.dist_sum.tolist()
 
 
 def test_groups_reject_bad_input():
@@ -235,39 +257,57 @@ def test_groups_reject_bad_input():
     cfg = weighted_cfg(cache, k=2, lam=0.5)
     for groups in ([[0, 1], []], [[0, 1], [1, 2]], []):
         with pytest.raises(ValueError):
-            greedy_states(groups, 2, GreedyVariant.GREEDY, cfg, [cache, cache])
+            greedy_states(groups, 2, GreedyVariant.GREEDY, cfg, cache)
     with pytest.raises(ValueError):
-        greedy_states([[0, 1]], 0, GreedyVariant.GREEDY, cfg, [cache])
-    state = greedy_states([[0, 1, 2], [3, 4, 5]], 1, GreedyVariant.GREEDY, cfg, [cache, cache])
+        greedy_states([[0, 1]], 0, GreedyVariant.GREEDY, cfg, cache)
+    state = greedy_states([[0, 1, 2], [3, 4, 5]], 1, GreedyVariant.GREEDY, cfg, cache)
     with pytest.raises(ValueError):
         state.selected  # several groups have no single selection
     with pytest.raises(ValueError):
         state.add([int(state.remaining_ids()[0]), int(state.remaining_ids()[1])])  # two picks in one group
 
 
-def test_groups_with_mixed_column_sizes_pack_each_universe_once(monkeypatch):
-    # narrow groups take the packed path; in the others most joint tables
-    # are wide. A step may pack the targets' own bit planes, but never a
-    # universe again after its cache packed it once
-    rng = np.random.default_rng(7)
-    narrow = rng.integers(0, 4, size=(40, 48))
-    wide = rng.integers(0, 40, size=(20, 48))
-    labels = rng.integers(0, 2, size=(2, 48))
-    data = dataset_from_matrices(np.vstack([narrow, wide]), labels)
+@pytest.mark.parametrize("widest", [40, 65])
+def test_groups_with_mixed_column_sizes_pack_each_group_once(monkeypatch, widest):
+    # the narrow group takes the packed path; in the others most joint
+    # tables are wide, and the group holding a column of 65 values has no
+    # bit planes at all. A step may pack its targets' own bit planes, but
+    # never a group's candidates again after the state packed them once
+    rng = np.random.default_rng(widest)
+    narrow = rng.integers(0, 4, size=(40, 80))
+    wide = rng.integers(0, 40, size=(20, 80))
+    if widest > 40:
+        wide[0] = np.arange(80) % widest
+    raw = BinningSpec("none")
+    feats = [DiscreteColumn.from_values(row.astype(float), raw) for row in np.vstack([narrow, wide])]
+    labels = [DiscreteColumn.from_values(row.astype(float), raw) for row in rng.integers(0, 2, size=(2, 80))]
+    data = Dataset(feats, [f"f{i}" for i in range(60)], labels, ["y0", "y1"], 80)
     cfg = weighted_cfg(InfoCache(data), k=6, lam=0.5, p=3)
     groups = [np.arange(0, 20), np.arange(20, 50), np.arange(50, 60)]
-    alone = [greedy_select(g, 6, GreedyVariant.GREEDY, cfg, InfoCache(data, feature_ids=g)) for g in groups]
-    packed_rows = []
-    real = info.pack_codes
+    tops = [int(data.feature_cards[g].max()) for g in groups]
+    assert tops[0] <= 4 and 16 < tops[2] <= 40 and (tops[1] == 65) == (widest == 65)
+    alone = [greedy_select(g, 6, GreedyVariant.GREEDY, cfg, InfoCache(data)) for g in groups]
+    packed_rows, counted_rows = [], []
+    real_pack, real_counts = info.pack_codes, info._packed_counts
 
-    def counting(mat, card):
+    def packing(mat, card):
         packed_rows.append(mat.shape[0])
-        return real(mat, card)
+        return real_pack(mat, card)
 
-    monkeypatch.setattr(info, "pack_codes", counting)
-    caches = [InfoCache(data, feature_ids=g) for g in groups]
-    assert greedy_states(groups, 6, GreedyVariant.GREEDY, cfg, caches).picks == alone
-    # every universe is packed once (for its entropies); any other call packs
-    # at most one target per group
-    assert sorted(r for r in packed_rows if r > len(groups)) == sorted(g.size for g in groups)
+    def counting(t_bits, packed):
+        counted_rows.append(packed.shape[1])
+        return real_counts(t_bits, packed)
+
+    monkeypatch.setattr(info, "pack_codes", packing)
+    monkeypatch.setattr(info, "_packed_counts", counting)
+    assert greedy_states(groups, 6, GreedyVariant.GREEDY, cfg, InfoCache(data)).picks == alone
+    # each group with at most 64 values per column is packed once; any other
+    # call packs at most one target per group
+    assert sorted(r for r in packed_rows if r > len(groups)) == sorted(
+        g.size for g, top in zip(groups, tops) if top <= 64
+    )
     assert all(r <= len(groups) for r in packed_rows if r not in {g.size for g in groups})
+    # the narrow group's entropies and each of its six rows take the packed
+    # path; the others pack only their entropies, if at all
+    assert counted_rows.count(20) == 7
+    assert counted_rows.count(30) == (0 if widest == 65 else 1) and counted_rows.count(10) == 1

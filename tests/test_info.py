@@ -18,6 +18,7 @@ from divsel.info import (
     nvi_distance,
     nvi_distance_rows,
 )
+from divsel.objective import ObjectiveConfig, SelectionState
 from helpers import ContingencyTable
 
 A = np.array([0, 0, 1, 1])
@@ -119,20 +120,6 @@ def test_range_clamped():
         assert 0.0 <= normalized_mi(a, b) <= 1.0
 
 
-def test_base_invariance():
-    rng = np.random.default_rng(13)
-    for _ in range(100):
-        n = int(rng.integers(2, 40))
-        a = rng.integers(0, 4, n)
-        b = rng.integers(0, 3, n)
-        assert nvi_distance(a, b, log_fn=np.log) == pytest.approx(
-            nvi_distance(a, b), abs=1e-12
-        )
-        assert normalized_mi(a, b, log_fn=np.log) == pytest.approx(
-            normalized_mi(a, b), abs=1e-12
-        )
-
-
 def test_batch_matches_scalar_bitwise():
     """One distance row over a padded batch equals the pair-at-a-time path."""
     rng = np.random.default_rng(14)
@@ -180,17 +167,25 @@ def test_distance_block_matches_scalar_lookups():
 
 def test_distance_block_rejects_foreign_ids():
     data = _small_dataset()
-    cache = InfoCache(data, feature_ids=np.array([0, 2, 4]))
-    cache.distance_block(0, [2, 4])
-    with pytest.raises(ValueError):
-        cache.distance_block(0, [1])
+    cache = InfoCache(data)
+    cache.distance_block(0, [2, 5])
+    for ids in ([6], [-1], [0, 7]):
+        with pytest.raises(ValueError, match="out of range"):
+            cache.distance_block(0, ids)
 
 
-def test_partition_cache_matches_full_cache():
+def test_group_rows_match_full_cache_rows():
+    # after one pick per group, a group's distance sums are the pick's row
+    # over that group, computed alone or batched with the other group's
     data = _small_dataset()
     full = InfoCache(data)
-    part = InfoCache(data, feature_ids=np.array([1, 3, 5]))
-    assert part.distance_block(3, [1, 5]).tolist() == full.distance_block(3, [1, 5]).tolist()
+    cfg = ObjectiveConfig.plain(full.mi_table(), 2)
+    for groups, picks in (([[1, 3, 5]], [3]), ([[1, 3, 5], [0, 2, 4]], [3, 0]), ([[5, 3, 1], [4]], [1, 4])):
+        state = SelectionState.start_groups(groups, cfg, InfoCache(data))
+        state.add(picks)
+        for g, t in enumerate(picks):
+            span = slice(state.bounds[g], state.bounds[g + 1])
+            assert state.dist_sum[span].tolist() == full.distance_block(t, state.order[span]).tolist()
 
 
 def test_mi_table_matches_scalar_nmi():
@@ -284,17 +279,25 @@ def test_kernel_matches_contingency_reference_bitwise(n):
 
     data = Dataset(feats, [f"f{i}" for i in range(len(feats))], targets, ["const", "bin"], n)
     d = data.n_features
-    # the whole universe (all-distinct column included) and its low-cardinality part
-    for ids in (np.arange(d), np.arange(d - 1)):
-        cache = InfoCache(data, feature_ids=ids)
-        table = cache.mi_table()
-        for j, t in enumerate(targets):
-            assert table[:, j].tolist() == [_ref_nmi(*_ref_pair(feats[i], t)) for i in ids]
-        for cid in range(d + len(targets)):
-            t = (feats + targets)[cid]
-            assert cache.distance_block(cid, ids).tolist() == [
-                _ref_nvi(*_ref_pair(t, feats[i])) for i in ids
-            ]
+    cache = InfoCache(data)
+    table = cache.mi_table()
+    for j, t in enumerate(targets):
+        assert table[:, j].tolist() == [_ref_nmi(*_ref_pair(f, t)) for f in feats]
+    for cid in range(d + len(targets)):
+        t = (feats + targets)[cid]
+        assert cache.distance_block(cid).tolist() == [_ref_nvi(*_ref_pair(t, f)) for f in feats]
+    # selection states' rows: every feature (the cache's arrays), the
+    # low-cardinality part alone (its own bit planes), and two groups side
+    # by side, one of them holding the all-distinct column
+    cfg = ObjectiveConfig.plain(table, 1)
+    for groups in ([np.arange(d)], [np.arange(d - 1)], [np.arange(1, d, 2), np.arange(0, d, 2)]):
+        for r in range(d):
+            picks = [int(g[r % g.size]) for g in groups]
+            state = SelectionState.start_groups(groups, cfg, InfoCache(data))
+            state.add(picks)
+            for g, (ids, t) in enumerate(zip(groups, picks)):
+                span = slice(state.bounds[g], state.bounds[g + 1])
+                assert state.dist_sum[span].tolist() == [_ref_nvi(*_ref_pair(feats[t], feats[i])) for i in ids]
 
 
 def test_distance_row_memory_is_linear_in_rows_times_n():

@@ -67,17 +67,13 @@ def test_diversity_matches_pair_loop_bitwise(card_hi):
     # card_hi=4 keeps every kernel call on the packed path; card_hi=40 sends
     # most of them through sorted joint codes
     data = random_instance(seed=70 + card_hi, d=40, n=48, t=2, card_hi=card_hi)
-    universe = np.arange(0, 40, 3)
     rng = np.random.default_rng(card_hi)
     for size in (0, 1, 2, 12):
         ids = rng.choice(40, size=size, replace=False).tolist()
-        expect = _bits(pair_loop_diversity(ids, data))
-        full, restricted = InfoCache(data), InfoCache(data, feature_ids=universe)
-        assert _bits(diversity(ids, full)) == expect
-        assert _bits(diversity(ids, restricted)) == expect
+        cache = InfoCache(data)
+        assert _bits(diversity(ids, cache)) == _bits(pair_loop_diversity(ids, data))
         # no distance row is memoized
-        assert not full._rows and not restricted._rows
-    assert not set(ids) <= set(universe.tolist())
+        assert all(cache.memoized_row(i) is None for i in range(40))
     with pytest.raises(ValueError):
         diversity([0, 40], InfoCache(data))
 
@@ -229,3 +225,6 @@ def test_selection_state_rejects_bad_adds():
         SelectionState.start([], cfg, cache)
     with pytest.raises(ValueError):
         SelectionState.start([1, 1, 2], cfg, cache)
+    for ids in ([0, 6], [-1, 0]):
+        with pytest.raises(ValueError, match="out of range"):
+            SelectionState.start(ids, cfg, cache)

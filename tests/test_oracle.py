@@ -159,8 +159,9 @@ def test_distance_matrix_rows_equal_scalar_distances(card_hi):
     for a, i in enumerate(ids):
         for b, j in enumerate(ids):
             assert mat[a, b] == (0.0 if i == j else scalar.distance(i, j))
-    with pytest.raises(ValueError, match="universe"):
-        distance_matrix([0, 1], InfoCache(data, feature_ids=[0]))
+    for bad in ([0, 10], [-1, 0]):
+        with pytest.raises(ValueError, match="out of range"):
+            distance_matrix(bad, InfoCache(data))
 
 
 def test_oracle_budget_refusal():
@@ -236,8 +237,7 @@ def test_distributed_merge_bounds_at_desk_scale():
         union = []
         for ids in plan.machines():
             if ids.size:
-                part_cache = InfoCache(data, feature_ids=ids)
-                union.extend(greedy_select(ids, 10, GreedyVariant.GREEDY, cfg, part_cache))
+                union.extend(greedy_select(ids, 10, GreedyVariant.GREEDY, cfg, cache))
         u_opt = brute_force_opt(union, min(10, len(union)), cfg, cache)
         union_vals.append(u_opt.value)
     mean_val = float(np.mean(union_vals))

@@ -96,8 +96,8 @@ def test_distributed_matches_manual_pipeline():
     union = []
     for ids in plan.machines():
         if ids.size:
-            union.extend(greedy_select(ids, 5, GreedyVariant.GREEDY, cfg, InfoCache(data, feature_ids=ids)))
-    expect = greedy_select(union, 5, GreedyVariant.ALTGREEDY, cfg, InfoCache(data, feature_ids=np.array(union)))
+            union.extend(greedy_select(ids, 5, GreedyVariant.GREEDY, cfg, InfoCache(data)))
+    expect = greedy_select(union, 5, GreedyVariant.ALTGREEDY, cfg, InfoCache(data))
     assert list(rep.selected_ids) == expect
     assert set(rep.selected_ids) <= set(union)  # core-set containment
 
@@ -188,7 +188,7 @@ def one_machine_at_a_time(data, cfg, k, plan):
         if ids.size == 0:
             continue
         peak = max(peak, len(retained) + ids.size)
-        retained.extend(greedy_select(ids, k, GreedyVariant.GREEDY, cfg, InfoCache(data, feature_ids=ids)))
+        retained.extend(greedy_select(ids, k, GreedyVariant.GREEDY, cfg, InfoCache(data)))
     return retained, max(peak, len(retained))
 
 
@@ -218,8 +218,7 @@ def test_every_batching_reports_the_same_run():
     assert runs[0].plan.sizes().count(0) == 3
     assert len({canonical(r) for r in runs}) == 1
     union, _ = one_machine_at_a_time(data, cfg, 2, runs[0].plan)
-    merge_cache = InfoCache(data, feature_ids=np.array(union))
-    assert list(runs[0].selected_ids) == greedy_select(union, 2, GreedyVariant.ALTGREEDY, cfg, merge_cache)
+    assert list(runs[0].selected_ids) == greedy_select(union, 2, GreedyVariant.ALTGREEDY, cfg, InfoCache(data))
 
 
 @pytest.mark.parametrize("parallelism", [0, -3])
