@@ -164,6 +164,11 @@ def _check_positive(parser, value, flag):
         parser.error(f"{flag} must be >= 1")
 
 
+def _check_non_negative(parser, value, flag):
+    if value < 0:
+        parser.error(f"{flag} must be >= 0")
+
+
 def _run_mode(mode, data, k, cfg, cache, algorithm, machines, seed, parallelism):
     """One selection run in ``mode``; ``cache`` and ``algorithm`` serve the
     centralized run, ``machines`` (None: the default count) the others."""
@@ -179,6 +184,7 @@ def _cmd_select(args, parser) -> int:
     _check_positive(parser, args.p, "--p")
     _check_positive(parser, args.machines, "--machines")
     _check_positive(parser, args.parallelism, "--parallelism")
+    _check_non_negative(parser, args.seed, "--seed")
     if not 0.0 <= args.lam <= 1.0:
         parser.error("--lambda must be in [0, 1]")
     data = _load_dataset(args, parser)
@@ -208,6 +214,7 @@ def _cmd_oracle(args, parser) -> int:
         parser.error("--seeds must be comma-separated integers")
     if not seeds:
         parser.error("--seeds must name at least one seed")
+    _check_non_negative(parser, min(seeds), "--seeds")
     data = _load_dataset(args, parser)
     if args.k > data.n_features:
         parser.error(f"--k {args.k} exceeds the {data.n_features} available features")
@@ -236,6 +243,7 @@ def _cmd_eval_metrics(args, parser) -> int:
 
 
 def _cmd_gen_synth(args, parser) -> int:
+    _check_non_negative(parser, args.seed, "--seed")
     data = generate_synthesized(args.seed)
     if args.output:
         write_dense_csv(data, args.output)
@@ -259,6 +267,7 @@ def _cmd_bench(args, parser) -> int:
             parser.error(f"--modes: unknown mode {mode!r}")
     _check_positive(parser, args.p, "--p")
     _check_positive(parser, args.parallelism, "--parallelism")
+    _check_non_negative(parser, args.seed, "--seed")
     if not 0.0 <= args.lam <= 1.0:
         parser.error("--lambda must be in [0, 1]")
     data = _load_dataset(args, parser)

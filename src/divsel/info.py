@@ -3,30 +3,37 @@ distance over discrete columns, plus a memoizing cache.
 
 Every quantity comes from one count kernel and one reduction. The kernel
 returns the exact integer joint counts of a target column against each row
-of a code matrix, by one of two paths chosen from the joint width
-``t_card * max(cards)`` alone:
+of a code matrix, laid out cells-major: a (cells, rows) matrix of the
+smallest unsigned integer type that holds n, one column of counts per row.
+One of two paths is chosen from the joint width ``t_card * max(cards)``
+alone:
 
 - up to ``PACKED_MAX_WIDTH`` cells, each code's one-hot indicator is packed
-  into uint64 bit words and a joint count is the popcount of an AND;
+  into uint64 bit planes of shape (words, card, rows) and a joint count is
+  the popcount of an AND, summed over words straight into the count matrix;
 - above it, each row's joint codes ``x * t_card + t`` are sorted and the run
-  lengths are the counts, so no zero cell is ever created and memory stays
-  O(rows x n).
+  lengths are the counts, already sorted, so no zero cell is ever created
+  and memory stays O(rows x n).
 
-An entropy is one row's counts sorted ascending, each count c mapped through
-a table of ``-(p * log(p))`` for p = c / n, and the terms added left to right.
-Sorting makes transposed tables sum identically, so d(a, b) == d(b, a)
-bit-for-bit; zero counts add -0.0 and change nothing, so a value does not
-depend on the path, on how many pairs are batched together, or on padding.
-Cached, batched, and one-off computations of the same pair agree exactly.
+An entropy is one column of counts sorted ascending, each count c mapped
+through a table of ``-(p * log(p))`` for p = c / n, and the terms added top
+to bottom. Packed counts are sorted in place: over ``NETWORK_MIN_ROWS``
+code-matrix rows or more by a bitonic min/max network over whole rows of the
+count matrix (cells padded with zero rows to a power of two), over fewer by
+numpy's row sort. Sorting makes
+transposed tables sum identically, so d(a, b) == d(b, a) bit-for-bit; zero
+counts add -0.0 and change nothing, so a value does not depend on the path,
+on how many pairs are batched together, or on padding. Cached, batched, and
+one-off computations of the same pair agree exactly.
 ``InfoCache`` packs every feature once and memoizes whole distance rows;
 ``nvi_distance_spans`` computes the rows of several targets, each against
 its own span of one code matrix, in one batch, the way a greedy run over
-several machines' candidates needs them.
+several machines' candidates needs them: every packed job's counts share
+one count matrix, which is sorted and reduced once.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -36,6 +43,11 @@ from .data import BLOCK_CELLS, Dataset, DiscreteColumn
 # Joint widths t_card * max(cards) up to this take the packed-bit path; wider
 # tables sort joint codes.
 PACKED_MAX_WIDTH = 64
+
+# Count matrices over at least this many code-matrix rows are sorted by the
+# bitonic network; smaller ones by numpy's row sort, whose fixed cost is
+# lower. Measured crossover: 700 to 2500 rows at 8 to 64 cells.
+NETWORK_MIN_ROWS = 2048
 
 
 def _as_codes(col) -> tuple[np.ndarray, int]:
@@ -52,15 +64,10 @@ def _as_codes(col) -> tuple[np.ndarray, int]:
     return codes, int(uniq.size)
 
 
-def _packs(t_card: int, max_card: int) -> bool:
-    """Whether a joint table of this shape takes the packed-bit path."""
-    return int(t_card) * int(max_card) <= PACKED_MAX_WIDTH
-
-
 def pack_codes(mat: np.ndarray, card: int) -> np.ndarray:
-    """One-hot bit planes of a (rows, n) code matrix, shape (words, rows, card).
+    """One-hot bit planes of a (rows, n) code matrix, shape (words, card, rows).
 
-    Bit b of word w of ``[w, r, v]`` is set iff ``mat[r, 64 * w + b] == v``;
+    Bit b of word w of ``[w, v, r]`` is set iff ``mat[r, 64 * w + b] == v``;
     padding bits are zero. Rows are packed a block at a time, so no full
     boolean one-hot is materialized.
     """
@@ -72,22 +79,20 @@ def pack_codes(mat: np.ndarray, card: int) -> np.ndarray:
     for lo in range(0, rows, step):
         onehot = mat[lo : lo + step, None, :] == values
         planes[lo : lo + step, :, : -(-n // 8)] = np.packbits(onehot, axis=2, bitorder="little")
-    return np.ascontiguousarray(planes.view(np.uint64).transpose(2, 0, 1))
+    return np.ascontiguousarray(planes.view(np.uint64).transpose(2, 1, 0))
 
 
-def _packed_counts(t_bits: np.ndarray, packed: np.ndarray) -> np.ndarray:
+def _packed_counts(t_bits: np.ndarray, packed: np.ndarray, out: np.ndarray) -> None:
     """Joint counts from bit planes: target (words, t_card) against rows
-    (words, b, card), as a (b, t_card * card) matrix."""
-    _, rows, card = packed.shape
-    t_card = t_bits.shape[1]
-    ones = np.bitwise_count(t_bits.T[:, :, None, None] & packed).sum(axis=1, dtype=np.intp)
-    return ones.transpose(1, 0, 2).reshape(rows, t_card * card)
+    (words, card, b), written into ``out`` (t_card, card, b)."""
+    ones = np.bitwise_count(t_bits.T[:, :, None, None] & packed)
+    np.add.reduce(ones, axis=1, dtype=out.dtype, out=out)
 
 
 def _sorted_counts(t_codes: np.ndarray, t_card: int, mat: np.ndarray, width: int) -> np.ndarray:
-    """Joint counts as run lengths of each row's sorted joint codes, one
-    column per run of the row with the most runs; shorter rows are padded
-    with zero counts."""
+    """Joint counts as run lengths of each row's sorted joint codes, shape
+    (cells, rows) with each column sorted ascending: one cell per run of the
+    row with the most runs, shorter rows padded with leading zero counts."""
     rows, n = mat.shape
     dtype = np.int32 if width <= np.iinfo(np.int32).max else np.int64
     joint = mat.astype(dtype) * dtype(t_card) + t_codes.astype(dtype)
@@ -99,7 +104,46 @@ def _sorted_counts(t_codes: np.ndarray, t_card: int, mat: np.ndarray, width: int
     np.maximum.accumulate(np.where(ends[:, :-1], pos[:-1], -1), axis=1, out=prev_end[:, 1:])
     lengths = np.where(ends, pos - prev_end, 0)
     lengths.sort(axis=1)
-    return lengths[:, n - int(ends.sum(axis=1).max()) :]
+    return lengths[:, n - int(ends.sum(axis=1).max()) :].T
+
+
+def _bitonic(counts: np.ndarray) -> None:
+    """Sort each column of a (2^j, columns) matrix in place with a bitonic
+    network (Batcher, 1968): every comparator layer is one min/max over two
+    reshaped views that cover the whole matrix."""
+    height = counts.shape[0]
+    low = np.empty(height // 2 * counts.shape[1], dtype=counts.dtype)
+
+    def compare(lo, hi):
+        small = np.minimum(lo, hi, out=low.reshape(lo.shape))
+        np.maximum(lo, hi, out=hi)
+        lo[...] = small
+
+    size = 2
+    while size <= height:
+        # merge the two sorted halves of every block of ``size`` rows: row i
+        # of the lower half against row i from the end of the upper half
+        # leaves both halves bitonic, every lower value below every upper one
+        runs = counts.reshape(height // size, size, -1)
+        compare(runs[:, : size // 2], runs[:, : size // 2 - 1 : -1])
+        # ... then half-cleaners sort each bitonic half
+        half = size // 4
+        while half:
+            pairs = counts.reshape(height // (2 * half), 2, half, -1)
+            compare(pairs[:, 0], pairs[:, 1])
+            half //= 2
+        size *= 2
+
+
+def _sort_columns(counts: np.ndarray) -> None:
+    """Sort each column of a (cells, rows) count matrix in place. With at
+    least NETWORK_MIN_ROWS columns, and then a power-of-two height, by the
+    bitonic network; with fewer by numpy's row sort of an int32 transposed
+    copy, whose fixed cost is lower."""
+    if counts.shape[1] >= NETWORK_MIN_ROWS:
+        _bitonic(counts)
+    else:
+        counts[...] = np.sort(counts.T.astype(np.int32), axis=1).T
 
 
 @lru_cache(maxsize=16)
@@ -112,52 +156,62 @@ def _term_table(n: int) -> np.ndarray:
     return table
 
 
-def _entropy_from_counts(counts: np.ndarray, n: int) -> np.ndarray:
-    """Entropy per row of a count matrix, which is sorted in place: terms of
-    the ascending counts, added left to right. Zero cells contribute nothing."""
-    counts.sort(axis=1)
+def _reduce(counts: np.ndarray, n: int) -> np.ndarray:
+    """Entropy per column of a (cells, rows) count matrix whose columns are
+    sorted ascending: the terms of the counts added top to bottom from 0.0.
+    Zero cells add -0.0 and change nothing."""
     table = _term_table(n)
-    if counts.shape[0] < counts.shape[1]:
-        # few rows: one running sum per row costs less than a loop over
-        # columns; + 0.0 turns the -0.0 of an all -0.0 row into the 0.0
-        # that a sum started at 0.0 gives
-        return np.add.accumulate(table[counts], axis=1)[:, -1] + 0.0
-    terms = table[np.ascontiguousarray(counts.T)]
-    total = np.zeros(counts.shape[0], dtype=np.float64)
-    for column in terms:
-        total += column
+    cells, rows = counts.shape
+    total = np.zeros(rows, dtype=np.float64)
+    step = max(1, BLOCK_CELLS // max(cells, 1))
+    for lo in range(0, rows, step):
+        part = total[lo : lo + step]
+        for terms in np.take(table, counts[:, lo : lo + step]):
+            part += terms
     return total
 
 
-def _joint_counts(t_codes: np.ndarray, t_card: int, mat: np.ndarray, max_card: int, packed=None, t_bits=None):
-    """The count kernel: exact joint counts of a target column against each
-    row of a code matrix whose codes are below ``max_card``, yielded as
-    (rows, cells) blocks in row order.
+def _joint_entropies(jobs, n: int) -> list:
+    """The count kernel and the reduction: for each job (t_codes, t_card,
+    mat, max_card, packed, t_bits), the joint entropy of a target column
+    with each row of a code matrix whose codes are below ``max_card``.
 
-    ``packed`` may hand over ``pack_codes(mat, max_card)`` and ``t_bits`` the
-    target's bit planes (words, t_card) when they are already built; both
-    are used only on the packed-bit path.
+    ``packed`` may hand over ``pack_codes(mat, c)`` for any c >= max_card
+    and ``t_bits`` the target's bit planes (words, t_card) when they are
+    already built; both are used only on the packed-bit path. Packed jobs
+    are counted a block of rows at a time, so each popcount temporary holds
+    about ``BLOCK_CELLS`` words, into one shared count matrix that is sorted
+    and reduced once; sorted-codes jobs are reduced block by block.
     """
-    rows, n = mat.shape
-    width = int(t_card) * int(max_card)
-    if _packs(t_card, max_card):
-        if packed is None:
-            packed = pack_codes(mat, max_card)
+    widths = [int(t_card) * int(max_card) for _, t_card, _, max_card, _, _ in jobs]
+    total = sum(job[2].shape[0] for job, w in zip(jobs, widths) if w <= PACKED_MAX_WIDTH)
+    width = max([w for w in widths if w <= PACKED_MAX_WIDTH], default=1)
+    # the network sorts power-of-two heights; zero rows sort first
+    height = width if total < NETWORK_MIN_ROWS else 1 << (width - 1).bit_length()
+    counts = np.zeros((height, total), dtype=np.min_scalar_type(n))
+    out, at = [], 0
+    for (t_codes, t_card, mat, max_card, packed, t_bits), w in zip(jobs, widths):
+        t_card, max_card, rows = int(t_card), int(max_card), mat.shape[0]
+        if w > PACKED_MAX_WIDTH:
+            step = max(1, BLOCK_CELLS // n)
+            blocks = [
+                _reduce(_sorted_counts(t_codes, t_card, mat[lo : lo + step], w), n) for lo in range(0, rows, step)
+            ]
+            out.append(np.concatenate(blocks) if blocks else np.empty(0, dtype=np.float64))
+            continue
+        packed = pack_codes(mat, max_card) if packed is None else packed[:, :max_card]
         if t_bits is None:
-            t_bits = pack_codes(t_codes[None, :], int(t_card))[:, 0, :]
-        step = max(1, BLOCK_CELLS // (packed.shape[0] * width))
+            t_bits = pack_codes(t_codes[None, :], t_card)[:, :, 0]
+        cells = counts[:w].reshape(t_card, max_card, total)
+        step = max(1, BLOCK_CELLS // (packed.shape[0] * w))
         for lo in range(0, rows, step):
-            yield _packed_counts(t_bits, packed[:, lo : lo + step])
-    else:
-        step = max(1, BLOCK_CELLS // n)
-        for lo in range(0, rows, step):
-            yield _sorted_counts(t_codes, t_card, mat[lo : lo + step], width)
-
-
-def _entropies(blocks, n: int) -> np.ndarray:
-    """The reduction, applied to count blocks in row order."""
-    out = [_entropy_from_counts(counts, n) for counts in blocks]
-    return np.concatenate(out) if out else np.empty(0, dtype=np.float64)
+            hi = min(lo + step, rows)
+            _packed_counts(t_bits, packed[:, :, lo:hi], cells[:, :, at + lo : at + hi])
+        out.append(slice(at, at + rows))
+        at += rows
+    _sort_columns(counts)
+    h = _reduce(counts[height - width :], n)
+    return [h[part] if isinstance(part, slice) else part for part in out]
 
 
 def entropy_rows(mat: np.ndarray, cards: np.ndarray, *, packed=None) -> np.ndarray:
@@ -168,21 +222,21 @@ def entropy_rows(mat: np.ndarray, cards: np.ndarray, *, packed=None) -> np.ndarr
 
 
 def joint_entropy_rows(
-    t_codes: np.ndarray, t_card: int, mat: np.ndarray, cards: np.ndarray, *, packed=None
+    t_codes: np.ndarray, t_card: int, mat: np.ndarray, cards: np.ndarray, *, packed=None, t_bits=None
 ) -> np.ndarray:
     """Joint entropy of a target column with each row of a code matrix: the
-    count kernel followed by the reduction, a block of rows at a time.
+    count kernel followed by the reduction.
 
     ``packed`` may hand over ``pack_codes(mat, c)`` for any ``c >= max(cards)``
-    when it is already built; it is used only on the packed-bit path.
+    and ``t_bits`` the target's bit planes (words, t_card) when they are
+    already built; both are used only on the packed-bit path.
     """
     t_codes = np.asarray(t_codes)
     if mat.shape[1] == 0:
         raise ValueError("columns must have at least one value")
     if t_codes.size != mat.shape[1]:
         raise ValueError("column lengths differ")
-    blocks = _joint_counts(t_codes, t_card, mat, int(np.max(cards)), packed)
-    return _entropies(blocks, mat.shape[1])
+    return _joint_entropies([(t_codes, t_card, mat, int(np.max(cards)), packed, t_bits)], mat.shape[1])[0]
 
 
 def _nvi(h_target, h_rows, h_joint) -> np.ndarray:
@@ -193,10 +247,10 @@ def _nvi(h_target, h_rows, h_joint) -> np.ndarray:
 
 
 def nvi_distance_rows(
-    t_codes, t_card, h_target, mat, cards, h_rows, *, packed=None
+    t_codes, t_card, h_target, mat, cards, h_rows, *, packed=None, t_bits=None
 ) -> np.ndarray:
     """Normalized variation-of-information distance, target vs. each row."""
-    h_joint = joint_entropy_rows(t_codes, t_card, mat, cards, packed=packed)
+    h_joint = joint_entropy_rows(t_codes, t_card, mat, cards, packed=packed, t_bits=t_bits)
     return _nvi(h_target, h_rows, h_joint)
 
 
@@ -263,7 +317,7 @@ def entropies_and_planes(mat: np.ndarray, cards: np.ndarray):
     their widest column, which later calls against these rows reuse; None
     when that column is wider than PACKED_MAX_WIDTH."""
     top = int(np.max(cards))
-    planes = pack_codes(mat, top) if _packs(1, top) else None
+    planes = pack_codes(mat, top) if top <= PACKED_MAX_WIDTH else None
     return entropy_rows(mat, cards, packed=planes), planes
 
 
@@ -272,28 +326,34 @@ def nvi_distance_spans(mat, cards, h, jobs) -> list:
     code matrix against its rows ``span``, whose ``entropies_and_planes``
     are ``h[span]`` and ``planes``.
 
-    One job is that one call. Several share their fixed costs: the targets'
-    bit planes are packed at once and one _nvi call covers every row. Every
-    value is what the call alone gives.
+    A target in its own span reads its bit planes from the span's. One job
+    is one ``nvi_distance_rows`` call. Several share their fixed costs:
+    every packed job counts into one count matrix that is sorted and reduced
+    once, and one _nvi call covers every row. Every value is what the call
+    alone gives.
     """
+    with_bits = []
+    for t, span, planes in jobs:
+        t_bits = None
+        if planes is not None and span.start <= t < span.stop:
+            t_bits = planes[:, : cards[t], t - span.start]
+        with_bits.append((t, span, planes, t_bits))
     if len(jobs) < 2:
-        return [nvi_distance_rows(mat[t], cards[t], h[t], mat[s], cards[s], h[s], packed=p) for t, s, p in jobs]
-    targets = [t for t, _, _ in jobs]
-    tops = [int(np.max(cards[span])) for _, span, _ in jobs]
-    narrow = [i for i, (t, top) in enumerate(zip(targets, tops)) if _packs(cards[t], top)]
-    t_bits = {}
-    if narrow:
-        picked = [targets[i] for i in narrow]
-        bits = pack_codes(mat[picked], int(np.max(cards[picked])))
-        t_bits = {i: bits[:, j, : cards[t]] for j, (i, t) in enumerate(zip(narrow, picked))}
-    blocks = [
-        _joint_counts(mat[t], cards[t], mat[span], top, planes, t_bits.get(i))
-        for i, ((t, span, planes), top) in enumerate(zip(jobs, tops))
+        return [
+            nvi_distance_rows(mat[t], cards[t], h[t], mat[s], cards[s], h[s], packed=p, t_bits=b)
+            for t, s, p, b in with_bits
+        ]
+    # planes are packed at their span's widest column
+    kernel_jobs = [
+        (mat[t], cards[t], mat[s], int(np.max(cards[s])) if p is None else p.shape[1], p, b)
+        for t, s, p, b in with_bits
     ]
+    h_joint = _joint_entropies(kernel_jobs, mat.shape[1])
+    targets = [t for t, _, _ in jobs]
     sizes = [span.stop - span.start for _, span, _ in jobs]
-    h_joint = _entropies(itertools.chain.from_iterable(blocks), mat.shape[1])
-    rows = _nvi(np.repeat(h[targets], sizes), np.concatenate([h[span] for _, span, _ in jobs]), h_joint)
-    return np.split(rows, np.cumsum(sizes)[:-1])
+    rows = _nvi(np.repeat(h[targets], sizes), np.concatenate([h[span] for _, span, _ in jobs]), np.concatenate(h_joint))
+    ends = np.cumsum(sizes).tolist()
+    return [rows[end - size : end] for end, size in zip(ends, sizes)]
 
 
 class InfoCache:

@@ -11,6 +11,7 @@ scaled distances stay a pseudometric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -170,7 +171,7 @@ def diversity(selected, cache: InfoCache) -> float:
     h, packed = entropies_and_planes(mat, cards)
     total = 0.0
     for a in range(ids.size - 1):
-        rest = None if packed is None else packed[:, a + 1 :]
+        rest = None if packed is None else packed[:, :, a + 1 :]
         row = nvi_distance_rows(mat[a], cards[a], h[a], mat[a + 1 :], cards[a + 1 :], h[a + 1 :], packed=rest)
         for value in row.tolist():
             total += value
@@ -206,13 +207,14 @@ class SelectionState:
 
     Group g owns the span ``bounds[g]:bounds[g + 1]`` of positions in
     ``order`` (its ids, ascending), ``picks[g]``, ``values[g]`` (its scaled
-    objective), its row of ``tracker`` and its bit planes ``planes[g]``; it
-    evolves exactly as it would alone. Per position, ``mi`` holds the MI
-    row and ``mat``, ``cards`` and ``h`` the codes, cardinality and
-    entropy, gathered once from ``cache``'s dataset; ``dist_sum`` holds the
+    objective) and its row of ``tracker``; it evolves exactly as it would
+    alone. Per position, ``mi`` holds the MI row and ``dist_sum`` the
     running sum of raw distances to its group's selected set (positions
-    already picked stop being read). ``selected`` and ``objective_value``
-    are the single group's.
+    already picked stop being read). ``columns`` holds the codes,
+    cardinality and entropy per position and each group's bit planes,
+    gathered from ``cache``'s dataset when the first distance row must be
+    computed, so a run whose every pick has a memoized row never gathers.
+    ``selected`` and ``objective_value`` are the single group's.
     """
 
     cfg: ObjectiveConfig
@@ -220,10 +222,6 @@ class SelectionState:
     order: np.ndarray
     bounds: np.ndarray
     mi: np.ndarray
-    mat: np.ndarray | None
-    cards: np.ndarray | None
-    h: np.ndarray | None
-    planes: list
     alive: np.ndarray
     dist_sum: np.ndarray
     tracker: TopPTracker
@@ -251,20 +249,29 @@ class SelectionState:
             raise ValueError("feature id out of range")
         bounds = np.cumsum([0] + [o.size for o in orders])
         # a state that only scores (select_first) has no cache
-        columns = (None, None, None, []) if cache is None else _gather(cache, order, bounds)
         return cls(
             cfg,
             cache,
             order,
             bounds,
             cfg.mi_table[order],
-            *columns,
             alive=np.ones(order.size, dtype=bool),
             dist_sum=np.zeros(order.size, dtype=np.float64),
             tracker=TopPTracker(cfg.n_labels, cfg.top_p, len(orders)),
             picks=[[] for _ in orders],
             values=np.zeros(len(orders), dtype=np.float64),
         )
+
+    @cached_property
+    def columns(self) -> tuple:
+        """(mat, cards, h, planes): codes, cardinalities and entropies per
+        position, and each group's bit planes."""
+        return _gather(self.cache, self.order, self.bounds)
+
+    @property
+    def mat(self) -> np.ndarray:
+        """The candidates' codes, one row per position."""
+        return self.columns[0]
 
     def _single(self, per_group):
         if len(per_group) != 1:
@@ -311,6 +318,9 @@ class SelectionState:
             if row is not None:
                 self.dist_sum[span] += row[self.order[span]]
             elif self.alive[span].any():
-                jobs.append((p, span, self.planes[g]))
-        for (_, span, _), row in zip(jobs, nvi_distance_spans(self.mat, self.cards, self.h, jobs)):
-            self.dist_sum[span] += row
+                jobs.append((p, span, g))
+        if jobs:
+            mat, cards, h, planes = self.columns
+            rows = nvi_distance_spans(mat, cards, h, [(p, span, planes[g]) for p, span, g in jobs])
+            for (_, span, _), row in zip(jobs, rows):
+                self.dist_sum[span] += row

@@ -10,7 +10,8 @@ state's gathered columns. One InfoCache of the whole dataset serves every
 batch, the merge and the report. Serial distributed is one batch holding
 every machine. With parallelism p the machines are dealt into p batches:
 this process runs the first and p - 1 forked workers run the others,
-sharing the dataset pages copy-on-write, so column payloads are not copied.
+sharing the dataset pages copy-on-write, so column payloads are not copied;
+each worker sends its core sets back through a pipe.
 Streaming is the same driver run one machine at a time, keeping only
 survivor columns between machines. Core sets are collected in
 machine-index order, so the output is independent of batching, worker
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context
 
@@ -171,18 +171,13 @@ def _machine_job(work, batch: list) -> list:
     return greedy_states([machine_ids[i] for i in batch], k, _MACHINE_VARIANT, cfg, cache).picks
 
 
-# A forked worker's work, set by the pool's initializer in the worker only;
-# the calling process hands its own batch's work to _machine_job directly.
-_forked_work = None
-
-
-def _init_forked_worker(work) -> None:
-    global _forked_work
-    _forked_work = work
-
-
-def _forked_machine_job(batch: list) -> list:
-    return _machine_job(_forked_work, batch)
+def _forked_machine_job(send, work, batch: list) -> None:
+    """A forked worker's body: send the batch's core sets, or the exception
+    that stopped them, to the calling process."""
+    try:
+        send.send((True, _machine_job(work, batch)))
+    except Exception as exc:
+        send.send((False, exc))
 
 
 def _run_machines(work, batches: list, fork: bool) -> list:
@@ -190,22 +185,39 @@ def _run_machines(work, batches: list, fork: bool) -> list:
 
     Without ``fork`` the batches run here one after another. With it, this
     process runs the first batch and one forked worker each of the others;
-    the workers inherit the work through the fork, not by pickling.
+    a worker inherits the work through the fork, not by pickling, and sends
+    its core sets back through a pipe. A worker's exception is raised here.
     """
     if not fork or len(batches) == 1:
         return [_machine_job(work, batch) for batch in batches]
-    pool = ProcessPoolExecutor(
-        max_workers=len(batches) - 1,
-        mp_context=get_context("fork"),
-        initializer=_init_forked_worker,
-        initargs=(work,),
-    )
+    context = get_context("fork")
+    workers, done = [], False
     try:
-        forked = pool.map(_forked_machine_job, batches[1:])
-        return [_machine_job(work, batches[0])] + list(forked)
+        for batch in batches[1:]:
+            receive, send = context.Pipe(duplex=False)
+            worker = context.Process(target=_forked_machine_job, args=(send, work, batch), daemon=True)
+            worker.start()
+            send.close()
+            workers.append((worker, receive))
+        results = [_machine_job(work, batches[0])]
+        for worker, receive in workers:
+            try:
+                ok, value = receive.recv()
+            except EOFError:
+                worker.join()
+                status = worker.exitcode
+                raise RuntimeError(f"a forked worker exited with status {status} before sending its core sets") from None
+            if not ok:
+                raise value
+            results.append(value)
+        done = True
+        return results
     finally:
-        # the results are in hand; the workers wind down on their own
-        pool.shutdown(wait=False, cancel_futures=True)
+        for worker, receive in workers:
+            receive.close()
+            if not done:
+                worker.terminate()
+            worker.join()
 
 
 def _partition_select(

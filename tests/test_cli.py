@@ -91,6 +91,10 @@ def test_usage_errors(small_csv):
             small_csv,
             "--modes must name at least one mode",
         ),
+        (SELECT_BASE + ["--k", "1", "--mode", "distributed", "--seed", "-1"], small_csv, "--seed must be >= 0"),
+        (["bench", "--input", "-", "--labels", "2", "--k", "2", "--seed", "-1"], small_csv, "--seed must be >= 0"),
+        (["oracle", "--input", "-", "--labels", "2", "--k", "2", "--seeds=0,-1"], small_csv, "--seeds must be >= 0"),
+        (["gen-synth", "--seed", "-1"], "", "--seed must be >= 0"),
     ]
     for argv, text, message in named:
         code, out, err = run_cli(argv, stdin_text=text)

@@ -294,9 +294,9 @@ def test_groups_with_mixed_column_sizes_pack_each_group_once(monkeypatch, widest
         packed_rows.append(mat.shape[0])
         return real_pack(mat, card)
 
-    def counting(t_bits, packed):
-        counted_rows.append(packed.shape[1])
-        return real_counts(t_bits, packed)
+    def counting(t_bits, packed, out):
+        counted_rows.append(packed.shape[2])
+        return real_counts(t_bits, packed, out)
 
     monkeypatch.setattr(info, "pack_codes", packing)
     monkeypatch.setattr(info, "_packed_counts", counting)

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from divsel.data import BinningSpec, Dataset, DiscreteColumn, dataset_from_matrices
+from divsel import info
 from divsel.info import (
+    NETWORK_MIN_ROWS,
     InfoCache,
+    entropies_and_planes,
     entropy,
     entropy_rows,
     joint_entropy,
@@ -17,6 +20,7 @@ from divsel.info import (
     normalized_mi_rows,
     nvi_distance,
     nvi_distance_rows,
+    nvi_distance_spans,
 )
 from divsel.objective import ObjectiveConfig, SelectionState
 from helpers import ContingencyTable
@@ -318,3 +322,74 @@ def test_distance_row_memory_is_linear_in_rows_times_n():
     finally:
         tracemalloc.stop()
     assert peak <= 64 * rows * n * 8
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+def test_count_columns_sort_like_np_sort(dtype):
+    # both sides of NETWORK_MIN_ROWS at every power-of-two height the packed
+    # path can pad to, with many ties and with values across the count range
+    rng = np.random.default_rng(np.dtype(dtype).itemsize)
+    top = min(int(np.iinfo(dtype).max), np.iinfo(np.int32).max)
+    for height in (1, 2, 4, 8, 16, 32, 64):
+        for rows in (5, NETWORK_MIN_ROWS - 1, NETWORK_MIN_ROWS, NETWORK_MIN_ROWS + 37):
+            for hi in (3, top):
+                counts = rng.integers(0, hi, size=(height, rows), endpoint=True).astype(dtype)
+                expected = np.sort(counts, axis=0)
+                info._sort_columns(counts)
+                assert counts.dtype == dtype
+                assert np.array_equal(counts, expected), (height, rows, hi)
+
+
+@pytest.mark.parametrize("n", [255, 256])
+def test_network_sorted_counts_match_contingency_reference_bitwise(n):
+    # enough rows for the bitwise network, at the last n whose counts fit in
+    # uint8 and the first that needs uint16; joint widths 5 to 60 cells pad
+    # to 8, 16 and 64, and t_card 13 takes the sorted-codes path
+    rng = np.random.default_rng(n)
+    rows = NETWORK_MIN_ROWS + 3
+    cards = rng.integers(1, 6, size=rows)
+    cards[0] = 5
+    mat = (rng.integers(0, 1 << 20, size=(rows, n)) % cards[:, None]).astype(np.int32)
+    mat[:, : cards.max()] = np.arange(cards.max()) % cards[:, None]
+    h_rows = entropy_rows(mat, cards)
+    cols = [DiscreteColumn(codes, int(card)) for codes, card in zip(mat, cards)]
+    assert h_rows.tolist() == [_ref_entropy(np.bincount(c.codes), n) for c in cols]
+    for t_card in (1, 3, 12, 13):
+        codes = rng.integers(0, t_card, size=n)
+        codes[:t_card] = np.arange(t_card)
+        target = DiscreteColumn(codes, t_card)
+        refs = [_ref_pair(target, c) for c in cols]
+        assert joint_entropy_rows(codes, t_card, mat, cards).tolist() == [r[2] for r in refs], t_card
+        dist = nvi_distance_rows(codes, t_card, refs[0][0], mat, cards, h_rows)
+        assert dist.tolist() == [_ref_nvi(*r) for r in refs], t_card
+
+
+def test_batched_spans_with_mixed_widths_and_paths_match_single_calls():
+    # spans of 2, 6 and 40 values per column. The first batch counts two
+    # packed jobs of different widths (4 and 36 cells) together, past
+    # NETWORK_MIN_ROWS where neither alone is; in the others one packed job
+    # shares the batch with jobs whose tables are wider than
+    # PACKED_MAX_WIDTH and take the sorted-codes path
+    rng = np.random.default_rng(12)
+    n = 90
+    sizes, tops = (1200, 1000, 40), (2, 6, 40)
+    blocks = [rng.integers(0, top, size=(size, n)) for size, top in zip(sizes, tops)]
+    for block, top in zip(blocks, tops):
+        block[:, :top] = np.arange(top)
+    mat = np.vstack(blocks).astype(np.int32)
+    cards = mat.max(axis=1) + 1
+    bounds = np.cumsum((0,) + sizes)
+    spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    found = [entropies_and_planes(mat[s], cards[s]) for s in spans]
+    h = np.concatenate([hs for hs, _ in found])
+    planes = [p for _, p in found]
+    # target rows of 2, 6 and 40 values: jobs from 4 to 1600 cells wide
+    for targets in ([0, 1200, 2200], [2210, 5, 1210], [1205, 2215, 10]):
+        jobs = [(t, s, p) for t, s, p in zip(targets, spans, planes)]
+        batched = nvi_distance_spans(mat, cards, h, jobs)
+        for (t, s, p), row in zip(jobs, batched):
+            alone = nvi_distance_rows(mat[t], cards[t], h[t], mat[s], cards[s], h[s], packed=p)
+            assert row.tolist() == alone.tolist()
+            ids = range(s.start, s.stop, 97)
+            expected = [_ref_nvi(*_ref_pair(DiscreteColumn(mat[t], int(cards[t])), mat[i])) for i in ids]
+            assert row[:: 97].tolist() == expected

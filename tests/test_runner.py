@@ -1,10 +1,12 @@
 """Partitioning and the centralized / distributed / streaming drivers."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from divsel import runner
 from divsel.greedy import GreedyVariant, greedy_select
 from divsel.info import InfoCache
 from divsel.objective import h_value
@@ -134,6 +136,36 @@ def test_parallel_pool_matches_serial():
     pooled = distributed_select(data, 6, cfg, m=4, seed=2, parallelism=3)
     assert serial.selected_ids == pooled.selected_ids
     assert serial.objective == pooled.objective
+
+
+def test_forked_worker_failures_reach_the_caller(monkeypatch):
+    # the calling process runs the batch holding machine 0; a forked worker
+    # runs the other. Its exception is raised in the caller, and a worker
+    # that dies without a result is reported instead of awaited
+    data, cache = instance_with_cache(seed=56, d=40, n=30, t=2)
+    cfg = weighted_cfg(cache, k=4, lam=0.5, p=3)
+    real = runner._machine_job
+
+    def failing(how):
+        def job(work, batch):
+            if 0 in batch:
+                return real(work, batch)
+            if how == "raise":
+                raise ValueError("worker failed")
+            os._exit(3)
+
+        return job
+
+    monkeypatch.setattr(runner, "_machine_job", failing("raise"))
+    with pytest.raises(ValueError, match="worker failed"):
+        distributed_select(data, 4, cfg, m=4, seed=1, parallelism=2)
+    monkeypatch.setattr(runner, "_machine_job", failing("exit"))
+    with pytest.raises(RuntimeError, match="status 3"):
+        distributed_select(data, 4, cfg, m=4, seed=1, parallelism=2)
+    monkeypatch.setattr(runner, "_machine_job", real)
+    assert distributed_select(data, 4, cfg, m=4, seed=1, parallelism=2).selected_ids == (
+        distributed_select(data, 4, cfg, m=4, seed=1, parallelism=1).selected_ids
+    )
 
 
 def test_back_to_back_parallel_runs_keep_their_own_work():
