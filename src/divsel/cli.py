@@ -324,10 +324,7 @@ def run(argv) -> int:
         return _COMMANDS[args.command](args, parser)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (DataError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except BudgetError as exc:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import io
 import itertools
 import math
-from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -127,9 +126,11 @@ def _bin_rows(v: np.ndarray, s: np.ndarray, binning: BinningSpec) -> tuple[np.nd
 
 
 def check_codes(codes: np.ndarray, cards: np.ndarray) -> None:
-    """Raise ValueError unless each row r of a (rows, n) code matrix holds
-    exactly the codes 0..cards[r]-1, each at least once (cardinality 0 when
-    n is 0). Checked a block of rows at a time."""
+    """Raise ValueError unless each row r of a (rows, n) integer code matrix
+    holds exactly the codes 0..cards[r]-1, each at least once (cardinality 0
+    when n is 0). Checked a block of rows at a time."""
+    if not np.issubdtype(codes.dtype, np.integer):
+        raise ValueError("codes must be integers")
     rows, n = codes.shape
     if cards.shape != (rows,):
         raise ValueError("one cardinality per row is needed")
@@ -152,7 +153,8 @@ def check_codes(codes: np.ndarray, cards: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class DiscreteColumn:
-    """A single variable as dense integer codes 0..cardinality-1.
+    """A single variable as dense integer codes 0..cardinality-1: the value
+    type of the one-column functions in ``info``.
 
     Every code below ``cardinality`` occurs at least once; empty columns
     (length 0) have cardinality 0.
@@ -162,20 +164,13 @@ class DiscreteColumn:
     cardinality: int
 
     def __post_init__(self):
-        codes = np.ascontiguousarray(self.codes, dtype=np.int32)
+        codes = np.asarray(self.codes)
         if codes.ndim != 1:
             raise ValueError("codes must be one-dimensional")
         check_codes(codes[None, :], np.array([self.cardinality]))
+        codes = np.ascontiguousarray(codes, dtype=np.int32)
         codes.flags.writeable = False
         object.__setattr__(self, "codes", codes)
-
-    @classmethod
-    def _row(cls, codes: np.ndarray, cardinality: int) -> "DiscreteColumn":
-        """A column over one row of a validated, read-only code matrix."""
-        col = object.__new__(cls)
-        object.__setattr__(col, "codes", codes)
-        object.__setattr__(col, "cardinality", cardinality)
-        return col
 
     @property
     def n(self) -> int:
@@ -189,36 +184,16 @@ class DiscreteColumn:
         if values.ndim != 1:
             raise ValueError("values must be one-dimensional")
         codes, cards = canonicalize(values[None, :], binning)
-        return cls._row(codes[0], int(cards[0]))
+        return cls(codes[0], int(cards[0]))
 
 
-class _Columns(Sequence):
-    """Read-only columns over the rows of a code matrix, made on demand."""
-
-    def __init__(self, codes: np.ndarray, cards: np.ndarray):
-        self._codes = codes
-        self._cards = cards
-
-    def __len__(self) -> int:
-        return self._codes.shape[0]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        return DiscreteColumn._row(self._codes[i], int(self._cards[i]))
-
-    def __add__(self, other):
-        return tuple(self) + tuple(other)
-
-
-def _stack_columns(columns, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """One (len(columns), n) code matrix and its cardinalities, validated."""
-    columns = tuple(columns)
-    rows = [np.asarray(c.codes) for c in columns]
-    if any(r.shape != (n,) for r in rows):
-        raise ValidationError("column length differs from n_instances")
-    codes = np.stack(rows) if rows else np.zeros((0, n), dtype=np.int32)
-    cards = np.array([c.cardinality for c in columns], dtype=np.int64)
+def _code_matrix(codes, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A read-only int32 copy of a (rows, n) integer code matrix and each
+    row's cardinality, its largest code + 1, validated by ``check_codes``."""
+    codes = np.asarray(codes)
+    if codes.ndim != 2 or codes.shape[1] != n:
+        raise ValidationError(f"code matrix must be two-dimensional with rows of length n_instances={n}")
+    cards = codes.max(axis=1, initial=-1).astype(np.int64) + 1
     check_codes(codes, cards)
     codes = codes.astype(np.int32)
     codes.flags.writeable = False
@@ -230,20 +205,22 @@ def _stack_columns(columns, n: int) -> tuple[np.ndarray, np.ndarray]:
 class Dataset:
     """Feature and label variables over a common set of instances.
 
-    The state is one read-only int32 code matrix per group, a row per
-    variable, with the cardinality of each row. ``features[i]`` and
-    ``labels[j]`` are ``DiscreteColumn`` views of those rows. Label columns
-    are binary (cardinality <= 2) unless ``allow_multiclass_labels`` is
-    set. Names are unique within each group.
+    ``features`` and ``labels`` are read-only int32 code matrices, a row
+    per variable and a column per instance, and ``feature_cards`` and
+    ``label_cards`` hold each row's cardinality: row r holds exactly the
+    codes 0..cards[r]-1. Label rows are binary (cardinality <= 2) unless
+    ``allow_multiclass_labels`` is set. Names are unique within each group.
 
     ``Dataset(features, feature_names, labels, label_names, n_instances)``
-    stacks and validates columns; the loaders build the matrices directly.
+    takes integer code matrices, derives each row's cardinality, validates
+    the codes and stores read-only int32 copies; the loaders build the
+    matrices directly.
     """
 
-    feature_matrix: np.ndarray
+    features: np.ndarray
     feature_cards: np.ndarray
     feature_names: tuple
-    label_matrix: np.ndarray
+    labels: np.ndarray
     label_cards: np.ndarray
     label_names: tuple
     allow_multiclass_labels: bool
@@ -252,34 +229,32 @@ class Dataset:
         self, features, feature_names, labels, label_names, n_instances: int, allow_multiclass_labels: bool = False
     ):
         self._set(
-            *_stack_columns(features, n_instances),
+            *_code_matrix(features, n_instances),
             feature_names,
-            *_stack_columns(labels, n_instances),
+            *_code_matrix(labels, n_instances),
             label_names,
             allow_multiclass_labels,
         )
 
     @classmethod
     def _from_codes(
-        cls, feature_matrix, feature_cards, feature_names, label_matrix, label_cards, label_names, allow_multiclass_labels=False
+        cls, features, feature_cards, feature_names, labels, label_cards, label_names, allow_multiclass_labels=False
     ) -> "Dataset":
         """A dataset over matrices from ``canonicalize``, whose codes need no
         re-validation."""
         data = object.__new__(cls)
-        data._set(
-            feature_matrix, feature_cards, feature_names, label_matrix, label_cards, label_names, allow_multiclass_labels
-        )
+        data._set(features, feature_cards, feature_names, labels, label_cards, label_names, allow_multiclass_labels)
         return data
 
-    def _set(self, feature_matrix, feature_cards, feature_names, label_matrix, label_cards, label_names, multiclass):
+    def _set(self, features, feature_cards, feature_names, labels, label_cards, label_names, multiclass):
         feature_names, label_names = tuple(feature_names), tuple(label_names)
-        if feature_matrix.shape[0] == 0:
+        if features.shape[0] == 0:
             raise ValidationError("dataset needs at least one feature")
-        if label_matrix.shape[0] == 0:
+        if labels.shape[0] == 0:
             raise ValidationError("dataset needs at least one label")
-        if feature_matrix.shape[0] != len(feature_names):
+        if features.shape[0] != len(feature_names):
             raise ValidationError("feature name count mismatch")
-        if label_matrix.shape[0] != len(label_names):
+        if labels.shape[0] != len(label_names):
             raise ValidationError("label name count mismatch")
         for group in (feature_names, label_names):
             if len(set(group)) != len(group):
@@ -291,10 +266,10 @@ class Dataset:
                 if card > 2:
                     raise ValidationError(f"label {name!r} has more than 2 values")
         for attr, value in (
-            ("feature_matrix", feature_matrix),
+            ("features", features),
             ("feature_cards", feature_cards),
             ("feature_names", feature_names),
-            ("label_matrix", label_matrix),
+            ("labels", labels),
             ("label_cards", label_cards),
             ("label_names", label_names),
             ("allow_multiclass_labels", multiclass),
@@ -303,23 +278,15 @@ class Dataset:
 
     @property
     def n_instances(self) -> int:
-        return self.feature_matrix.shape[1]
+        return self.features.shape[1]
 
     @property
     def n_features(self) -> int:
-        return self.feature_matrix.shape[0]
+        return self.features.shape[0]
 
     @property
     def n_labels(self) -> int:
-        return self.label_matrix.shape[0]
-
-    @property
-    def features(self) -> _Columns:
-        return _Columns(self.feature_matrix, self.feature_cards)
-
-    @property
-    def labels(self) -> _Columns:
-        return _Columns(self.label_matrix, self.label_cards)
+        return self.labels.shape[0]
 
 
 @contextmanager
@@ -536,7 +503,7 @@ def write_dense_csv(data: Dataset, dest) -> None:
         fh = dest
     try:
         fh.write(",".join(data.feature_names + data.label_names) + "\n")
-        for features, labels in zip(data.feature_matrix.T, data.label_matrix.T):
+        for features, labels in zip(data.features.T, data.labels.T):
             fh.write(",".join(map(str, features.tolist() + labels.tolist())) + "\n")
     finally:
         if close:

@@ -74,12 +74,6 @@ def _step(state: SelectionState, limit: np.ndarray, weight) -> np.ndarray:
     return best[picking[live]]
 
 
-def select_first(candidates, cfg: ObjectiveConfig) -> int:
-    """The candidate with the largest total MI over labels (ties: smallest id)."""
-    state = SelectionState.start(candidates, cfg, cache=None)
-    return int(_step(state, np.ones(1, dtype=np.int64), None)[0])
-
-
 def greedy_states(groups, k: int, variant: GreedyVariant, cfg: ObjectiveConfig, cache: InfoCache) -> SelectionState:
     """Greedy selection in each of several disjoint candidate groups, run
     side by side over one cache's dataset.

@@ -368,11 +368,11 @@ class InfoCache:
 
     def __init__(self, data: Dataset):
         self._data = data
-        self._entropies: dict[int, float] = {}
         self._rows: dict[int, np.ndarray] = {}
         self._mi_table = None
         self._h = None
         self._planes = None
+        self._label_h = None
 
     @property
     def data(self) -> Dataset:
@@ -384,30 +384,33 @@ class InfoCache:
         data = self._data
         d = data.n_features
         if 0 <= cid < d:
-            return data.feature_matrix[cid], int(data.feature_cards[cid])
+            return data.features[cid], int(data.feature_cards[cid])
         if d <= cid < d + data.n_labels:
-            return data.label_matrix[cid - d], int(data.label_cards[cid - d])
+            return data.labels[cid - d], int(data.label_cards[cid - d])
         raise ValueError(f"column id {cid} out of range")
 
     def entropy(self, cid: int) -> float:
-        h = self._entropies.get(cid)
-        if h is None:
-            codes, card = self._column(cid)
-            h = float(entropy_rows(codes[None, :], np.array([card]))[0])
-            self._entropies[cid] = h
-        return h
+        """Entropy of a column id, read from the features' or the labels'
+        entropy array, each computed once in one kernel call."""
+        data = self._data
+        d = data.n_features
+        if 0 <= cid < d:
+            return float(self.feature_arrays()[2][cid])
+        if not d <= cid < d + data.n_labels:
+            raise ValueError(f"column id {cid} out of range")
+        if self._label_h is None:
+            self._label_h = entropy_rows(data.labels, data.label_cards)
+        return float(self._label_h[cid - d])
 
     def feature_arrays(self):
         """Every feature's codes, cardinalities and entropies, and their bit
         planes (None when a feature has more than PACKED_MAX_WIDTH values).
         The codes are the dataset's own matrix; the rest is built once."""
         data = self._data
-        mat, cards = data.feature_matrix, data.feature_cards
+        mat, cards = data.features, data.feature_cards
         if self._h is None:
             self._h, self._planes = entropies_and_planes(mat, cards)
             self._h.flags.writeable = False
-            for cid, h in enumerate(self._h.tolist()):
-                self._entropies.setdefault(cid, h)
         return mat, cards, self._h, self._planes
 
     def _kernel_rows(self, rows_fn, cid: int) -> np.ndarray:

@@ -138,13 +138,25 @@ def marginal_g_rows(mi_rows: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return total
 
 
+def sorted_feature_ids(ids, n_features: int) -> np.ndarray:
+    """``ids`` ascending as an int64 array; ValueError unless they are
+    distinct feature ids in 0..n_features-1."""
+    ids = np.asarray(sorted(int(i) for i in ids), dtype=np.int64)
+    if ids.size and (ids[0] < 0 or ids[-1] >= n_features):
+        raise ValueError("feature id out of range")
+    if np.any(ids[1:] == ids[:-1]):
+        raise ValueError("duplicate candidate ids")
+    return ids
+
+
 def relevance_g(selected, cfg: ObjectiveConfig) -> float:
-    """Sum over labels of the top_p largest MI values among ``selected``.
+    """Sum over labels of the top_p largest MI values among ``selected``,
+    a set of feature ids.
 
     Zero on the empty set; with fewer than top_p features every value
     counts.
     """
-    ids = np.asarray(sorted(int(i) for i in selected), dtype=np.int64)
+    ids = sorted_feature_ids(selected, cfg.mi_table.shape[0])
     if ids.size == 0:
         return 0.0
     sub = cfg.mi_table[ids]
@@ -154,19 +166,18 @@ def relevance_g(selected, cfg: ObjectiveConfig) -> float:
 
 
 def diversity(selected, cache: InfoCache) -> float:
-    """Sum of pairwise distances over unordered pairs of ``selected``.
+    """Sum of pairwise distances over unordered pairs of ``selected``, a
+    set of feature ids.
 
     The ids are sorted and their rows gathered and packed once; each id is
     one kernel call against the later ids, and the pairs are added in that
     (a, b) order from 0.0. Nothing is memoized.
     """
-    ids = np.asarray(sorted(int(i) for i in selected), dtype=np.int64)
     data = cache.data
-    if ids.size and (ids[0] < 0 or ids[-1] >= data.n_features):
-        raise ValueError("feature id out of range")
+    ids = sorted_feature_ids(selected, data.n_features)
     if ids.size < 2:
         return 0.0
-    mat, cards = data.feature_matrix[ids], data.feature_cards[ids]
+    mat, cards = data.features[ids], data.feature_cards[ids]
     # planes wider than a call's rows need only add zero counts
     h, packed = entropies_and_planes(mat, cards)
     total = 0.0
@@ -195,7 +206,7 @@ def _gather(cache: InfoCache, order: np.ndarray, bounds: np.ndarray):
     if bounds.size == 2 and order.size == data.n_features and order[-1] == order.size - 1:
         mat, cards, h, planes = cache.feature_arrays()
         return mat, cards, h, [planes]
-    mat, cards = data.feature_matrix[order], data.feature_cards[order]
+    mat, cards = data.features[order], data.feature_cards[order]
     spans = [entropies_and_planes(mat[lo:hi], cards[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
     return mat, cards, np.concatenate([h for h, _ in spans]), [planes for _, planes in spans]
 
@@ -218,7 +229,7 @@ class SelectionState:
     """
 
     cfg: ObjectiveConfig
-    cache: InfoCache | None
+    cache: InfoCache
     order: np.ndarray
     bounds: np.ndarray
     mi: np.ndarray
@@ -234,21 +245,18 @@ class SelectionState:
         self._sorted = self.order[self._by_id]
 
     @classmethod
-    def start(cls, candidates, cfg: ObjectiveConfig, cache: InfoCache | None) -> "SelectionState":
+    def start(cls, candidates, cfg: ObjectiveConfig, cache: InfoCache) -> "SelectionState":
         return cls.start_groups([candidates], cfg, cache)
 
     @classmethod
-    def start_groups(cls, groups, cfg: ObjectiveConfig, cache: InfoCache | None) -> "SelectionState":
-        orders = [np.asarray(sorted(int(i) for i in g), dtype=np.int64) for g in groups]
+    def start_groups(cls, groups, cfg: ObjectiveConfig, cache: InfoCache) -> "SelectionState":
+        orders = [sorted_feature_ids(g, cfg.mi_table.shape[0]) for g in groups]
         if not orders or any(o.size == 0 for o in orders):
             raise ValueError("no candidates")
         order = np.concatenate(orders)
         if np.unique(order).size != order.size:
             raise ValueError("duplicate candidate ids")
-        if order.min() < 0 or order.max() >= cfg.mi_table.shape[0]:
-            raise ValueError("feature id out of range")
         bounds = np.cumsum([0] + [o.size for o in orders])
-        # a state that only scores (select_first) has no cache
         return cls(
             cfg,
             cache,

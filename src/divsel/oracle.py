@@ -17,7 +17,7 @@ from .data import Dataset
 from .errors import BudgetError, GuaranteeError
 from .greedy import GreedyVariant, greedy_select
 from .info import InfoCache
-from .objective import ObjectiveConfig
+from .objective import ObjectiveConfig, sorted_feature_ids
 from .runner import distributed_select
 
 DEFAULT_BUDGET = 2_000_000
@@ -111,13 +111,6 @@ def _values_for_combos(combos: np.ndarray, dmat: np.ndarray, mi_sub: np.ndarray,
     return cfg.relevance_scale * rel + cfg.diversity_scale * div
 
 
-def _sorted_ids(ids) -> list:
-    ids = sorted(int(i) for i in ids)
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate candidate ids")
-    return ids
-
-
 @dataclass(frozen=True)
 class OracleResult:
     ids: tuple
@@ -127,12 +120,12 @@ class OracleResult:
 
 def subset_value(ids, cfg: ObjectiveConfig, cache: InfoCache) -> float:
     """Objective value of one subset, through the oracle's evaluator."""
-    ids = _sorted_ids(ids)
-    if not ids:
+    ids = sorted_feature_ids(ids, cfg.mi_table.shape[0])
+    if ids.size == 0:
         return 0.0
     dmat = distance_matrix(ids, cache)
-    mi_sub = cfg.mi_table[np.asarray(ids, dtype=np.int64)]
-    combo = np.arange(len(ids), dtype=np.int64)[None, :]
+    mi_sub = cfg.mi_table[ids]
+    combo = np.arange(ids.size, dtype=np.int64)[None, :]
     return float(_values_for_combos(combo, dmat, mi_sub, cfg)[0])
 
 
@@ -147,20 +140,21 @@ def brute_force_opt(
     """Exact maximizer over all k-subsets of the candidates.
 
     Refuses (BudgetError) when C(|candidates|, k) exceeds the budget and
-    ValueError on duplicate ids. Subsets are enumerated and evaluated
-    ``chunk`` at a time, so memory does not grow with C(|candidates|, k).
+    ValueError on duplicate or out-of-range ids. Subsets are enumerated and
+    evaluated ``chunk`` at a time, so memory does not grow with
+    C(|candidates|, k).
     Ties resolve to the lexicographically smallest id tuple; the result
     depends only on the candidate set.
     """
-    ids = _sorted_ids(candidates)
-    c = len(ids)
+    ids = sorted_feature_ids(candidates, cfg.mi_table.shape[0])
+    c = ids.size
     if not 1 <= k <= c:
         raise ValueError("need 1 <= k <= |candidates|")
     total = math.comb(c, k)
     if total > budget:
         raise BudgetError(f"C({c}, {k}) = {total} subsets exceeds budget {budget}")
     dmat = distance_matrix(ids, cache)
-    mi_sub = cfg.mi_table[np.asarray(ids, dtype=np.int64)]
+    mi_sub = cfg.mi_table[ids]
     best_value = -np.inf
     best_combo = None
     seen = 0
@@ -171,8 +165,7 @@ def brute_force_opt(
         if values[local] > best_value:
             best_value = float(values[local])
             best_combo = combos[local].copy()
-    id_arr = np.asarray(ids, dtype=np.int64)
-    return OracleResult(tuple(int(i) for i in id_arr[best_combo]), best_value, seen)
+    return OracleResult(tuple(int(i) for i in ids[best_combo]), best_value, seen)
 
 
 @dataclass(frozen=True)

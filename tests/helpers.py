@@ -84,7 +84,7 @@ class ContingencyTable:
 def pair_loop_diversity(selected, data: Dataset) -> float:
     """Sum of ``nvi_distance`` over the sorted ids' (a, b) pairs, from 0.0."""
     ids = sorted(int(i) for i in selected)
-    rows = data.feature_matrix
+    rows = data.features
     total = 0.0
     for a in range(len(ids)):
         for b in range(a + 1, len(ids)):
@@ -106,7 +106,7 @@ def pair_loop_niceness(
     state = greedy_state(ids, k, variant, cfg, cache)
     selected = state.selected
     f_val = state.objective_value
-    rows = cache.data.feature_matrix
+    rows = cache.data.features
     max_gain = max_dist = 0.0
     stable = True
     for t in ids:

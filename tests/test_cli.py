@@ -18,7 +18,7 @@ import pytest
 import divsel
 from divsel.cli import run
 from divsel.data import generate_synthesized, write_dense_csv
-from divsel.greedy import select_first
+from divsel.greedy import GreedyVariant, greedy_select
 from divsel.objective import ObjectiveConfig
 from helpers import instance_with_cache, plain_cfg
 
@@ -109,6 +109,11 @@ def test_data_errors(tmp_path, small_csv):
     assert code == 3 and "line 2" in err
     code, _, err = run_cli(["eval-metrics", "--truth", str(tmp_path / "nope.csv"), "--pred", str(tmp_path / "nope.csv")])
     assert code == 3
+    # a path that exists but is not a readable file
+    code, _, err = run_cli(["select", "--input", str(tmp_path), "--labels", "2", "--k", "2"])
+    assert code == 3 and err.startswith("error:")
+    code, _, err = run_cli(["eval-metrics", "--truth", str(tmp_path), "--pred", str(tmp_path)])
+    assert code == 3 and err.startswith("error:")
 
 
 NON_UTF8_CASES = {
@@ -187,7 +192,7 @@ def test_select_k1_matches_top_mi_feature(small_csv):
     code, out, _ = run_cli(SELECT_BASE + ["--k", "1", "--lambda", "0"], stdin_text=small_csv)
     assert code == 0
     _, cache = instance_with_cache(seed=40, d=10, n=30, t=2)
-    expected = select_first(range(10), plain_cfg(cache, k=1, p=10))
+    expected = greedy_select(range(10), 1, GreedyVariant.GREEDY, plain_cfg(cache, k=1, p=10), cache)[0]
     assert json.loads(out)["selected_ids"] == [expected]
 
 

@@ -3,7 +3,6 @@
 import dataclasses
 import io
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,8 +32,8 @@ def test_dense_csv_basic():
     assert (data.n_instances, data.n_features, data.n_labels) == (4, 2, 1)
     assert data.feature_names == ("a", "b")
     assert data.label_names == ("y",)
-    assert data.features[0].codes.tolist() == [0, 0, 1, 1]
-    assert data.labels[0].codes.tolist() == [0, 0, 1, 1]
+    assert data.features.tolist() == [[0, 0, 1, 1], [0, 1, 0, 1]]
+    assert data.labels.tolist() == [[0, 0, 1, 1]]
 
 
 def test_dense_csv_label_count_leaves_no_features():
@@ -63,7 +62,7 @@ def test_dense_csv_parse_errors_name_the_line():
 
 def test_dense_csv_crlf_endings():
     data = load_dense_csv(io.StringIO("a,y\r\n0,1\r\n1,0\r\n"), 1)
-    assert data.features[0].codes.tolist() == [0, 1]
+    assert data.features.tolist() == [[0, 1]]
 
 
 def test_multiclass_label_needs_flag():
@@ -71,7 +70,7 @@ def test_multiclass_label_needs_flag():
     with pytest.raises(ValidationError, match="more than 2"):
         load_dense_csv(io.StringIO(text), 1)
     data = load_dense_csv(io.StringIO(text), 1, allow_multiclass_labels=True)
-    assert data.labels[0].cardinality == 3
+    assert data.label_cards.tolist() == [3]
 
 
 def test_equal_frequency_binning_balances_counts():
@@ -127,20 +126,30 @@ def test_discrete_column_invariants():
         DiscreteColumn(np.array([0, 2]), 3)  # code 1 missing
     with pytest.raises(ValueError):
         DiscreteColumn(np.array([0, 3]), 3)  # out of range
+    with pytest.raises(ValueError, match="integers"):
+        DiscreteColumn(np.array([0.0, 1.5]), 2)
     col = DiscreteColumn(np.array([1, 0, 1]), 2)
     with pytest.raises(ValueError):
         col.codes[0] = 1
 
 
 def test_dataset_validation():
-    col = DiscreteColumn(np.array([0, 1]), 2)
+    row = np.array([[0, 1]])
     with pytest.raises(ValidationError, match="unique"):
-        Dataset((col, col), ("a", "a"), (col,), ("y",), 2)
+        Dataset(np.vstack([row, row]), ("a", "a"), row, ("y",), 2)
     with pytest.raises(ValidationError, match="at least one feature"):
-        Dataset((), (), (col,), ("y",), 2)
-    short = DiscreteColumn(np.array([0, 1, 1]), 2)
+        Dataset(np.zeros((0, 2), dtype=np.int64), (), row, ("y",), 2)
     with pytest.raises(ValidationError, match="length"):
-        Dataset((col,), ("a",), (short,), ("y",), 2)
+        Dataset(row, ("a",), np.array([[0, 1, 1]]), ("y",), 2)
+    with pytest.raises(ValidationError, match="length"):
+        Dataset(np.array([0, 1]), ("a",), row, ("y",), 2)
+    bad = [([[0, 2]], "cover"), ([[0, -1]], "range"), ([[-1, -1]], "range"), ([[0.0, 1.0]], "integers")]
+    for codes, message in bad:
+        codes = np.array(codes)
+        with pytest.raises(ValueError, match=message):
+            Dataset(codes, ("a",), row, ("y",), 2)
+        with pytest.raises(ValueError, match=message):
+            Dataset(row, ("a",), codes, ("y",), 2)
 
 
 SPARSE_EXAMPLE = "0 1:1\n 2:1\n0,1 1:1 2:1\n"
@@ -149,10 +158,8 @@ SPARSE_EXAMPLE = "0 1:1\n 2:1\n0,1 1:1 2:1\n"
 def test_sparse_basic():
     data = load_sparse_multilabel(io.StringIO(SPARSE_EXAMPLE), 2, 2)
     assert data.n_instances == 3
-    assert data.labels[0].codes.tolist() == [1, 0, 1]
-    assert data.labels[1].codes.tolist() == [0, 0, 1]
-    assert data.features[0].codes.tolist() == [1, 0, 1]
-    assert data.features[1].codes.tolist() == [0, 1, 1]
+    assert data.labels.tolist() == [[1, 0, 1], [0, 0, 1]]
+    assert data.features.tolist() == [[1, 0, 1], [0, 1, 1]]
 
 
 def test_sparse_empty_file_is_a_validation_error():
@@ -161,8 +168,8 @@ def test_sparse_empty_file_is_a_validation_error():
     # a blank line is a row: no labels, every feature 0
     data = load_sparse_multilabel(io.StringIO("\n"), 2, 1)
     assert data.n_instances == 1
-    assert data.feature_matrix.tolist() == [[0], [0]]
-    assert data.label_matrix.tolist() == [[0]]
+    assert data.features.tolist() == [[0], [0]]
+    assert data.labels.tolist() == [[0]]
 
 
 def test_sparse_parse_errors():
@@ -185,10 +192,8 @@ def test_round_trip_dense_csv():
     write_dense_csv(data, buf)
     back = load_dense_csv(io.StringIO(buf.getvalue()), 2, binning=BinningSpec(strategy="none"))
     assert back.feature_names == data.feature_names
-    for a, b in zip(back.features, data.features):
-        assert a.codes.tolist() == b.codes.tolist()
-    for a, b in zip(back.labels, data.labels):
-        assert a.codes.tolist() == b.codes.tolist()
+    assert back.features.tolist() == data.features.tolist()
+    assert back.labels.tolist() == data.labels.tolist()
 
 
 def test_canonicalization_covers_dense_range():
@@ -202,35 +207,31 @@ def test_canonicalization_covers_dense_range():
 def test_synthesized_shape_and_agreements(synth):
     assert (synth.n_features, synth.n_instances, synth.n_labels) == (800, 256, 8)
     for lab in range(8):
-        y = synth.labels[lab].codes
-        a = synth.features[lab * 100].codes
-        b = synth.features[lab * 100 + 50].codes
+        y = synth.labels[lab]
+        a = synth.features[lab * 100]
+        b = synth.features[lab * 100 + 50]
         assert int(np.sum(a == y)) == 128
         assert int(np.sum(b == y)) == 64
 
 
 def test_synthesized_repeats_are_verbatim(synth):
     for block in range(16):
-        base = synth.features[block * 50].codes
+        base = synth.features[block * 50]
         for rep in range(1, 50):
-            assert np.array_equal(synth.features[block * 50 + rep].codes, base)
+            assert np.array_equal(synth.features[block * 50 + rep], base)
 
 
 def test_synthesized_duplicates_have_zero_distance(synth):
-    assert nvi_distance(synth.features[0].codes, synth.features[17].codes) == 0.0
-    assert nvi_distance(synth.features[120].codes, synth.features[149].codes) == 0.0
+    assert nvi_distance(synth.features[0], synth.features[17]) == 0.0
+    assert nvi_distance(synth.features[120], synth.features[149]) == 0.0
 
 
 def test_synthesized_deterministic():
     a = generate_synthesized(123)
     b = generate_synthesized(123)
     c = generate_synthesized(124)
-    assert all(
-        np.array_equal(x.codes, y.codes) for x, y in zip(a.features + a.labels, b.features + b.labels)
-    )
-    assert any(
-        not np.array_equal(x.codes, y.codes) for x, y in zip(a.features, c.features)
-    )
+    assert np.array_equal(a.features, b.features) and np.array_equal(a.labels, b.labels)
+    assert not np.array_equal(a.features, c.features)
 
 
 def test_synthesized_names(synth):
@@ -316,45 +317,42 @@ def test_canonicalize_rejects_bad_input():
     assert codes.shape == (2, 0) and cards.tolist() == [0, 0]
 
 
-def test_columns_are_read_only_views_of_one_matrix():
+def test_dataset_matrices_are_read_only():
     data = dataset_from_matrices([[0, 1, 1], [5, 5, 2]], [[1, 0, 1]])
-    assert data.feature_matrix.tolist() == [[0, 1, 1], [1, 1, 0]]
+    assert data.features.tolist() == [[0, 1, 1], [1, 1, 0]]
     assert data.feature_cards.tolist() == [2, 2]
-    assert len(data.features) == 2 and len(data.labels) == 1
-    for i, col in enumerate(data.features):
-        assert isinstance(col, DiscreteColumn)
-        assert np.shares_memory(col.codes, data.feature_matrix)
-        assert col.codes.tolist() == data.feature_matrix[i].tolist()
-        assert col.cardinality == data.feature_cards[i]
-    assert np.shares_memory(data.labels[0].codes, data.label_matrix)
-    assert data.features[-1].codes.tolist() == [1, 1, 0]
-    for arr in (data.feature_matrix, data.feature_cards, data.label_matrix, data.label_cards, data.features[0].codes):
+    assert data.labels.tolist() == [[1, 0, 1]]
+    for arr in (data.features, data.feature_cards, data.labels, data.label_cards, data.features[0]):
         with pytest.raises(ValueError):
             arr[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        data.feature_matrix = None
+        data.features = None
     # a selection state over every feature reads the dataset's own matrix
     cache = InfoCache(data)
     state = SelectionState.start(range(2), ObjectiveConfig.plain(cache.mi_table(), 1), cache)
-    assert state.mat is data.feature_matrix
-    # the positional constructor stacks columns, views included
-    sub = Dataset(data.features[1:], ("b",), data.labels, ("y",), 3)
-    assert sub.feature_matrix.tolist() == [[1, 1, 0]]
-    assert not np.shares_memory(sub.feature_matrix, data.feature_matrix)
+    assert state.mat is data.features
+
+
+def test_dataset_over_a_slice_of_features(synth, synth_cache):
+    # the oracle benchmark builds its instance from the first c features
+    c = 40
+    sub = Dataset(synth.features[:c], synth.feature_names[:c], synth.labels, synth.label_names, synth.n_instances)
+    assert sub.features.dtype == np.int32 and not sub.features.flags.writeable
+    assert np.array_equal(sub.features, synth.features[:c])
+    assert np.array_equal(sub.feature_cards, synth.feature_cards[:c])
+    assert np.array_equal(sub.labels, synth.labels)
+    assert np.array_equal(sub.label_cards, synth.label_cards)
+    assert (sub.feature_names, sub.label_names) == (synth.feature_names[:c], synth.label_names)
+    assert not np.shares_memory(sub.features, synth.features)
+    assert not np.shares_memory(sub.labels, synth.labels)
+    assert np.array_equal(InfoCache(sub).mi_table(), synth_cache.mi_table()[:c])
 
 
 def test_dataset_validates_stacked_code_matrices(monkeypatch):
-    ok = SimpleNamespace(codes=np.array([0, 1, 1]), cardinality=2)
-    gap = SimpleNamespace(codes=np.array([0, 2, 2]), cardinality=3)
-    high = SimpleNamespace(codes=np.array([0, 1, 2]), cardinality=2)
-    negative = SimpleNamespace(codes=np.array([0, -1, 1]), cardinality=2)
-    data = Dataset((ok,), ("a",), (ok,), ("y",), 3)
-    assert data.feature_matrix.dtype == np.int32
-    for bad, message in ((gap, "cover"), (high, "range"), (negative, "range")):
-        with pytest.raises(ValueError, match=message):
-            Dataset((ok, bad), ("a", "b"), (ok,), ("y",), 3)
-        with pytest.raises(ValueError, match=message):
-            Dataset((ok,), ("a",), (bad,), ("y",), 3)
+    ok = np.array([[0, 1, 1]], dtype=np.int8)
+    data = Dataset(np.vstack([ok, [[2, 0, 1]]]), ("a", "b"), ok, ("y",), 3)
+    assert data.features.dtype == np.int32 and data.features.tolist() == [[0, 1, 1], [2, 0, 1]]
+    assert data.feature_cards.tolist() == [2, 3] and data.label_cards.tolist() == [2]
     # one row per block: a bad row in a later block is found too
     monkeypatch.setattr(data_module, "BLOCK_CELLS", 1)
     codes = np.array([[0, 1, 1], [0, 0, 0], [0, 2, 2]])
@@ -379,7 +377,7 @@ def test_setup_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * data.feature_matrix.nbytes
+    assert peak < 3 * data.features.nbytes
 
 
 def test_write_dense_csv_expected_text():
@@ -409,5 +407,5 @@ def test_write_dense_csv_round_trips_unusual_names(tmp_path):
     write_dense_csv(data, dest)
     back = load_dense_csv(dest, 2, binning=BinningSpec(strategy="none"))
     assert (back.feature_names, back.label_names) == (data.feature_names, data.label_names)
-    assert back.feature_matrix.tolist() == data.feature_matrix.tolist()
-    assert back.label_matrix.tolist() == data.label_matrix.tolist()
+    assert back.features.tolist() == data.features.tolist()
+    assert back.labels.tolist() == data.labels.tolist()

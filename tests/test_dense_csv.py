@@ -78,7 +78,7 @@ def _outcome(source, label_count=1, **kwargs):
         data = load_dense_csv(source, label_count, **kwargs)
     except (ParseError, ValidationError) as exc:
         return type(exc), str(exc)
-    return data.feature_matrix.tolist(), data.label_matrix.tolist(), data.feature_names, data.label_names
+    return data.features.tolist(), data.labels.tolist(), data.feature_names, data.label_names
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
@@ -130,7 +130,7 @@ def _loaded(text, label_count, **kwargs):
         data = load_dense_csv(io.StringIO(text), label_count, **kwargs)
     except (ParseError, ValidationError) as exc:
         return type(exc), str(exc)
-    return data.feature_matrix, data.feature_cards, data.label_matrix, data.label_cards
+    return data.features, data.feature_cards, data.labels, data.label_cards
 
 
 def _assert_same(got, expected):
@@ -227,5 +227,5 @@ def test_load_peak_memory_is_a_small_multiple_of_the_table(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert data.feature_matrix.shape == (d, rows)
+    assert data.features.shape == (d, rows)
     assert peak < 3 * table_bytes

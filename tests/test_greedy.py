@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from divsel.data import BinningSpec, Dataset, DiscreteColumn, dataset_from_matrices
+from divsel.data import BinningSpec, Dataset, canonicalize, dataset_from_matrices
 from divsel.greedy import (
     TIE_BAND,
     GreedyVariant,
@@ -11,7 +11,6 @@ from divsel.greedy import (
     greedy_state,
     greedy_states,
     niceness_witness,
-    select_first,
 )
 from divsel import info
 from divsel.info import InfoCache
@@ -47,12 +46,17 @@ def test_golden_validated_against_oracle():
     assert alt_value >= 0.5 * opt.value - 1e-9
 
 
+def _first(candidates, cfg, cache, variant=GreedyVariant.GREEDY):
+    return greedy_select(candidates, 1, variant, cfg, cache)[0]
+
+
 def test_select_first():
     _, cache, cfg = _fixture()
     sums = cfg.mi_table.sum(axis=1)
     best = int(np.argmax(sums))  # exhaustive scan of singleton relevance
-    assert select_first(range(8), cfg) == best
-    assert select_first([3], cfg) == 3
+    assert _first(range(8), cfg, cache) == best
+    assert _first(range(8), cfg, cache, GreedyVariant.ALTGREEDY) == best
+    assert _first([3], cfg, cache) == 3
 
 
 def test_select_first_tie_goes_to_smallest_id():
@@ -60,15 +64,8 @@ def test_select_first_tie_goes_to_smallest_id():
     data = dataset_from_matrices(np.array([y, y, 1 - y]), np.array([y]))
     cache = InfoCache(data)
     cfg = plain_cfg(cache, k=2, p=1)
-    assert select_first([1, 2, 0], cfg) == 0
-    assert select_first([1, 2], cfg) == 1
-
-
-def test_k_one_reduces_to_select_first():
-    _, cache, cfg = _fixture()
-    assert greedy_select(range(8), 1, GreedyVariant.ALTGREEDY, cfg, cache) == [
-        select_first(range(8), cfg)
-    ]
+    assert _first([1, 2, 0], cfg, cache) == 0
+    assert _first([1, 2], cfg, cache) == 1
 
 
 def test_candidates_fewer_than_k_returns_all():
@@ -279,8 +276,8 @@ def test_groups_with_mixed_column_sizes_pack_each_group_once(monkeypatch, widest
     if widest > 40:
         wide[0] = np.arange(80) % widest
     raw = BinningSpec("none")
-    feats = [DiscreteColumn.from_values(row.astype(float), raw) for row in np.vstack([narrow, wide])]
-    labels = [DiscreteColumn.from_values(row.astype(float), raw) for row in rng.integers(0, 2, size=(2, 80))]
+    feats = canonicalize(np.vstack([narrow, wide]), raw)[0]
+    labels = rng.integers(0, 2, size=(2, 80))
     data = Dataset(feats, [f"f{i}" for i in range(60)], labels, ["y0", "y1"], 80)
     cfg = weighted_cfg(InfoCache(data), k=6, lam=0.5, p=3)
     groups = [np.arange(0, 20), np.arange(20, 50), np.arange(50, 60)]

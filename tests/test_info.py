@@ -155,8 +155,16 @@ def test_cache_hits_are_bit_identical():
             first = cache.distance(i, j)
             assert first == cache.distance(i, j)
             assert first == cold.distance(j, i)
-            assert first == nvi_distance(data.features[i].codes, data.features[j].codes)
+            assert first == nvi_distance(data.features[i], data.features[j])
     assert cache.distance(1, 3) == 0.0
+
+
+def test_scalar_distance_of_matrix_rows_matches_cache_rows(synth, synth_cache):
+    # the benchmark's symmetry check calls nvi_distance on raw matrix rows
+    rng = np.random.default_rng(16)
+    for a, b in rng.integers(0, synth.n_features, size=(20, 2)).tolist():
+        assert nvi_distance(synth.features[a], synth.features[b]) == synth_cache.distance_block(a)[b]
+        assert nvi_distance(synth.features[b], synth.features[a]) == synth_cache.distance_block(a)[b]
 
 
 def test_distance_block_matches_scalar_lookups():
@@ -199,7 +207,7 @@ def test_mi_table_matches_scalar_nmi():
     assert table.shape == (6, 2)
     for i in range(6):
         for j in range(2):
-            assert table[i, j] == normalized_mi(data.features[i].codes, data.labels[j].codes)
+            assert table[i, j] == normalized_mi(data.features[i], data.labels[j])
     with pytest.raises(ValueError):
         table[0, 0] = 0.5
 
@@ -207,9 +215,14 @@ def test_mi_table_matches_scalar_nmi():
 def test_label_column_ids():
     data = _small_dataset()
     cache = InfoCache(data)
-    assert cache.entropy(6) == entropy(data.labels[0].codes)
-    with pytest.raises(ValueError):
-        cache.entropy(99)
+    # entropies come from one batched call per group; each equals the
+    # one-column value bit for bit, whichever group is read first
+    assert [cache.entropy(6 + j) for j in range(2)] == [entropy(y) for y in data.labels]
+    assert [cache.entropy(i) for i in range(6)] == [entropy(x) for x in data.features]
+    assert InfoCache(data).entropy(7) == entropy(data.labels[1])
+    for cid in (99, 8, -1):
+        with pytest.raises(ValueError):
+            cache.entropy(cid)
 
 
 def _ref_entropy(counts, n):
@@ -281,7 +294,13 @@ def test_kernel_matches_contingency_reference_bitwise(n):
             nmi = normalized_mi_rows(t.codes, t.cardinality, h_t, mat, cards, h_rows)
             assert nmi.tolist() == [_ref_nmi(*r) for r in refs]
 
-    data = Dataset(feats, [f"f{i}" for i in range(len(feats))], targets, ["const", "bin"], n)
+    data = Dataset(
+        np.vstack([f.codes for f in feats]),
+        [f"f{i}" for i in range(len(feats))],
+        np.vstack([t.codes for t in targets]),
+        ["const", "bin"],
+        n,
+    )
     d = data.n_features
     cache = InfoCache(data)
     table = cache.mi_table()

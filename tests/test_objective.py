@@ -58,6 +58,15 @@ def test_diversity_of_duplicates_is_zero():
     assert diversity([0, 1], InfoCache(data)) == 0.0
 
 
+def test_terms_refuse_ids_that_are_not_a_set_of_features():
+    data, cache = instance_with_cache(seed=22, d=6, n=20, t=2)
+    cfg = weighted_cfg(cache, k=2, lam=0.5, p=2)
+    for ids, message in (([-1], "out of range"), ([6], "out of range"), ([0, 7], "out of range"), ([3, 3], "duplicate")):
+        for term in (lambda s: relevance_g(s, cfg), lambda s: diversity(s, cache), lambda s: h_value(s, cfg, cache)):
+            with pytest.raises(ValueError, match=message):
+                term(ids)
+
+
 def _bits(x):
     return int(np.float64(x).view(np.int64))
 

@@ -10,7 +10,7 @@ import pytest
 
 from divsel.data import dataset_from_matrices
 from divsel.errors import BudgetError
-from divsel.greedy import GreedyVariant, greedy_select, select_first
+from divsel.greedy import GreedyVariant, greedy_select
 from divsel.info import InfoCache
 from divsel.objective import ObjectiveConfig, diversity, h_value, relevance_g
 from divsel.oracle import (
@@ -122,6 +122,11 @@ def test_oracle_rejects_duplicate_ids():
         brute_force_opt([3, 3, 3, 3], 2, cfg, cache)
     with pytest.raises(ValueError, match="duplicate candidate ids"):
         subset_value([3, 3], cfg, cache)
+    for ids in ([-1], [0, 10]):
+        with pytest.raises(ValueError, match="out of range"):
+            subset_value(ids, cfg, cache)
+        with pytest.raises(ValueError, match="out of range"):
+            brute_force_opt(ids, 1, cfg, cache)
 
 
 def test_oracle_memory_does_not_grow_with_subset_count():
@@ -146,7 +151,7 @@ def test_oracle_whole_set_and_k1():
     # weighted scaling vanishes at k=1, so compare under the plain objective
     plain1 = plain_cfg(cache, k=1, p=2)
     top = brute_force_opt(range(10), 1, plain1, cache)
-    assert top.ids == (select_first(range(10), plain1),)
+    assert top.ids == (greedy_select(range(10), 1, GreedyVariant.GREEDY, plain1, cache)[0],)
 
 
 @pytest.mark.parametrize("card_hi", [4, 40])
