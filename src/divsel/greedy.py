@@ -51,44 +51,40 @@ def _band_argmax(ids: np.ndarray, scores: np.ndarray, starts: np.ndarray, length
     return ids[hits[np.searchsorted(hits, starts)]]
 
 
-def _step(state: SelectionState, limit: np.ndarray, weight) -> np.ndarray:
-    """This step's pick in every group with fewer than ``limit`` picks: the
-    best alive candidate by relevance gain alone when ``weight`` is None (the
-    first pick), else by weight * scaled relevance gain + scaled distance
-    sum."""
+def _step(state: SelectionState, weight) -> np.ndarray:
+    """This step's pick in every group with a candidate left: the best alive
+    candidate by relevance gain alone when ``weight`` is None (the first
+    pick), else by weight * scaled relevance gain + scaled distance sum."""
     cfg = state.cfg
     pos = np.flatnonzero(state.alive)
-    # each group's run of alive positions; a group with none left is done,
-    # and one that has its picks may have some left but its pick is dropped
+    # each group's run of alive positions; a group with none left is done
     bounds = np.searchsorted(pos, state.bounds)
     lengths = bounds[1:] - bounds[:-1]
     live = lengths > 0
     ids = state.order[pos]
-    rel = marginal_g_rows(state.mi[pos], _per_run(state.tracker.taus()[live], lengths[live]))
+    rel = marginal_g_rows(state.mi[pos], _per_run(state.taus()[live], lengths[live]))
     if weight is None:
         scores = rel
     else:
         scores = weight * (cfg.relevance_scale * rel) + cfg.diversity_scale * state.dist_sum[pos]
-    best = _band_argmax(ids, scores, bounds[:-1][live], lengths[live])
-    picking = state.tracker.counts < limit
-    return best[picking[live]]
+    return _band_argmax(ids, scores, bounds[:-1][live], lengths[live])
 
 
 def greedy_states(groups, k: int, variant: GreedyVariant, cfg: ObjectiveConfig, cache: InfoCache) -> SelectionState:
     """Greedy selection in each of several disjoint candidate groups, run
     side by side over one cache's dataset.
 
-    Every step picks once in each group that has fewer than min(k, its size)
-    picks, so each group ends with exactly the picks it gets alone; the
-    groups share each step's scoring pass and distance-row batch.
+    Every step picks once in each group with a candidate left, for min(k,
+    largest group) steps, so each group ends with exactly the min(k, its
+    size) picks it gets alone: a group no larger than k runs out at its
+    size, and a larger one is still live at the last step. The groups share
+    each step's scoring pass and distance-row batch.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     state = SelectionState.start_groups(groups, cfg, cache)
-    limit = np.minimum(k, np.diff(state.bounds))
-    state.add(_step(state, limit, None))
-    for _ in range(int(limit.max()) - 1):
-        state.add(_step(state, limit, variant.relevance_weight))
+    for step in range(min(k, int(np.diff(state.bounds).max()))):
+        state.add(_step(state, None if step == 0 else variant.relevance_weight))
     return state
 
 
@@ -99,7 +95,7 @@ def greedy_state(candidates, k: int, variant: GreedyVariant, cfg: ObjectiveConfi
 
 def greedy_select(candidates, k: int, variant: GreedyVariant, cfg: ObjectiveConfig, cache: InfoCache) -> list:
     """Ordered ids of min(k, |candidates|) greedily selected features."""
-    return list(greedy_state(candidates, k, variant, cfg, cache).selected)
+    return list(greedy_state(candidates, k, variant, cfg, cache).picks[0])
 
 
 @dataclass(frozen=True)
@@ -140,16 +136,16 @@ def niceness_witness(
     if len(ids) <= k:
         raise ValueError("need more candidates than k")
     state = greedy_state(ids, k, variant, cfg, cache)
-    selected = state.selected
+    selected = state.picks[0]
     chosen = set(selected)
     rejected = [t for t in ids if t not in chosen]
-    f_val = state.objective_value
+    f_val = float(state.values[0])
     # each rejected candidate's distances to the selected set, added in
     # selected order from 0.0
     dist_sum = np.zeros(len(rejected), dtype=np.float64)
     for x in selected:
         dist_sum += cache.distance_block(x, rejected)
-    rel = marginal_g_rows(cfg.mi_table[rejected], state.tracker.tau())
+    rel = marginal_g_rows(cfg.mi_table[rejected], state.taus()[0])
     gain = cfg.relevance_scale * rel + cfg.diversity_scale * dist_sum
     weighted_dist = cfg.diversity_scale * dist_sum
     if f_val > 0.0:
@@ -160,7 +156,7 @@ def niceness_witness(
     else:
         max_gain = max_dist = 0.0
     stable = not check_stability or all(
-        greedy_state([i for i in ids if i != t], k, variant, cfg, cache).selected == selected
+        greedy_state([i for i in ids if i != t], k, variant, cfg, cache).picks[0] == selected
         for t in rejected
     )
     return NicenessReport(

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .info import InfoCache, entropies_and_planes, nvi_distance_rows, nvi_distance_spans
+from .info import InfoCache, entropies_and_planes, nvi_distance_spans
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,6 +46,9 @@ class ObjectiveConfig:
         table = np.asarray(self.mi_table, dtype=np.float64)
         if table.ndim != 2 or table.shape[1] < 1:
             raise ValueError("mi_table must be (n_features, n_labels)")
+        # the greedy state's zero-seeded top-p buffer relies on MI >= 0
+        if not (table >= 0.0).all():
+            raise ValueError("mi_table entries must be non-negative")
         object.__setattr__(self, "mi_table", table)
 
     @property
@@ -71,61 +74,6 @@ class ObjectiveConfig:
     def plain(cls, mi_table, k: int, top_p: int = 10) -> "ObjectiveConfig":
         """Unweighted objective: relevance plus diversity, both at scale 1."""
         return cls(mi_table, k, top_p, 1.0, 1.0)
-
-
-class TopPTracker:
-    """Per-label running top-``p`` MI values of the selected features, for
-    one group of candidates or for several groups side by side.
-
-    Keeps only a (groups, n_labels, p) buffer. A group's threshold is the
-    p-th largest value inserted into it per label, or 0 while it holds fewer
-    than p, which makes max(0, mi - tau) the exact relevance gain of a
-    candidate.
-    """
-
-    def __init__(self, n_labels: int, top_p: int, groups: int = 1):
-        self.top_p = top_p
-        self.n_labels = n_labels
-        self._top = np.zeros((groups, n_labels, top_p), dtype=np.float64)
-        self._count = np.zeros(groups, dtype=np.int64)
-        self._taus = np.zeros((groups, n_labels), dtype=np.float64)
-
-    def _only(self, per_group):
-        if len(per_group) != 1:
-            raise ValueError("the tracker holds several groups")
-        return per_group[0]
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Values inserted into each group so far."""
-        return self._count
-
-    def taus(self) -> np.ndarray:
-        """Thresholds of every group, shape (groups, n_labels), read-only."""
-        view = self._taus.view()
-        view.flags.writeable = False
-        return view
-
-    def tau(self) -> np.ndarray:
-        return self._only(self.taus())
-
-    def insert_rows(self, groups: np.ndarray, mi_rows: np.ndarray) -> None:
-        """Insert ``mi_rows[i]`` into group ``groups[i]``; groups distinct."""
-        fill = self._count[groups] < self.top_p
-        self._top[groups[fill], :, self._count[groups[fill]]] = mi_rows[fill]
-        full, rows = groups[~fill], mi_rows[~fill]
-        if full.size:
-            slot = self._top[full].argmin(axis=2)
-            current = self._top[full[:, None], np.arange(self.n_labels), slot]
-            i, label = np.nonzero(rows > current)
-            self._top[full[i], label, slot[i, label]] = rows[i, label]
-        self._count[groups] += 1
-        full = groups[self._count[groups] >= self.top_p]
-        self._taus[full] = self._top[full].min(axis=2)
-
-    def insert(self, mi_row: np.ndarray) -> None:
-        self._only(self._count)
-        self.insert_rows(np.zeros(1, dtype=np.int64), np.asarray(mi_row, dtype=np.float64)[None, :])
 
 
 def marginal_g_rows(mi_rows: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -170,22 +118,30 @@ def diversity(selected, cache: InfoCache) -> float:
     set of feature ids.
 
     The ids are sorted and their rows gathered and packed once; each id is
-    one kernel call against the later ids, and the pairs are added in that
-    (a, b) order from 0.0. Nothing is memoized.
+    one job against the later ids, consecutive jobs share a batched kernel
+    call of at most d pairs (one job alone may exceed it only if d is small),
+    and the pairs are added in that (a, b) order from 0.0. A call's memory
+    is thus that of one greedy step's distance row, whatever the number of
+    ids. Nothing is memoized.
     """
     data = cache.data
     ids = sorted_feature_ids(selected, data.n_features)
     if ids.size < 2:
         return 0.0
     mat, cards = data.features[ids], data.feature_cards[ids]
-    # planes wider than a call's rows need only add zero counts
+    # planes wider than a job's rows need only add zero counts
     h, packed = entropies_and_planes(mat, cards)
-    total = 0.0
-    for a in range(ids.size - 1):
-        rest = None if packed is None else packed[:, :, a + 1 :]
-        row = nvi_distance_rows(mat[a], cards[a], h[a], mat[a + 1 :], cards[a + 1 :], h[a + 1 :], packed=rest)
-        for value in row.tolist():
-            total += value
+    n = ids.size
+    ends = np.cumsum(np.arange(n - 1, 0, -1))  # pairs through job a
+    total, lo = 0.0, 0
+    while lo < n - 1:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + data.n_features, side="right")))
+        jobs = [(a, slice(a + 1, n), None if packed is None else packed[:, :, a + 1 :]) for a in range(lo, hi)]
+        for row in nvi_distance_spans(mat, cards, h, jobs):
+            for value in row.tolist():
+                total += value
+        lo = hi
     return total
 
 
@@ -218,14 +174,17 @@ class SelectionState:
 
     Group g owns the span ``bounds[g]:bounds[g + 1]`` of positions in
     ``order`` (its ids, ascending), ``picks[g]``, ``values[g]`` (its scaled
-    objective) and its row of ``tracker``; it evolves exactly as it would
-    alone. Per position, ``mi`` holds the MI row and ``dist_sum`` the
-    running sum of raw distances to its group's selected set (positions
-    already picked stop being read). ``columns`` holds the codes,
-    cardinality and entropy per position and each group's bit planes,
-    gathered from ``cache``'s dataset when the first distance row must be
-    computed, so a run whose every pick has a memoized row never gathers.
-    ``selected`` and ``objective_value`` are the single group's.
+    objective) and ``top[g]``; it evolves exactly as it would alone. Per
+    position, ``mi`` holds the MI row and ``dist_sum`` the running sum of
+    raw distances to its group's selected set (positions already picked
+    stop being read). ``top[g]`` holds, per label, the largest MI values of
+    the group's picks in min(top_p, largest group + 1) zero-seeded slots, so
+    its minimum is the group's threshold: the p-th largest value, or 0 while
+    the group has fewer than top_p picks (MI is non-negative). ``columns``
+    holds the codes, cardinality and entropy per position and each group's
+    bit planes, gathered from ``cache``'s dataset when the first distance
+    row must be computed, so a run whose every pick has a memoized row never
+    gathers.
     """
 
     cfg: ObjectiveConfig
@@ -235,7 +194,7 @@ class SelectionState:
     mi: np.ndarray
     alive: np.ndarray
     dist_sum: np.ndarray
-    tracker: TopPTracker
+    top: np.ndarray
     picks: list
     values: np.ndarray
 
@@ -245,10 +204,6 @@ class SelectionState:
         self._sorted = self.order[self._by_id]
 
     @classmethod
-    def start(cls, candidates, cfg: ObjectiveConfig, cache: InfoCache) -> "SelectionState":
-        return cls.start_groups([candidates], cfg, cache)
-
-    @classmethod
     def start_groups(cls, groups, cfg: ObjectiveConfig, cache: InfoCache) -> "SelectionState":
         orders = [sorted_feature_ids(g, cfg.mi_table.shape[0]) for g in groups]
         if not orders or any(o.size == 0 for o in orders):
@@ -256,16 +211,16 @@ class SelectionState:
         order = np.concatenate(orders)
         if np.unique(order).size != order.size:
             raise ValueError("duplicate candidate ids")
-        bounds = np.cumsum([0] + [o.size for o in orders])
+        sizes = [o.size for o in orders]
         return cls(
             cfg,
             cache,
             order,
-            bounds,
+            np.cumsum([0] + sizes),
             cfg.mi_table[order],
             alive=np.ones(order.size, dtype=bool),
             dist_sum=np.zeros(order.size, dtype=np.float64),
-            tracker=TopPTracker(cfg.n_labels, cfg.top_p, len(orders)),
+            top=np.zeros((len(orders), cfg.n_labels, min(cfg.top_p, max(sizes) + 1)), dtype=np.float64),
             picks=[[] for _ in orders],
             values=np.zeros(len(orders), dtype=np.float64),
         )
@@ -276,26 +231,9 @@ class SelectionState:
         position, and each group's bit planes."""
         return _gather(self.cache, self.order, self.bounds)
 
-    @property
-    def mat(self) -> np.ndarray:
-        """The candidates' codes, one row per position."""
-        return self.columns[0]
-
-    def _single(self, per_group):
-        if len(per_group) != 1:
-            raise ValueError("the state holds several groups")
-        return per_group[0]
-
-    @property
-    def selected(self) -> list:
-        return self._single(self.picks)
-
-    @property
-    def objective_value(self) -> float:
-        return float(self._single(self.values))
-
-    def remaining_ids(self) -> np.ndarray:
-        return self.order[self.alive]
+    def taus(self) -> np.ndarray:
+        """Relevance thresholds of every group, shape (groups, n_labels)."""
+        return self.top.min(axis=2)
 
     def add(self, feature_ids) -> None:
         """Select one candidate in each of some groups (one id, or one id per
@@ -312,11 +250,14 @@ class SelectionState:
         if len(set(groups.tolist())) != groups.size:
             raise ValueError("at most one pick per group")
         mi_rows = self.mi[pos]
+        top = self.top[groups]
+        slot = top.argmin(axis=2)[:, :, None]
+        tau = np.take_along_axis(top, slot, axis=2)[:, :, 0]
         self.values[groups] += (
-            self.cfg.relevance_scale * marginal_g_rows(mi_rows, self.tracker.taus()[groups])
-            + self.cfg.diversity_scale * self.dist_sum[pos]
+            self.cfg.relevance_scale * marginal_g_rows(mi_rows, tau) + self.cfg.diversity_scale * self.dist_sum[pos]
         )
-        self.tracker.insert_rows(groups, mi_rows)
+        np.put_along_axis(top, slot, np.maximum(tau, mi_rows)[:, :, None], axis=2)
+        self.top[groups] = top
         self.alive[pos] = False
         jobs = []
         for g, fid, p in zip(groups.tolist(), ids.tolist(), pos.tolist()):

@@ -52,10 +52,10 @@ class PartitionPlan:
 
     def machines(self) -> list:
         """Feature ids per machine, ascending within each machine."""
-        return [np.nonzero(self.assignment == i)[0] for i in range(self.m)]
+        return np.split(np.argsort(self.assignment, kind="stable"), np.cumsum(self.sizes())[:-1])
 
     def sizes(self) -> list:
-        return [int(np.count_nonzero(self.assignment == i)) for i in range(self.m)]
+        return np.bincount(self.assignment, minlength=self.m).tolist()
 
 
 def random_partition(n_features: int, m: int, seed: int) -> PartitionPlan:

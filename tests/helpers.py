@@ -104,8 +104,8 @@ def pair_loop_niceness(
     sum is ``nvi_distance`` to each selected id, added in selected order."""
     ids = sorted(int(i) for i in candidates)
     state = greedy_state(ids, k, variant, cfg, cache)
-    selected = state.selected
-    f_val = state.objective_value
+    selected = state.picks[0]
+    f_val = float(state.values[0])
     rows = cache.data.features
     max_gain = max_dist = 0.0
     stable = True
@@ -115,7 +115,7 @@ def pair_loop_niceness(
         dist_sum = 0.0
         for x in selected:
             dist_sum += nvi_distance(rows[t], rows[x])
-        rel = float(marginal_g_rows(cfg.mi_table[t][None, :], state.tracker.tau())[0])
+        rel = float(marginal_g_rows(cfg.mi_table[t][None, :], state.taus()[0])[0])
         gain = cfg.relevance_scale * rel + cfg.diversity_scale * dist_sum
         weighted_dist = cfg.diversity_scale * dist_sum
         if f_val > 0.0:
@@ -125,7 +125,7 @@ def pair_loop_niceness(
             max_gain = max_dist = float("inf")
         if check_stability:
             rerun = greedy_state([i for i in ids if i != t], k, variant, cfg, cache)
-            stable = stable and rerun.selected == selected
+            stable = stable and rerun.picks[0] == selected
     return NicenessReport(
         selected=tuple(selected),
         f_value=f_val,

@@ -329,8 +329,8 @@ def test_dataset_matrices_are_read_only():
         data.features = None
     # a selection state over every feature reads the dataset's own matrix
     cache = InfoCache(data)
-    state = SelectionState.start(range(2), ObjectiveConfig.plain(cache.mi_table(), 1), cache)
-    assert state.mat is data.features
+    state = SelectionState.start_groups([range(2)], ObjectiveConfig.plain(cache.mi_table(), 1), cache)
+    assert state.columns[0] is data.features
 
 
 def test_dataset_over_a_slice_of_features(synth, synth_cache):

@@ -146,9 +146,7 @@ def test_greedy_state_objective_tracks_h():
     data, cache = instance_with_cache(seed=33, d=10, n=30, t=2)
     cfg = weighted_cfg(cache, k=4, lam=0.5, p=2)
     state = greedy_state(range(10), 4, GreedyVariant.ALTGREEDY, cfg, cache)
-    assert state.objective_value == pytest.approx(
-        h_value(state.selected, cfg, InfoCache(data)), abs=1e-9
-    )
+    assert state.values[0] == pytest.approx(h_value(state.picks[0], cfg, InfoCache(data)), abs=1e-9)
 
 
 def test_niceness_witness_validation():
@@ -222,8 +220,8 @@ def test_groups_side_by_side_match_one_group_at_a_time(card_hi):
         for variant in GreedyVariant:
             alone = [greedy_state(g, cfg.k, variant, cfg, InfoCache(data)) for g in groups]
             state = greedy_states(groups, cfg.k, variant, cfg, InfoCache(data))
-            assert state.picks == [s.selected for s in alone]
-            assert state.values.tolist() == [s.objective_value for s in alone]
+            assert state.picks == [s.picks[0] for s in alone]
+            assert state.values.tolist() == [s.values[0] for s in alone]
 
 
 def test_states_read_memoized_rows(monkeypatch):
@@ -239,13 +237,13 @@ def test_states_read_memoized_rows(monkeypatch):
         calls.clear()
         computed = greedy_state(candidates, 8, GreedyVariant.GREEDY, cfg, InfoCache(data))
         assert len(calls) == 8
-        for x in computed.selected:
+        for x in computed.picks[0]:
             cache.distance_block(x)
         calls.clear()
         read = greedy_state(candidates, 8, GreedyVariant.GREEDY, cfg, cache)
         assert calls == []
-        assert read.selected == computed.selected
-        assert read.objective_value == computed.objective_value
+        assert read.picks == computed.picks
+        assert read.values.tolist() == computed.values.tolist()
         assert read.dist_sum.tolist() == computed.dist_sum.tolist()
 
 
@@ -258,10 +256,9 @@ def test_groups_reject_bad_input():
     with pytest.raises(ValueError):
         greedy_states([[0, 1]], 0, GreedyVariant.GREEDY, cfg, cache)
     state = greedy_states([[0, 1, 2], [3, 4, 5]], 1, GreedyVariant.GREEDY, cfg, cache)
+    left = state.order[state.alive]
     with pytest.raises(ValueError):
-        state.selected  # several groups have no single selection
-    with pytest.raises(ValueError):
-        state.add([int(state.remaining_ids()[0]), int(state.remaining_ids()[1])])  # two picks in one group
+        state.add([int(left[0]), int(left[1])])  # two picks in one group
 
 
 @pytest.mark.parametrize("widest", [40, 65])

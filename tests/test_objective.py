@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from divsel.data import dataset_from_matrices
+from divsel.greedy import GreedyVariant, greedy_states
 from divsel.info import InfoCache
 from divsel.objective import (
     ObjectiveConfig,
     SelectionState,
-    TopPTracker,
     diversity,
     h_value,
     marginal_g_rows,
@@ -85,6 +85,15 @@ def test_diversity_matches_pair_loop_bitwise(card_hi):
         assert all(cache.memoized_row(i) is None for i in range(40))
     with pytest.raises(ValueError):
         diversity([0, 40], InfoCache(data))
+    # all 40 ids make 780 pairs, many more than d: most calls hold one job
+    ids = range(40)
+    assert _bits(diversity(ids, InfoCache(data))) == _bits(pair_loop_diversity(ids, data))
+    # 70 of 2100 ids make 2415 pairs in two calls of at most d pairs; the
+    # first holds 2090, past the sorting network's NETWORK_MIN_ROWS on the
+    # packed path
+    data = random_instance(seed=90 + card_hi, d=2100, n=48, t=2, card_hi=card_hi)
+    ids = rng.choice(2100, size=70, replace=False).tolist()
+    assert _bits(diversity(ids, InfoCache(data))) == _bits(pair_loop_diversity(ids, data))
 
 
 def test_h_value_lambda_midpoint():
@@ -109,19 +118,26 @@ def test_h_value_endpoints_are_exact():
     assert h_value([0, 1, 2], lam0, cache) == scale * relevance_g([0, 1, 2], lam0)
 
 
-def marginal_g(feature_id, cfg, tracker):
-    """g(S + {x}) - g(S) for the tracker's current selection (unscaled)."""
-    return float(marginal_g_rows(cfg.mi_table[[feature_id]], tracker.tau())[0])
+def _one_group(cfg, candidates):
+    """A one-group state over ``candidates``; its distances come from a
+    random dataset with one feature per ``mi_table`` row."""
+    data = random_instance(seed=0, d=cfg.mi_table.shape[0], n=12, t=1)
+    return SelectionState.start_groups([candidates], cfg, InfoCache(data))
+
+
+def marginal_g(feature_id, cfg, state):
+    """g(S + {x}) - g(S) for the state's current selection (unscaled)."""
+    return float(marginal_g_rows(cfg.mi_table[[feature_id]], state.taus()[0])[0])
 
 
 def test_marginal_g_hand_values():
     cfg = _cfg_from_table([[0.9], [0.5], [0.4], [0.7]], top_p=2)
-    tracker = TopPTracker(1, 2)
-    assert marginal_g(2, cfg, tracker) == 0.4  # empty set: full MI counts
-    tracker.insert(cfg.mi_table[0])
-    tracker.insert(cfg.mi_table[1])
-    assert marginal_g(2, cfg, tracker) == 0.0  # below the 2nd largest
-    assert marginal_g(3, cfg, tracker) == pytest.approx(0.2, abs=1e-15)
+    state = _one_group(cfg, range(4))
+    assert marginal_g(2, cfg, state) == 0.4  # empty set: full MI counts
+    state.add(0)
+    state.add(1)
+    assert marginal_g(2, cfg, state) == 0.0  # below the 2nd largest
+    assert marginal_g(3, cfg, state) == pytest.approx(0.2, abs=1e-15)
 
 
 def test_marginal_matches_set_difference():
@@ -132,28 +148,40 @@ def test_marginal_matches_set_difference():
         size = int(rng.integers(0, 8))
         chosen = list(rng.choice(12, size=size, replace=False))
         x = int(rng.choice([i for i in range(12) if i not in chosen]))
-        tracker = TopPTracker(3, 2)
+        state = _one_group(cfg, range(12))
         for c in chosen:
-            tracker.insert(table[c])
+            state.add(c)
         expect = relevance_g(chosen + [x], cfg) - relevance_g(chosen, cfg)
-        assert marginal_g(x, cfg, tracker) == pytest.approx(expect, abs=1e-9)
+        assert marginal_g(x, cfg, state) == pytest.approx(expect, abs=1e-9)
 
 
-def test_tracker_tau_matches_sorted_tail():
+def test_state_tau_matches_sorted_tail():
+    # p up to and past the group's 10 candidates; rows drawn from a few
+    # values give exact ties and zeros
     rng = np.random.default_rng(23)
-    for p in (1, 2, 4):
-        tracker = TopPTracker(2, p)
-        seen = []
-        for step in range(10):
-            row = rng.random(2)
-            seen.append(row)
-            tracker.insert(row)
-            stack = np.array(seen)
-            if len(seen) < p:
-                assert tracker.tau().tolist() == [0.0, 0.0]
-            else:
-                expect = np.sort(stack, axis=0)[len(seen) - p]
-                assert np.allclose(tracker.tau(), expect, atol=1e-12)
+    for table in (rng.random((10, 2)), rng.choice([0.0, 0.25, 0.5, 1.0], size=(10, 2))):
+        for p in (1, 2, 4, 10, 11, 25):
+            state = _one_group(_cfg_from_table(table, top_p=p), range(10))
+            assert state.top.shape == (1, 2, min(p, 11))
+            for step in range(10):
+                state.add(step)
+                if step + 1 < p:
+                    assert state.taus()[0].tolist() == [0.0, 0.0]
+                else:
+                    expect = np.sort(table[: step + 1], axis=0)[step + 1 - p]
+                    assert state.taus()[0].tolist() == expect.tolist()
+
+
+def test_huge_top_p_selects_as_p_past_every_feature():
+    # p far past the candidates must not size a buffer by p
+    data, cache = instance_with_cache(seed=27, d=20, n=30, t=3)
+    huge = ObjectiveConfig.plain(cache.mi_table(), k=8, top_p=10**12)
+    past = ObjectiveConfig.plain(cache.mi_table(), k=8, top_p=21)
+    for groups in ([range(20)], [range(0, 20, 2), range(1, 20, 2)]):
+        found = greedy_states(groups, 8, GreedyVariant.GREEDY, huge, cache)
+        expect = greedy_states(groups, 8, GreedyVariant.GREEDY, past, cache)
+        assert found.picks == expect.picks
+        assert found.values.tolist() == expect.values.tolist()
 
 
 def test_config_validation():
@@ -168,6 +196,12 @@ def test_config_validation():
         ObjectiveConfig(table, 2, 1, 0.0, 0.0)
     with pytest.raises(ValueError):
         ObjectiveConfig.weighted(table, 2, 1.5)
+    # the greedy state's thresholds assume MI >= 0
+    for bad in (-1e-300, np.nan):
+        with pytest.raises(ValueError, match="non-negative"):
+            ObjectiveConfig(np.array([[0.5], [bad]]), 2, 1, 1.0, 1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            ObjectiveConfig.plain(np.array([[bad, 0.5]]), 1)
     # k=1 with lambda=0 collapses both scales; allowed, selection is the top single
     cfg = ObjectiveConfig.weighted(table, 1, 0.0)
     assert cfg.relevance_scale == 0.0 and cfg.diversity_scale == 0.0
@@ -206,34 +240,33 @@ def test_submodularity_and_monotonicity_quick():
 def test_selection_state_invariants():
     data, cache = instance_with_cache(seed=25, d=14, n=40, t=2)
     cfg = weighted_cfg(cache, k=6, lam=0.5, p=3)
-    state = SelectionState.start(range(14), cfg, cache)
+    state = SelectionState.start_groups([range(14)], cfg, cache)
     rng = np.random.default_rng(25)
     scratch = InfoCache(data)
-    while len(state.selected) < 6:
-        pick = int(rng.choice(state.remaining_ids()))
+    selected = state.picks[0]
+    while len(selected) < 6:
+        pick = int(rng.choice(state.order[state.alive]))
         state.add(pick)
-        assert state.objective_value == pytest.approx(
-            h_value(state.selected, cfg, scratch), abs=1e-9
-        )
+        assert state.values[0] == pytest.approx(h_value(selected, cfg, scratch), abs=1e-9)
         for pos in state.alive.nonzero()[0]:
             u = int(state.order[pos])
-            expect = sum(scratch.distance(x, u) for x in state.selected)
+            expect = sum(scratch.distance(x, u) for x in selected)
             assert state.dist_sum[pos] == pytest.approx(expect, abs=1e-9)
 
 
 def test_selection_state_rejects_bad_adds():
     _, cache = instance_with_cache(seed=26, d=6, n=20, t=2)
     cfg = weighted_cfg(cache, k=3, lam=0.5)
-    state = SelectionState.start(range(6), cfg, cache)
+    state = SelectionState.start_groups([range(6)], cfg, cache)
     state.add(2)
     with pytest.raises(ValueError):
         state.add(2)
     with pytest.raises(ValueError):
         state.add(77)
     with pytest.raises(ValueError):
-        SelectionState.start([], cfg, cache)
+        SelectionState.start_groups([[]], cfg, cache)
     with pytest.raises(ValueError):
-        SelectionState.start([1, 1, 2], cfg, cache)
+        SelectionState.start_groups([[1, 1, 2]], cfg, cache)
     for ids in ([0, 6], [-1, 0]):
         with pytest.raises(ValueError, match="out of range"):
-            SelectionState.start(ids, cfg, cache)
+            SelectionState.start_groups([ids], cfg, cache)

@@ -46,6 +46,19 @@ def test_partition_machines_disjoint_ascending():
     assert sorted(seen) == list(range(100))
 
 
+def test_partition_machines_and_sizes_match_a_per_machine_scan():
+    d = 40
+    for m in (1, 7, d, 50 * d):  # the last two leave machines empty
+        plan = random_partition(d, m, seed=m)
+        machines = plan.machines()
+        assert len(machines) == m
+        for i, ids in enumerate(machines):
+            assert ids.dtype == np.int64
+            assert ids.tolist() == np.nonzero(plan.assignment == i)[0].tolist()
+        assert plan.sizes() == [int(np.count_nonzero(plan.assignment == i)) for i in range(m)]
+        assert all(type(size) is int for size in plan.sizes())
+
+
 def test_partition_binomial_concentration():
     # d=100000, m=10: each machine within 10000 +/- 500 nearly always
     hits = 0
