@@ -289,6 +289,9 @@ def _cmd_bench(args, parser) -> int:
                     "relevance_term": rep.objective["relevance_term"],
                     "diversity_term": rep.objective["diversity_term"],
                     "runtime_ms": rep.timings_ms["total"],
+                    "partition_ms": rep.timings_ms["partition"],
+                    "map_ms": rep.timings_ms["map"],
+                    "reduce_ms": rep.timings_ms["reduce"],
                 }
             )
     payload = {

@@ -39,16 +39,14 @@ def _per_run(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return values[0] if values.shape[0] == 1 else np.repeat(values, lengths, axis=0)
 
 
-def _band_argmax(ids: np.ndarray, scores: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """In each run of ``lengths[j]`` candidates from ``starts[j]``, the
-    smallest id whose score is within TIE_BAND of the run's maximum.
-
-    ids must ascend within each run. A winner depends only on its run's
-    score values, not on candidate enumeration order.
-    """
+def _band_argmax(scores: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """In each run of ``lengths[j]`` scores from ``starts[j]``, the index of
+    the first score within TIE_BAND of the run's maximum: the smallest id
+    when ids ascend within each run. A winner depends only on its run's
+    score values, not on candidate enumeration order."""
     floor = np.maximum.reduceat(scores, starts) - TIE_BAND
-    hits = np.flatnonzero(scores >= _per_run(floor, lengths))
-    return ids[hits[np.searchsorted(hits, starts)]]
+    hits = (scores >= _per_run(floor, lengths)).nonzero()[0]
+    return hits[np.searchsorted(hits, starts)]
 
 
 def _step(state: SelectionState, weight) -> np.ndarray:
@@ -56,18 +54,18 @@ def _step(state: SelectionState, weight) -> np.ndarray:
     candidate by relevance gain alone when ``weight`` is None (the first
     pick), else by weight * scaled relevance gain + scaled distance sum."""
     cfg = state.cfg
-    pos = np.flatnonzero(state.alive)
+    pos = state.alive.nonzero()[0]
     # each group's run of alive positions; a group with none left is done
     bounds = np.searchsorted(pos, state.bounds)
     lengths = bounds[1:] - bounds[:-1]
     live = lengths > 0
-    ids = state.order[pos]
-    rel = marginal_g_rows(state.mi[pos], _per_run(state.taus()[live], lengths[live]))
+    starts, lengths = bounds[:-1][live], lengths[live]
+    rel = marginal_g_rows(state.mi[pos], _per_run(state.taus()[live], lengths))
     if weight is None:
         scores = rel
     else:
         scores = weight * (cfg.relevance_scale * rel) + cfg.diversity_scale * state.dist_sum[pos]
-    return _band_argmax(ids, scores, bounds[:-1][live], lengths[live])
+    return state.order[pos[_band_argmax(scores, starts, lengths)]]
 
 
 def greedy_states(groups, k: int, variant: GreedyVariant, cfg: ObjectiveConfig, cache: InfoCache) -> SelectionState:

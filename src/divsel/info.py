@@ -17,14 +17,15 @@ alone:
 
 An entropy is one column of counts sorted ascending, each count c mapped
 through a table of ``-(p * log(p))`` for p = c / n, and the terms added top
-to bottom. Packed counts are sorted in place: over ``NETWORK_MIN_ROWS``
-code-matrix rows or more by a bitonic min/max network over whole rows of the
-count matrix (cells padded with zero rows to a power of two), over fewer by
-numpy's row sort. Sorting makes
-transposed tables sum identically, so d(a, b) == d(b, a) bit-for-bit; zero
-counts add -0.0 and change nothing, so a value does not depend on the path,
-on how many pairs are batched together, or on padding. Cached, batched, and
-one-off computations of the same pair agree exactly.
+to bottom, one ``np.add.reduce`` over the cell axis per block of columns.
+Packed counts over ``NETWORK_MIN_ROWS`` code-matrix rows or more are sorted
+in place by a bitonic min/max network over whole rows of the count matrix
+(cells padded with zero rows to a power of two); fewer are sorted in an
+int32 copy by numpy's row sort, and the reduction reads the copy. Sorting
+makes transposed tables sum identically, so d(a, b) == d(b, a)
+bit-for-bit; zero counts add -0.0 and change nothing, so a value does not
+depend on the path, on how many pairs are batched together, or on padding.
+Cached, batched, and one-off computations of the same pair agree exactly.
 ``InfoCache`` packs every feature once and memoizes whole distance rows;
 ``nvi_distance_spans`` computes the rows of several targets, each against
 its own span of one code matrix, in one batch, the way a greedy run over
@@ -73,13 +74,15 @@ def pack_codes(mat: np.ndarray, card: int) -> np.ndarray:
     """
     rows, n = mat.shape
     words = -(-n // 64)
-    values = np.arange(card, dtype=mat.dtype)[:, None]
+    values = np.arange(card, dtype=mat.dtype)[:, None, None]
     step = max(1, BLOCK_CELLS // max(card * n, 1))
-    planes = np.zeros((rows, card, words * 8), dtype=np.uint8)
+    # value-major, so that each value is compared with a whole block of
+    # codes in one run instead of one run per row
+    planes = np.zeros((card, rows, words * 8), dtype=np.uint8)
     for lo in range(0, rows, step):
-        onehot = mat[lo : lo + step, None, :] == values
-        planes[lo : lo + step, :, : -(-n // 8)] = np.packbits(onehot, axis=2, bitorder="little")
-    return np.ascontiguousarray(planes.view(np.uint64).transpose(2, 1, 0))
+        onehot = mat[None, lo : lo + step] == values
+        planes[:, lo : lo + step, : -(-n // 8)] = np.packbits(onehot, axis=2, bitorder="little")
+    return np.ascontiguousarray(planes.view(np.uint64).transpose(2, 0, 1))
 
 
 def _packed_counts(t_bits: np.ndarray, packed: np.ndarray, out: np.ndarray) -> None:
@@ -135,15 +138,18 @@ def _bitonic(counts: np.ndarray) -> None:
         size *= 2
 
 
-def _sort_columns(counts: np.ndarray) -> None:
-    """Sort each column of a (cells, rows) count matrix in place. With at
-    least NETWORK_MIN_ROWS columns, and then a power-of-two height, by the
-    bitonic network; with fewer by numpy's row sort of an int32 transposed
-    copy, whose fixed cost is lower."""
+def _sort_columns(counts: np.ndarray) -> np.ndarray:
+    """Each column of a (cells, rows) count matrix sorted ascending. With at
+    least NETWORK_MIN_ROWS columns, and then a power-of-two height, the
+    bitonic network sorts ``counts`` in place; with fewer, numpy's row sort
+    sorts an int32 copy, whose fixed cost is lower, and ``counts`` is left
+    as it is."""
     if counts.shape[1] >= NETWORK_MIN_ROWS:
         _bitonic(counts)
-    else:
-        counts[...] = np.sort(counts.T.astype(np.int32), axis=1).T
+        return counts
+    rows = counts.T.astype(np.int32)
+    rows.sort(axis=1)
+    return rows.T
 
 
 @lru_cache(maxsize=16)
@@ -159,22 +165,33 @@ def _term_table(n: int) -> np.ndarray:
 def _reduce(counts: np.ndarray, n: int) -> np.ndarray:
     """Entropy per column of a (cells, rows) count matrix whose columns are
     sorted ascending: the terms of the counts added top to bottom from 0.0.
-    Zero cells add -0.0 and change nothing."""
+    Zero cells add -0.0 and change nothing.
+
+    A block of two or more columns is one axis-0 ``np.add.reduce``, which
+    adds the term rows one after another into the running totals. A block of
+    one column would be summed pairwise, so it is added term by term.
+    """
     table = _term_table(n)
     cells, rows = counts.shape
-    total = np.zeros(rows, dtype=np.float64)
-    step = max(1, BLOCK_CELLS // max(cells, 1))
+    total = np.empty(rows, dtype=np.float64)
+    step = max(2, BLOCK_CELLS // max(cells, 1))
     for lo in range(0, rows, step):
+        terms = np.take(table, counts[:, lo : lo + step])
         part = total[lo : lo + step]
-        for terms in np.take(table, counts[:, lo : lo + step]):
-            part += terms
+        if part.size > 1:
+            np.add.reduce(terms, axis=0, out=part, initial=0.0)
+            continue
+        part[...] = 0.0
+        for term in terms:
+            part += term
     return total
 
 
-def _joint_entropies(jobs, n: int) -> list:
+def _joint_entropies(jobs, n: int) -> np.ndarray:
     """The count kernel and the reduction: for each job (t_codes, t_card,
     mat, max_card, packed, t_bits), the joint entropy of a target column
-    with each row of a code matrix whose codes are below ``max_card``.
+    with each row of a code matrix whose codes are below ``max_card``; one
+    array holding every job's rows in job order.
 
     ``packed`` may hand over ``pack_codes(mat, c)`` for any c >= max_card
     and ``t_bits`` the target's bit planes (words, t_card) when they are
@@ -209,9 +226,10 @@ def _joint_entropies(jobs, n: int) -> list:
             _packed_counts(t_bits, packed[:, :, lo:hi], cells[:, :, at + lo : at + hi])
         out.append(slice(at, at + rows))
         at += rows
-    _sort_columns(counts)
-    h = _reduce(counts[height - width :], n)
-    return [h[part] if isinstance(part, slice) else part for part in out]
+    h = _reduce(_sort_columns(counts)[height - width :], n)
+    if all(isinstance(part, slice) for part in out):
+        return h  # every job is packed, so h is in job order
+    return np.concatenate([h[part] if isinstance(part, slice) else part for part in out])
 
 
 def entropy_rows(mat: np.ndarray, cards: np.ndarray, *, packed=None) -> np.ndarray:
@@ -236,14 +254,16 @@ def joint_entropy_rows(
         raise ValueError("columns must have at least one value")
     if t_codes.size != mat.shape[1]:
         raise ValueError("column lengths differ")
-    return _joint_entropies([(t_codes, t_card, mat, int(np.max(cards)), packed, t_bits)], mat.shape[1])[0]
+    return _joint_entropies([(t_codes, t_card, mat, int(np.max(cards)), packed, t_bits)], mat.shape[1])
 
 
 def _nvi(h_target, h_rows, h_joint) -> np.ndarray:
     mi = np.maximum(0.0, (h_target + h_rows) - h_joint)
     positive = h_joint > 0.0
     dist = np.where(positive, 1.0 - mi / np.where(positive, h_joint, 1.0), 0.0)
-    return np.clip(dist, 0.0, 1.0)
+    # clip to [0, 1] in place: mi >= 0 keeps dist at or below 1, and dist is
+    # never -0.0, so raising it to 0.0 gives the bits np.clip gives
+    return np.maximum(dist, 0.0, out=dist)
 
 
 def nvi_distance_rows(
@@ -326,32 +346,30 @@ def nvi_distance_spans(mat, cards, h, jobs) -> list:
     code matrix against its rows ``span``, whose ``entropies_and_planes``
     are ``h[span]`` and ``planes``.
 
-    A target in its own span reads its bit planes from the span's. One job
-    is one ``nvi_distance_rows`` call. Several share their fixed costs:
-    every packed job counts into one count matrix that is sorted and reduced
-    once, and one _nvi call covers every row. Every value is what the call
-    alone gives.
+    A target in its own span reads its bit planes from the span's. The jobs
+    share one kernel call, in which every packed job counts into one count
+    matrix that is sorted and reduced once, and one _nvi call covers every
+    row. Every value is what ``nvi_distance_rows`` alone gives.
     """
-    with_bits = []
+    if not jobs:
+        return []
+    kernel_jobs, targets, sizes = [], [], []
     for t, span, planes in jobs:
         t_bits = None
-        if planes is not None and span.start <= t < span.stop:
-            t_bits = planes[:, : cards[t], t - span.start]
-        with_bits.append((t, span, planes, t_bits))
-    if len(jobs) < 2:
-        return [
-            nvi_distance_rows(mat[t], cards[t], h[t], mat[s], cards[s], h[s], packed=p, t_bits=b)
-            for t, s, p, b in with_bits
-        ]
-    # planes are packed at their span's widest column
-    kernel_jobs = [
-        (mat[t], cards[t], mat[s], int(np.max(cards[s])) if p is None else p.shape[1], p, b)
-        for t, s, p, b in with_bits
-    ]
+        if planes is None:
+            top = int(np.max(cards[span]))
+        else:
+            # planes are packed at their span's widest column
+            top = planes.shape[1]
+            if span.start <= t < span.stop:
+                t_bits = planes[:, : cards[t], t - span.start]
+        kernel_jobs.append((mat[t], cards[t], mat[span], top, planes, t_bits))
+        targets.append(t)
+        sizes.append(span.stop - span.start)
     h_joint = _joint_entropies(kernel_jobs, mat.shape[1])
-    targets = [t for t, _, _ in jobs]
-    sizes = [span.stop - span.start for _, span, _ in jobs]
-    rows = _nvi(np.repeat(h[targets], sizes), np.concatenate([h[span] for _, span, _ in jobs]), np.concatenate(h_joint))
+    if len(jobs) == 1:
+        return [_nvi(h[targets[0]], h[jobs[0][1]], h_joint)]
+    rows = _nvi(np.repeat(h[targets], sizes), np.concatenate([h[span] for _, span, _ in jobs]), h_joint)
     ends = np.cumsum(sizes).tolist()
     return [rows[end - size : end] for end, size in zip(ends, sizes)]
 

@@ -89,7 +89,11 @@ def marginal_g_rows(mi_rows: np.ndarray, tau: np.ndarray) -> np.ndarray:
 def sorted_feature_ids(ids, n_features: int) -> np.ndarray:
     """``ids`` ascending as an int64 array; ValueError unless they are
     distinct feature ids in 0..n_features-1."""
-    ids = np.asarray(sorted(int(i) for i in ids), dtype=np.int64)
+    if isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind in "iu":
+        # an integer array, such as a machine's ids, sorts without Python ints
+        ids = np.sort(ids.astype(np.int64))
+    else:
+        ids = np.asarray(sorted(int(i) for i in ids), dtype=np.int64)
     if ids.size and (ids[0] < 0 or ids[-1] >= n_features):
         raise ValueError("feature id out of range")
     if np.any(ids[1:] == ids[:-1]):
@@ -202,6 +206,8 @@ class SelectionState:
         self.group = np.repeat(np.arange(len(self.picks)), np.diff(self.bounds))
         self._by_id = np.argsort(self.order, kind="stable")
         self._sorted = self.order[self._by_id]
+        self._labels = np.arange(self.top.shape[1])
+        self._spans = [slice(lo, hi) for lo, hi in zip(self.bounds[:-1].tolist(), self.bounds[1:].tolist())]
 
     @classmethod
     def start_groups(cls, groups, cfg: ObjectiveConfig, cache: InfoCache) -> "SelectionState":
@@ -243,30 +249,32 @@ class SelectionState:
         computed over its group's span, every group's in one batch."""
         ids = np.asarray(feature_ids, dtype=np.int64).reshape(-1)
         pos = self._by_id[np.minimum(np.searchsorted(self._sorted, ids), self.order.size - 1)]
-        bad = (self.order[pos] != ids) | ~self.alive[pos]
-        if bad.any():
-            raise ValueError(f"feature {ids[bad][0]} is not an available candidate")
+        ok = self.alive[pos] & (self.order[pos] == ids)
+        if not ok.all():
+            raise ValueError(f"feature {ids[~ok][0]} is not an available candidate")
         groups = self.group[pos]
-        if len(set(groups.tolist())) != groups.size:
+        picking = groups.tolist()
+        if len(set(picking)) != len(picking):
             raise ValueError("at most one pick per group")
         mi_rows = self.mi[pos]
-        top = self.top[groups]
-        slot = top.argmin(axis=2)[:, :, None]
-        tau = np.take_along_axis(top, slot, axis=2)[:, :, 0]
+        # each picking group's minimum slot per label: its threshold
+        slots = (groups[:, None], self._labels, self.top[groups].argmin(axis=2))
+        tau = self.top[slots]
         self.values[groups] += (
             self.cfg.relevance_scale * marginal_g_rows(mi_rows, tau) + self.cfg.diversity_scale * self.dist_sum[pos]
         )
-        np.put_along_axis(top, slot, np.maximum(tau, mi_rows)[:, :, None], axis=2)
-        self.top[groups] = top
+        self.top[slots] = np.maximum(tau, mi_rows)
         self.alive[pos] = False
         jobs = []
-        for g, fid, p in zip(groups.tolist(), ids.tolist(), pos.tolist()):
-            self.picks[g].append(fid)
-            span = slice(self.bounds[g], self.bounds[g + 1])
+        for g, fid, p in zip(picking, ids.tolist(), pos.tolist()):
+            picks = self.picks[g]
+            picks.append(fid)
+            span = self._spans[g]
             row = self.cache.memoized_row(fid)
             if row is not None:
                 self.dist_sum[span] += row[self.order[span]]
-            elif self.alive[span].any():
+            elif len(picks) < span.stop - span.start:
+                # the group still has a candidate to score
                 jobs.append((p, span, g))
         if jobs:
             mat, cards, h, planes = self.columns

@@ -310,6 +310,13 @@ def test_bench_cli_payload(small_csv):
     assert len(doc["runs"]) == 4
     assert doc["runs"][0]["machines"] is None
     assert doc["dataset"]["n_features"] == 10
+    for run in doc["runs"]:
+        # the phases come from the run report's timings and lie within it
+        phases = [run["partition_ms"], run["map_ms"], run["reduce_ms"]]
+        assert min(phases) >= 0.0
+        assert sum(phases) <= run["runtime_ms"]
+        if run["mode"] == "centralized":
+            assert run["partition_ms"] == run["reduce_ms"] == 0.0
 
 
 def test_gen_synth_into_closed_pipe_exits_quietly():

@@ -12,7 +12,7 @@ from divsel.greedy import (
     greedy_states,
     niceness_witness,
 )
-from divsel import info
+from divsel import info, objective
 from divsel.info import InfoCache
 from divsel.objective import ObjectiveConfig, h_value, relevance_g
 from divsel.oracle import brute_force_opt, subset_value
@@ -225,23 +225,23 @@ def test_groups_side_by_side_match_one_group_at_a_time(card_hi):
 
 
 def test_states_read_memoized_rows(monkeypatch):
-    # a single group computes each pick's row through the module's
-    # nvi_distance_rows; a pick whose whole row the cache memoized costs no
-    # kernel call, and the run is bit for bit the one that computes it
+    # a single group computes each pick's row as one job of the kernel
+    # entry nvi_distance_spans; a pick whose whole row the cache memoized
+    # costs no job, and the run is bit for bit the one that computes it
     data, cache = instance_with_cache(seed=37, d=30, n=24, t=2)
     cfg = weighted_cfg(cache, k=8, lam=0.5, p=3)
-    calls = []
-    real = info.nvi_distance_rows
-    monkeypatch.setattr(info, "nvi_distance_rows", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    jobs = []
+    real = objective.nvi_distance_spans
+    monkeypatch.setattr(objective, "nvi_distance_spans", lambda *a: jobs.extend(a[3]) or real(*a))
     for candidates in (range(30), range(1, 30)):
-        calls.clear()
+        jobs.clear()
         computed = greedy_state(candidates, 8, GreedyVariant.GREEDY, cfg, InfoCache(data))
-        assert len(calls) == 8
+        assert len(jobs) == 8
         for x in computed.picks[0]:
             cache.distance_block(x)
-        calls.clear()
+        jobs.clear()
         read = greedy_state(candidates, 8, GreedyVariant.GREEDY, cfg, cache)
-        assert calls == []
+        assert jobs == []
         assert read.picks == computed.picks
         assert read.values.tolist() == computed.values.tolist()
         assert read.dist_sum.tolist() == computed.dist_sum.tolist()

@@ -353,10 +353,49 @@ def test_count_columns_sort_like_np_sort(dtype):
         for rows in (5, NETWORK_MIN_ROWS - 1, NETWORK_MIN_ROWS, NETWORK_MIN_ROWS + 37):
             for hi in (3, top):
                 counts = rng.integers(0, hi, size=(height, rows), endpoint=True).astype(dtype)
+                before = counts.copy()
                 expected = np.sort(counts, axis=0)
-                info._sort_columns(counts)
-                assert counts.dtype == dtype
-                assert np.array_equal(counts, expected), (height, rows, hi)
+                found = info._sort_columns(counts)
+                assert np.array_equal(found, expected), (height, rows, hi)
+                if rows >= NETWORK_MIN_ROWS:
+                    # the network sorts the counts in place
+                    assert found is counts and counts.dtype == dtype
+                else:
+                    # the row sort leaves them as they are
+                    assert np.array_equal(counts, before)
+
+
+def _reduce_cell_by_cell(counts: np.ndarray, n: int) -> np.ndarray:
+    """The reduction as a loop over cells: each column's terms added top to
+    bottom from 0.0, one cell row at a time."""
+    total = np.zeros(counts.shape[1], dtype=np.float64)
+    for terms in np.take(info._term_table(n), counts):
+        total += terms
+    return total
+
+
+@pytest.mark.parametrize("n", [7, 128, 300])
+def test_reduction_matches_cell_by_cell_loop_bitwise(n):
+    # one add.reduce per block of two or more columns, a loop for a block of
+    # one: 1 to 64 cells, columns of real joint counts (summing to n) with
+    # leading zero cells, and columns whose every cell is zero
+    rng = np.random.default_rng(n)
+    for cells in range(1, 65):
+        for columns in (1, 2, 3, 64):
+            cuts = np.sort(rng.integers(0, n + 1, size=(cells - 1, columns)), axis=0)
+            edges = np.vstack([np.zeros((1, columns), dtype=np.int64), cuts, np.full((1, columns), n)])
+            counts = np.sort(np.diff(edges, axis=0), axis=0)
+            counts[:, :: 3] = 0
+            for dtype in (np.min_scalar_type(n), np.int32):
+                found = info._reduce(counts.astype(dtype), n)
+                assert found.tobytes() == _reduce_cell_by_cell(counts, n).tobytes(), (cells, columns)
+    # the sorted int32 view that the row sort hands over, and a matrix wider
+    # than one block whose last block holds a single column
+    for cells in (1, 16, 64):
+        for columns in (NETWORK_MIN_ROWS - 1, max(2, info.BLOCK_CELLS // cells) + 1):
+            counts = rng.integers(0, n + 1, size=(cells, columns))
+            found = info._reduce(info._sort_columns(counts.astype(np.min_scalar_type(n))), n)
+            assert found.tobytes() == _reduce_cell_by_cell(np.sort(counts, axis=0), n).tobytes(), (cells, columns)
 
 
 @pytest.mark.parametrize("n", [255, 256])
@@ -409,6 +448,7 @@ def test_batched_spans_with_mixed_widths_and_paths_match_single_calls():
         for (t, s, p), row in zip(jobs, batched):
             alone = nvi_distance_rows(mat[t], cards[t], h[t], mat[s], cards[s], h[s], packed=p)
             assert row.tolist() == alone.tolist()
+            assert nvi_distance_spans(mat, cards, h, [(t, s, p)])[0].tolist() == alone.tolist()
             ids = range(s.start, s.stop, 97)
             expected = [_ref_nvi(*_ref_pair(DiscreteColumn(mat[t], int(cards[t])), mat[i])) for i in ids]
             assert row[:: 97].tolist() == expected
