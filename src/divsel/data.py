@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # numpy would otherwise import it inside the first timed rng call
 
 from .errors import ParseError, ValidationError
 

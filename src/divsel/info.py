@@ -11,26 +11,26 @@ alone:
 - up to ``PACKED_MAX_WIDTH`` cells, each code's one-hot indicator is packed
   into uint64 bit planes of shape (words, card, rows) and a joint count is
   the popcount of an AND, summed over words straight into the count matrix;
-- above it, each row's joint codes ``x * t_card + t`` are sorted and the run
-  lengths are the counts, already sorted, so no zero cell is ever created
-  and memory stays O(rows x n).
+- above it, each row's joint codes ``x * t_card + t`` are sorted and each
+  run's length is a count, held in the cell of the run's last code, so
+  memory stays O(rows x n).
 
-An entropy is one column of counts sorted ascending, each count c mapped
-through a table of ``-(p * log(p))`` for p = c / n, and the terms added top
-to bottom, one ``np.add.reduce`` over the cell axis per block of columns.
-Packed counts over ``NETWORK_MIN_ROWS`` code-matrix rows or more are sorted
-in place by a bitonic min/max network over whole rows of the count matrix
-(cells padded with zero rows to a power of two); fewer are sorted in an
-int32 copy by numpy's row sort, and the reduction reads the copy. Sorting
-makes transposed tables sum identically, so d(a, b) == d(b, a)
+An entropy is one column of counts, each count c mapped through a table of
+``-(p * log2(p))`` for p = c / n, and the terms added up, one
+``np.add.reduce`` over the cell axis per block of columns. Each term is
+rounded to a multiple of 2^-e, with e chosen from n so that every partial
+sum of a column's terms stays below 2^(53 - e): every such sum is exact in
+float64, so the order of the cells does not change a bit and no column is
+sorted. A transposed table holds the same counts, so d(a, b) == d(b, a)
 bit-for-bit; zero counts add -0.0 and change nothing, so a value does not
-depend on the path, on how many pairs are batched together, or on padding.
-Cached, batched, and one-off computations of the same pair agree exactly.
+depend on the path, on how many pairs are batched together, or on where a
+job's cells sit in the count matrix. Cached, batched, and one-off
+computations of the same pair agree exactly.
 ``InfoCache`` packs every feature once and memoizes whole distance rows;
 ``nvi_distance_spans`` computes the rows of several targets, each against
 its own span of one code matrix, in one batch, the way a greedy run over
 several machines' candidates needs them: every packed job's counts share
-one count matrix, which is sorted and reduced once.
+one count matrix, which is reduced once.
 """
 
 from __future__ import annotations
@@ -44,11 +44,6 @@ from .data import BLOCK_CELLS, Dataset, DiscreteColumn
 # Joint widths t_card * max(cards) up to this take the packed-bit path; wider
 # tables sort joint codes.
 PACKED_MAX_WIDTH = 64
-
-# Count matrices over at least this many code-matrix rows are sorted by the
-# bitonic network; smaller ones by numpy's row sort, whose fixed cost is
-# lower. Measured crossover: 700 to 2500 rows at 8 to 64 cells.
-NETWORK_MIN_ROWS = 2048
 
 
 def _as_codes(col) -> tuple[np.ndarray, int]:
@@ -94,96 +89,54 @@ def _packed_counts(t_bits: np.ndarray, packed: np.ndarray, out: np.ndarray) -> N
 
 def _sorted_counts(t_codes: np.ndarray, t_card: int, mat: np.ndarray, width: int) -> np.ndarray:
     """Joint counts as run lengths of each row's sorted joint codes, shape
-    (cells, rows) with each column sorted ascending: one cell per run of the
-    row with the most runs, shorter rows padded with leading zero counts."""
+    (n, rows): each run's length sits in the cell of its last code, and
+    every other cell is zero."""
     rows, n = mat.shape
     dtype = np.int32 if width <= np.iinfo(np.int32).max else np.int64
     joint = mat.astype(dtype) * dtype(t_card) + t_codes.astype(dtype)
     joint.sort(axis=1)
     ends = np.ones((rows, n), dtype=bool)
     np.not_equal(joint[:, 1:], joint[:, :-1], out=ends[:, :-1])
-    pos = np.arange(n, dtype=np.intp)
-    prev_end = np.full((rows, n), -1, dtype=np.intp)
-    np.maximum.accumulate(np.where(ends[:, :-1], pos[:-1], -1), axis=1, out=prev_end[:, 1:])
-    lengths = np.where(ends, pos - prev_end, 0)
-    lengths.sort(axis=1)
-    return lengths[:, n - int(ends.sum(axis=1).max()) :].T
-
-
-def _bitonic(counts: np.ndarray) -> None:
-    """Sort each column of a (2^j, columns) matrix in place with a bitonic
-    network (Batcher, 1968): every comparator layer is one min/max over two
-    reshaped views that cover the whole matrix."""
-    height = counts.shape[0]
-    low = np.empty(height // 2 * counts.shape[1], dtype=counts.dtype)
-
-    def compare(lo, hi):
-        small = np.minimum(lo, hi, out=low.reshape(lo.shape))
-        np.maximum(lo, hi, out=hi)
-        lo[...] = small
-
-    size = 2
-    while size <= height:
-        # merge the two sorted halves of every block of ``size`` rows: row i
-        # of the lower half against row i from the end of the upper half
-        # leaves both halves bitonic, every lower value below every upper one
-        runs = counts.reshape(height // size, size, -1)
-        compare(runs[:, : size // 2], runs[:, : size // 2 - 1 : -1])
-        # ... then half-cleaners sort each bitonic half
-        half = size // 4
-        while half:
-            pairs = counts.reshape(height // (2 * half), 2, half, -1)
-            compare(pairs[:, 0], pairs[:, 1])
-            half //= 2
-        size *= 2
-
-
-def _sort_columns(counts: np.ndarray) -> np.ndarray:
-    """Each column of a (cells, rows) count matrix sorted ascending. With at
-    least NETWORK_MIN_ROWS columns, and then a power-of-two height, the
-    bitonic network sorts ``counts`` in place; with fewer, numpy's row sort
-    sorts an int32 copy, whose fixed cost is lower, and ``counts`` is left
-    as it is."""
-    if counts.shape[1] >= NETWORK_MIN_ROWS:
-        _bitonic(counts)
-        return counts
-    rows = counts.T.astype(np.int32)
-    rows.sort(axis=1)
-    return rows.T
+    # a row's last code ends a run, so the first run of a row starts right
+    # after the previous row's last end
+    at = np.flatnonzero(ends)
+    lengths = np.zeros(rows * n, dtype=np.intp)
+    lengths[at] = np.diff(at, prepend=-1)
+    return lengths.reshape(rows, n).T
 
 
 @lru_cache(maxsize=16)
 def _term_table(n: int) -> np.ndarray:
-    """``-(p * log2(p))`` for p = c / n, c = 0..n; the c = 0 term is -0.0."""
+    """``-(p * log2(p))`` for p = c / n, c = 0..n, rounded to a multiple of
+    2^-e with e = 53 - b and 2^b > log2(n) + 1; the c = 0 term is -0.0.
+
+    Terms are non-negative and those of counts that add up to n add up to
+    at most log2(n) plus n half-quanta, so every partial sum is a multiple
+    of 2^-e below 2^b, which float64 holds exactly: every order of adding
+    gives the same bits.
+    """
+    e = 53 - n.bit_length().bit_length()
     counts = np.arange(n + 1, dtype=np.int64)
     p = counts / float(n)
-    table = -(p * np.log2(np.where(counts > 0, p, 1.0)))
+    terms = -(p * np.log2(np.where(counts > 0, p, 1.0)))
+    table = np.ldexp(np.rint(np.ldexp(terms, e)), -e)
     table.flags.writeable = False
     return table
 
 
 def _reduce(counts: np.ndarray, n: int) -> np.ndarray:
-    """Entropy per column of a (cells, rows) count matrix whose columns are
-    sorted ascending: the terms of the counts added top to bottom from 0.0.
-    Zero cells add -0.0 and change nothing.
-
-    A block of two or more columns is one axis-0 ``np.add.reduce``, which
-    adds the term rows one after another into the running totals. A block of
-    one column would be summed pairwise, so it is added term by term.
+    """Entropy per column of a (cells, rows) count matrix whose columns add
+    up to n: the terms of the counts added from 0.0, one ``np.add.reduce``
+    over the cell axis per block of about ``BLOCK_CELLS`` cells. Every sum
+    is exact (``_term_table``), so neither the order of a column's cells nor
+    the blocking changes a bit; zero cells add -0.0 and change nothing.
     """
     table = _term_table(n)
     cells, rows = counts.shape
     total = np.empty(rows, dtype=np.float64)
-    step = max(2, BLOCK_CELLS // max(cells, 1))
+    step = max(1, BLOCK_CELLS // max(cells, 1))
     for lo in range(0, rows, step):
-        terms = np.take(table, counts[:, lo : lo + step])
-        part = total[lo : lo + step]
-        if part.size > 1:
-            np.add.reduce(terms, axis=0, out=part, initial=0.0)
-            continue
-        part[...] = 0.0
-        for term in terms:
-            part += term
+        np.add.reduce(np.take(table, counts[:, lo : lo + step]), axis=0, out=total[lo : lo + step], initial=0.0)
     return total
 
 
@@ -197,15 +150,14 @@ def _joint_entropies(jobs, n: int) -> np.ndarray:
     and ``t_bits`` the target's bit planes (words, t_card) when they are
     already built; both are used only on the packed-bit path. Packed jobs
     are counted a block of rows at a time, so each popcount temporary holds
-    about ``BLOCK_CELLS`` words, into one shared count matrix that is sorted
-    and reduced once; sorted-codes jobs are reduced block by block.
+    about ``BLOCK_CELLS`` words, into one shared count matrix as tall as the
+    widest packed job, whose other jobs leave their lower cells zero; it is
+    reduced once. Sorted-codes jobs are reduced block by block.
     """
     widths = [int(t_card) * int(max_card) for _, t_card, _, max_card, _, _ in jobs]
     total = sum(job[2].shape[0] for job, w in zip(jobs, widths) if w <= PACKED_MAX_WIDTH)
     width = max([w for w in widths if w <= PACKED_MAX_WIDTH], default=1)
-    # the network sorts power-of-two heights; zero rows sort first
-    height = width if total < NETWORK_MIN_ROWS else 1 << (width - 1).bit_length()
-    counts = np.zeros((height, total), dtype=np.min_scalar_type(n))
+    counts = np.zeros((width, total), dtype=np.min_scalar_type(n))
     out, at = [], 0
     for (t_codes, t_card, mat, max_card, packed, t_bits), w in zip(jobs, widths):
         t_card, max_card, rows = int(t_card), int(max_card), mat.shape[0]
@@ -226,7 +178,7 @@ def _joint_entropies(jobs, n: int) -> np.ndarray:
             _packed_counts(t_bits, packed[:, :, lo:hi], cells[:, :, at + lo : at + hi])
         out.append(slice(at, at + rows))
         at += rows
-    h = _reduce(_sort_columns(counts)[height - width :], n)
+    h = _reduce(counts, n)
     if all(isinstance(part, slice) for part in out):
         return h  # every job is packed, so h is in job order
     return np.concatenate([h[part] if isinstance(part, slice) else part for part in out])
@@ -348,7 +300,7 @@ def nvi_distance_spans(mat, cards, h, jobs) -> list:
 
     A target in its own span reads its bit planes from the span's. The jobs
     share one kernel call, in which every packed job counts into one count
-    matrix that is sorted and reduced once, and one _nvi call covers every
+    matrix that is reduced once, and one _nvi call covers every
     row. Every value is what ``nvi_distance_rows`` alone gives.
     """
     if not jobs:

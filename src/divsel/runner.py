@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 
 import numpy as np
+import numpy.random  # numpy would otherwise import it inside the first timed rng call
 
 from .data import Dataset
 from .greedy import GreedyVariant, greedy_select, greedy_states

@@ -1,5 +1,6 @@
 """Information kernels: hand values, conventions, exactness guarantees."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from divsel.data import BinningSpec, Dataset, DiscreteColumn, dataset_from_matrices
 from divsel import info
 from divsel.info import (
-    NETWORK_MIN_ROWS,
     InfoCache,
     entropies_and_planes,
     entropy,
@@ -225,16 +225,21 @@ def test_label_column_ids():
             cache.entropy(cid)
 
 
+def _quantum_exponent(n):
+    """e of the documented rounding: terms are multiples of 2^-e, e = 53 - b,
+    with b the bit length of n's bit length, so 2^b > log2(n) + 1."""
+    return 53 - n.bit_length().bit_length()
+
+
 def _ref_entropy(counts, n):
-    """The documented reduction: counts sorted ascending, one term
-    -(p * log2 p) per cell, added left to right from 0.0."""
-    c = np.sort(np.ravel(counts))
+    """The documented reduction, apart from the kernel: one term
+    -(p * log2 p) per cell, rounded to an integer number of quanta 2^-e,
+    the numbers added as Python ints and scaled once."""
+    c = np.ravel(counts)
     p = c / float(n)
     terms = -(p * np.log2(np.where(c > 0, p, 1.0)))
-    total = 0.0
-    for term in terms:
-        total = total + term
-    return total
+    e = _quantum_exponent(n)
+    return sum(round(term * 2**e) for term in terms.tolist()) / 2**e
 
 
 def _ref_pair(a, b):
@@ -343,26 +348,12 @@ def test_distance_row_memory_is_linear_in_rows_times_n():
     assert peak <= 64 * rows * n * 8
 
 
-@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
-def test_count_columns_sort_like_np_sort(dtype):
-    # both sides of NETWORK_MIN_ROWS at every power-of-two height the packed
-    # path can pad to, with many ties and with values across the count range
-    rng = np.random.default_rng(np.dtype(dtype).itemsize)
-    top = min(int(np.iinfo(dtype).max), np.iinfo(np.int32).max)
-    for height in (1, 2, 4, 8, 16, 32, 64):
-        for rows in (5, NETWORK_MIN_ROWS - 1, NETWORK_MIN_ROWS, NETWORK_MIN_ROWS + 37):
-            for hi in (3, top):
-                counts = rng.integers(0, hi, size=(height, rows), endpoint=True).astype(dtype)
-                before = counts.copy()
-                expected = np.sort(counts, axis=0)
-                found = info._sort_columns(counts)
-                assert np.array_equal(found, expected), (height, rows, hi)
-                if rows >= NETWORK_MIN_ROWS:
-                    # the network sorts the counts in place
-                    assert found is counts and counts.dtype == dtype
-                else:
-                    # the row sort leaves them as they are
-                    assert np.array_equal(counts, before)
+def _columns_adding_to(n, cells, columns, rng):
+    """A (cells, columns) int64 matrix whose columns each add up to n: the
+    gaps between sorted cut points, so many cells are zero, and shuffled."""
+    cuts = np.sort(rng.integers(0, n + 1, size=(cells - 1, columns)), axis=0)
+    edges = np.vstack([np.zeros((1, columns), dtype=np.int64), cuts, np.full((1, columns), n)])
+    return rng.permuted(np.diff(edges, axis=0), axis=0)
 
 
 def _reduce_cell_by_cell(counts: np.ndarray, n: int) -> np.ndarray:
@@ -376,35 +367,74 @@ def _reduce_cell_by_cell(counts: np.ndarray, n: int) -> np.ndarray:
 
 @pytest.mark.parametrize("n", [7, 128, 300])
 def test_reduction_matches_cell_by_cell_loop_bitwise(n):
-    # one add.reduce per block of two or more columns, a loop for a block of
-    # one: 1 to 64 cells, columns of real joint counts (summing to n) with
-    # leading zero cells, and columns whose every cell is zero
+    # one add.reduce per block: 1 to 64 cells of real joint counts (adding
+    # up to n, with zero cells anywhere), in the count matrix's unsigned
+    # type, in int32 and in the transposed intp run lengths of the
+    # sorted-codes path
     rng = np.random.default_rng(n)
     for cells in range(1, 65):
         for columns in (1, 2, 3, 64):
-            cuts = np.sort(rng.integers(0, n + 1, size=(cells - 1, columns)), axis=0)
-            edges = np.vstack([np.zeros((1, columns), dtype=np.int64), cuts, np.full((1, columns), n)])
-            counts = np.sort(np.diff(edges, axis=0), axis=0)
-            counts[:, :: 3] = 0
+            counts = _columns_adding_to(n, cells, columns, rng)
+            expected = _reduce_cell_by_cell(counts, n).tobytes()
             for dtype in (np.min_scalar_type(n), np.int32):
-                found = info._reduce(counts.astype(dtype), n)
-                assert found.tobytes() == _reduce_cell_by_cell(counts, n).tobytes(), (cells, columns)
-    # the sorted int32 view that the row sort hands over, and a matrix wider
-    # than one block whose last block holds a single column
+                assert info._reduce(counts.astype(dtype), n).tobytes() == expected, (cells, columns)
+            assert info._reduce(np.ascontiguousarray(counts.T, dtype=np.intp).T, n).tobytes() == expected
+    # a matrix wider than one block, whose last block holds a single column
     for cells in (1, 16, 64):
-        for columns in (NETWORK_MIN_ROWS - 1, max(2, info.BLOCK_CELLS // cells) + 1):
-            counts = rng.integers(0, n + 1, size=(cells, columns))
-            found = info._reduce(info._sort_columns(counts.astype(np.min_scalar_type(n))), n)
-            assert found.tobytes() == _reduce_cell_by_cell(np.sort(counts, axis=0), n).tobytes(), (cells, columns)
+        columns = info.BLOCK_CELLS // cells + 1
+        counts = _columns_adding_to(n, cells, columns, rng)
+        found = info._reduce(counts.astype(np.min_scalar_type(n)), n)
+        assert found.tobytes() == _reduce_cell_by_cell(counts, n).tobytes(), (cells, columns)
+
+
+def test_term_table_is_rounded_within_the_exactness_bound():
+    # every n up to 5000 and a sample up to about 10^6: each term is a whole
+    # number of quanta 2^-e, at most half a quantum from -(p * log2 p), and
+    # log2(n) plus n + 1 half-quanta stays below 2^b, so every partial sum
+    # of a column's terms is a multiple of 2^-e that float64 holds exactly
+    sample = np.random.default_rng(5).integers(5001, 1 << 20, size=12).tolist()
+    for n in list(range(1, 5001)) + sample + [(1 << 20) - 1, 1 << 20]:
+        e = _quantum_exponent(n)
+        b = 53 - e
+        counts = np.arange(n + 1)
+        p = counts / float(n)
+        exact = -(p * np.log2(np.where(counts > 0, p, 1.0)))
+        quanta = info._term_table(n) * 2.0**e
+        assert np.array_equal(quanta, np.rint(quanta)), n
+        assert np.abs(quanta - exact * 2.0**e).max() <= 0.5, n
+        assert math.log2(n) + (n + 1) * 2.0 ** -(e + 1) < 2**b, n
+
+
+@pytest.mark.parametrize("cells", [16, 64, 5000])
+def test_reduction_is_independent_of_summation_order(cells):
+    # columns adding up to n reduce to the same bytes with their cells
+    # permuted or sorted, and as numpy's pairwise sum, as sums of blocks of
+    # cells added together, as blocks of columns, and as the Python-int
+    # reference
+    rng = np.random.default_rng(cells)
+    for n in (cells // 2, cells, 5000):
+        counts = _columns_adding_to(n, cells, 40, rng)
+        found = info._reduce(counts, n).tobytes()
+        assert info._reduce(rng.permuted(counts, axis=0), n).tobytes() == found
+        assert info._reduce(np.sort(counts, axis=0), n).tobytes() == found
+        assert info._reduce(np.sort(counts, axis=0)[::-1], n).tobytes() == found
+        terms = np.take(info._term_table(n), counts.T)  # rows contiguous: pairwise
+        assert np.add.reduce(terms, axis=1).tobytes() == found
+        blocks = [np.add.reduce(terms[:, lo : lo + 7], axis=1) for lo in range(0, cells, 7)]
+        assert np.add.reduce(np.vstack(blocks), axis=0).tobytes() == found
+        parts = [info._reduce(counts[:, lo : lo + 3], n) for lo in range(0, counts.shape[1], 3)]
+        assert np.concatenate(parts).tobytes() == found
+        assert np.frombuffer(found).tolist() == [_ref_entropy(col, n) for col in counts.T]
 
 
 @pytest.mark.parametrize("n", [255, 256])
 def test_network_sorted_counts_match_contingency_reference_bitwise(n):
-    # enough rows for the bitwise network, at the last n whose counts fit in
-    # uint8 and the first that needs uint16; joint widths 5 to 60 cells pad
-    # to 8, 16 and 64, and t_card 13 takes the sorted-codes path
+    # 2051 rows at the last n whose counts fit in uint8 and the first that
+    # needs uint16; joint widths 5 to 60 cells, where rows of fewer values
+    # leave zero cells among their counts, and t_card 13 takes the
+    # sorted-codes path
     rng = np.random.default_rng(n)
-    rows = NETWORK_MIN_ROWS + 3
+    rows = 2051
     cards = rng.integers(1, 6, size=rows)
     cards[0] = 5
     mat = (rng.integers(0, 1 << 20, size=(rows, n)) % cards[:, None]).astype(np.int32)
@@ -424,8 +454,8 @@ def test_network_sorted_counts_match_contingency_reference_bitwise(n):
 
 def test_batched_spans_with_mixed_widths_and_paths_match_single_calls():
     # spans of 2, 6 and 40 values per column. The first batch counts two
-    # packed jobs of different widths (4 and 36 cells) together, past
-    # NETWORK_MIN_ROWS where neither alone is; in the others one packed job
+    # packed jobs of different widths (4 and 36 cells) together, the narrow
+    # one's counts above 32 zero cells; in the others one packed job
     # shares the batch with jobs whose tables are wider than
     # PACKED_MAX_WIDTH and take the sorted-codes path
     rng = np.random.default_rng(12)

@@ -89,8 +89,7 @@ def test_diversity_matches_pair_loop_bitwise(card_hi):
     ids = range(40)
     assert _bits(diversity(ids, InfoCache(data))) == _bits(pair_loop_diversity(ids, data))
     # 70 of 2100 ids make 2415 pairs in two calls of at most d pairs; the
-    # first holds 2090, past the sorting network's NETWORK_MIN_ROWS on the
-    # packed path
+    # first holds 2090 on the packed path
     data = random_instance(seed=90 + card_hi, d=2100, n=48, t=2, card_hi=card_hi)
     ids = rng.choice(2100, size=70, replace=False).tolist()
     assert _bits(diversity(ids, InfoCache(data))) == _bits(pair_loop_diversity(ids, data))

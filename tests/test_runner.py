@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import divsel
 from divsel import runner
 from divsel.greedy import GreedyVariant, greedy_select
 from divsel.info import InfoCache
@@ -29,6 +33,17 @@ def test_random_partition_determinism_and_range():
     assert not np.array_equal(p1.assignment, p3.assignment)
     assert p1.assignment.min() >= 0 and p1.assignment.max() < 7
     assert sum(p1.sizes()) == 500
+
+
+def test_import_loads_numpy_random():
+    # numpy imports numpy.random on first use; the drivers load it up front
+    # so that a process's first partition is not billed for the import
+    env = dict(os.environ)
+    pkg_parent = str(Path(divsel.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_parent, env.get("PYTHONPATH")]))
+    probe = "import sys, divsel.runner; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (0, b"True\n")
 
 
 def test_random_partition_single_machine():
