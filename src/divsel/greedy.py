@@ -34,38 +34,27 @@ class GreedyVariant(enum.Enum):
         return 1.0 if self is GreedyVariant.GREEDY else 0.5
 
 
-def _per_run(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """values[j] repeated over run j; a single run's value broadcasts as is."""
-    return values[0] if values.shape[0] == 1 else np.repeat(values, lengths, axis=0)
+def _band_argmax(scores: np.ndarray, bounds: np.ndarray, hit: np.ndarray) -> list:
+    """In each span ``bounds[g]:bounds[g + 1]`` of ``scores``, the index of
+    the first score within TIE_BAND of the span's maximum: the smallest id
+    when ids ascend within each span, so a winner depends only on its span's
+    score values. A span whose maximum is -inf has none. ``hit`` is a bool
+    buffer as long as ``scores``."""
+    floors = (np.maximum.reduceat(scores, bounds[:-1]) - TIE_BAND).tolist()
+    found = []
+    for lo, hi, floor in zip(bounds[:-1].tolist(), bounds[1:].tolist(), floors):
+        if floor > -np.inf:
+            np.greater_equal(scores[lo:hi], floor, out=hit[lo:hi])
+            found.append(lo + int(hit[lo:hi].argmax()))
+    return found
 
 
-def _band_argmax(scores: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """In each run of ``lengths[j]`` scores from ``starts[j]``, the index of
-    the first score within TIE_BAND of the run's maximum: the smallest id
-    when ids ascend within each run. A winner depends only on its run's
-    score values, not on candidate enumeration order."""
-    floor = np.maximum.reduceat(scores, starts) - TIE_BAND
-    hits = (scores >= _per_run(floor, lengths)).nonzero()[0]
-    return hits[np.searchsorted(hits, starts)]
-
-
-def _step(state: SelectionState, weight) -> np.ndarray:
+def _step(state: SelectionState, weight, hit: np.ndarray) -> np.ndarray:
     """This step's pick in every group with a candidate left: the best alive
     candidate by relevance gain alone when ``weight`` is None (the first
-    pick), else by weight * scaled relevance gain + scaled distance sum."""
-    cfg = state.cfg
-    pos = state.alive.nonzero()[0]
-    # each group's run of alive positions; a group with none left is done
-    bounds = np.searchsorted(pos, state.bounds)
-    lengths = bounds[1:] - bounds[:-1]
-    live = lengths > 0
-    starts, lengths = bounds[:-1][live], lengths[live]
-    rel = marginal_g_rows(state.mi[pos], _per_run(state.taus()[live], lengths))
-    if weight is None:
-        scores = rel
-    else:
-        scores = weight * (cfg.relevance_scale * rel) + cfg.diversity_scale * state.dist_sum[pos]
-    return state.order[pos[_band_argmax(scores, starts, lengths)]]
+    pick), else by weight * scaled relevance gain + scaled distance sum.
+    Picked candidates score -inf, so a group that has run out has no pick."""
+    return state.order[_band_argmax(state.scores(weight), state.bounds, hit)]
 
 
 def greedy_states(groups, k: int, variant: GreedyVariant, cfg: ObjectiveConfig, cache: InfoCache) -> SelectionState:
@@ -81,8 +70,9 @@ def greedy_states(groups, k: int, variant: GreedyVariant, cfg: ObjectiveConfig, 
     if k < 1:
         raise ValueError("k must be >= 1")
     state = SelectionState.start_groups(groups, cfg, cache)
+    hit = np.empty(state.order.size, dtype=bool)
     for step in range(min(k, int(np.diff(state.bounds).max()))):
-        state.add(_step(state, None if step == 0 else variant.relevance_weight))
+        state.add(_step(state, None if step == 0 else variant.relevance_weight, hit))
     return state
 
 

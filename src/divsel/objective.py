@@ -179,23 +179,24 @@ class SelectionState:
     Group g owns the span ``bounds[g]:bounds[g + 1]`` of positions in
     ``order`` (its ids, ascending), ``picks[g]``, ``values[g]`` (its scaled
     objective) and ``top[g]``; it evolves exactly as it would alone. Per
-    position, ``mi`` holds the MI row and ``dist_sum`` the running sum of
-    raw distances to its group's selected set (positions already picked
-    stop being read). ``top[g]`` holds, per label, the largest MI values of
-    the group's picks in min(top_p, largest group + 1) zero-seeded slots, so
-    its minimum is the group's threshold: the p-th largest value, or 0 while
-    the group has fewer than top_p picks (MI is non-negative). ``columns``
-    holds the codes, cardinality and entropy per position and each group's
-    bit planes, gathered from ``cache``'s dataset when the first distance
-    row must be computed, so a run whose every pick has a memoized row never
-    gathers.
+    position, ``dist_sum`` holds the running sum of raw distances to its
+    group's selected set (positions already picked stop being read).
+    ``top[g]`` holds, per label, the largest MI values of the group's picks
+    in min(top_p, largest group + 1) zero-seeded slots, so its minimum is
+    the group's threshold: the p-th largest value, or 0 while the group has
+    fewer than top_p picks (MI is non-negative). ``mi`` and ``tau`` hold,
+    label-major, each position's MI and its group's current threshold, so
+    a scoring pass reads every position of every group in place.
+    ``columns`` holds the codes, cardinality and entropy per position and
+    each group's bit planes, gathered from ``cache``'s dataset when the
+    first distance row must be computed, so a run whose every pick has a
+    memoized row never gathers.
     """
 
     cfg: ObjectiveConfig
     cache: InfoCache
     order: np.ndarray
     bounds: np.ndarray
-    mi: np.ndarray
     alive: np.ndarray
     dist_sum: np.ndarray
     top: np.ndarray
@@ -203,11 +204,24 @@ class SelectionState:
     values: np.ndarray
 
     def __post_init__(self):
-        self.group = np.repeat(np.arange(len(self.picks)), np.diff(self.bounds))
         self._by_id = np.argsort(self.order, kind="stable")
         self._sorted = self.order[self._by_id]
+        # equal ids sort side by side, so one comparison finds any repeat
+        if np.any(self._sorted[1:] == self._sorted[:-1]):
+            raise ValueError("duplicate candidate ids")
+        n = self.order.size
+        self.group = np.repeat(np.arange(len(self.picks)), np.diff(self.bounds))
         self._labels = np.arange(self.top.shape[1])
         self._spans = [slice(lo, hi) for lo, hi in zip(self.bounds[:-1].tolist(), self.bounds[1:].tolist())]
+        self.mi = np.ascontiguousarray(self.cfg.mi_table[self.order].T)
+        self.tau = np.zeros_like(self.mi)
+        # the scoring pass's buffers; the relevance buffer is refreshed
+        # whenever a threshold moved since it was last summed
+        self._rel, self._score, self._term = np.empty(n), np.empty(n), np.empty(n)
+        self._rel_stale = True
+        # picked positions in pick order, the first _n_taken entries
+        self._taken = np.empty(n, dtype=np.int64)
+        self._n_taken = 0
 
     @classmethod
     def start_groups(cls, groups, cfg: ObjectiveConfig, cache: InfoCache) -> "SelectionState":
@@ -215,15 +229,12 @@ class SelectionState:
         if not orders or any(o.size == 0 for o in orders):
             raise ValueError("no candidates")
         order = np.concatenate(orders)
-        if np.unique(order).size != order.size:
-            raise ValueError("duplicate candidate ids")
         sizes = [o.size for o in orders]
         return cls(
             cfg,
             cache,
             order,
             np.cumsum([0] + sizes),
-            cfg.mi_table[order],
             alive=np.ones(order.size, dtype=bool),
             dist_sum=np.zeros(order.size, dtype=np.float64),
             top=np.zeros((len(orders), cfg.n_labels, min(cfg.top_p, max(sizes) + 1)), dtype=np.float64),
@@ -241,6 +252,36 @@ class SelectionState:
         """Relevance thresholds of every group, shape (groups, n_labels)."""
         return self.top.min(axis=2)
 
+    def relevance(self) -> np.ndarray:
+        """Every position's relevance gain over its group's thresholds,
+        summed label by label from 0.0 as ``marginal_g_rows`` adds them.
+        The array is the state's own buffer: read it, do not keep it."""
+        if self._rel_stale:
+            rel, term = self._rel, self._term
+            rel.fill(0.0)
+            for mi, tau in zip(self.mi, self.tau):
+                np.subtract(mi, tau, out=term)
+                np.maximum(term, 0.0, out=term)
+                rel += term
+            self._rel_stale = False
+        return self._rel
+
+    def scores(self, weight) -> np.ndarray:
+        """Every position's greedy score: its relevance gain when ``weight``
+        is None, else weight * scaled relevance gain + scaled distance sum;
+        picked positions read -inf. The array is the state's own buffer,
+        rewritten by the next call."""
+        cfg, score = self.cfg, self._score
+        if weight is None:
+            np.copyto(score, self.relevance())
+        else:
+            np.multiply(self.relevance(), cfg.relevance_scale, out=score)
+            np.multiply(score, weight, out=score)
+            np.multiply(self.dist_sum, cfg.diversity_scale, out=self._term)
+            score += self._term
+        score[self._taken[: self._n_taken]] = -np.inf
+        return score
+
     def add(self, feature_ids) -> None:
         """Select one candidate in each of some groups (one id, or one id per
         picking group): update their objective values, thresholds, and the
@@ -256,15 +297,20 @@ class SelectionState:
         picking = groups.tolist()
         if len(set(picking)) != len(picking):
             raise ValueError("at most one pick per group")
-        mi_rows = self.mi[pos]
-        # each picking group's minimum slot per label: its threshold
+        cfg = self.cfg
+        # the picks' relevance gains, as the scoring pass summed them
+        self.values[groups] += cfg.relevance_scale * self.relevance()[pos] + cfg.diversity_scale * self.dist_sum[pos]
+        # each picking group's minimum slot per label holds its threshold
         slots = (groups[:, None], self._labels, self.top[groups].argmin(axis=2))
         tau = self.top[slots]
-        self.values[groups] += (
-            self.cfg.relevance_scale * marginal_g_rows(mi_rows, tau) + self.cfg.diversity_scale * self.dist_sum[pos]
-        )
-        self.top[slots] = np.maximum(tau, mi_rows)
+        self.top[slots] = np.maximum(tau, cfg.mi_table[ids])
+        new_tau = self.top[groups].min(axis=2)
+        for i, label in zip(*(new_tau != tau).nonzero()):
+            self.tau[label, self._spans[picking[i]]] = new_tau[i, label]
+            self._rel_stale = True
         self.alive[pos] = False
+        self._taken[self._n_taken : self._n_taken + pos.size] = pos
+        self._n_taken += pos.size
         jobs = []
         for g, fid, p in zip(picking, ids.tolist(), pos.tolist()):
             picks = self.picks[g]

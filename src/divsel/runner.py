@@ -111,15 +111,26 @@ class RunReport:
 
 
 def _report(
-    mode: str, data: Dataset, selected, cfg: ObjectiveConfig, cache: InfoCache, config: dict, marks, **extra
+    mode: str, data: Dataset, selected, cfg: ObjectiveConfig, cache: InfoCache, config: dict, marks,
+    batches=None, **extra
 ) -> RunReport:
     """A run's report. ``marks`` are the perf_counter readings at the start
-    and at the ends of the partition, map and reduce phases; ``h`` is
-    recomputed from ``selected`` with ``cache``."""
+    and at the ends of the partition, map and reduce phases, and
+    ``batches`` the (start, end) readings of each map batch, in batch
+    order, if the run has a map; ``h`` is recomputed from ``selected`` with
+    ``cache``."""
     rel = cfg.relevance_scale * relevance_g(selected, cfg)
     div = cfg.diversity_scale * diversity(selected, cache)
     t0, t1, t2, t3 = marks
     total = time.perf_counter() - t0
+    timings = {
+        "partition": (t1 - t0) * 1000.0,
+        "map": (t2 - t1) * 1000.0,
+        "reduce": (t3 - t2) * 1000.0,
+        "total": total * 1000.0,
+    }
+    if batches is not None:
+        timings["batches"] = [{"start": (s - t0) * 1000.0, "end": (e - t0) * 1000.0} for s, e in batches]
     return RunReport(
         mode=mode,
         selected_ids=tuple(selected),
@@ -133,12 +144,7 @@ def _report(
             "diversity_scale": cfg.diversity_scale,
             **config,
         },
-        timings_ms={
-            "partition": (t1 - t0) * 1000.0,
-            "map": (t2 - t1) * 1000.0,
-            "reduce": (t3 - t2) * 1000.0,
-            "total": total * 1000.0,
-        },
+        timings_ms=timings,
         **extra,
     )
 
@@ -166,15 +172,18 @@ _MACHINE_VARIANT = GreedyVariant.GREEDY
 _MERGE_VARIANT = GreedyVariant.ALTGREEDY
 
 
-def _machine_job(work, batch: list) -> list:
-    """Core sets of a batch of machines, selected side by side."""
+def _machine_job(work, batch: list) -> tuple:
+    """Core sets of a batch of machines, selected side by side, and the
+    perf_counter readings at the batch's start and end."""
     cache, cfg, k, machine_ids = work
-    return greedy_states([machine_ids[i] for i in batch], k, _MACHINE_VARIANT, cfg, cache).picks
+    start = time.perf_counter()
+    picks = greedy_states([machine_ids[i] for i in batch], k, _MACHINE_VARIANT, cfg, cache).picks
+    return picks, (start, time.perf_counter())
 
 
 def _forked_machine_job(send, work, batch: list) -> None:
-    """A forked worker's body: send the batch's core sets, or the exception
-    that stopped them, to the calling process."""
+    """A forked worker's body: send the batch's core sets and stamps, or the
+    exception that stopped them, to the calling process."""
     try:
         send.send((True, _machine_job(work, batch)))
     except Exception as exc:
@@ -187,7 +196,9 @@ def _run_machines(work, batches: list, fork: bool) -> list:
     Without ``fork`` the batches run here one after another. With it, this
     process runs the first batch and one forked worker each of the others;
     a worker inherits the work through the fork, not by pickling, and sends
-    its core sets back through a pipe. A worker's exception is raised here.
+    its core sets and stamps back through a pipe; perf_counter is the
+    system's monotonic clock, so a worker's stamps compare with this
+    process's. A worker's exception is raised here.
     """
     if not fork or len(batches) == 1:
         return [_machine_job(work, batch) for batch in batches]
@@ -252,8 +263,8 @@ def _partition_select(
     else:
         workers = min(parallelism, len(jobs))
         batches = [jobs[w::workers] for w in range(workers)]
-    picks = _run_machines((cache, cfg, k, machine_ids), batches, fork=not streaming)
-    core_sets = {i: core for batch, cores in zip(batches, picks) for i, core in zip(batch, cores)}
+    results = _run_machines((cache, cfg, k, machine_ids), batches, fork=not streaming)
+    core_sets = {i: core for batch, (cores, _) in zip(batches, results) for i, core in zip(batch, cores)}
     t2 = time.perf_counter()
     union = [i for j in jobs for i in core_sets[j]]
     selected = greedy_select(union, k, _MERGE_VARIANT, cfg, cache)
@@ -270,7 +281,7 @@ def _partition_select(
     config = {"seed": seed, "machines": m, "parallelism": parallelism}
     return _report(
         mode, data, selected, cfg, cache, config, (t0, t1, t2, t3),
-        plan=plan, peak_retained_feature_columns=peak,
+        batches=[stamps for _, stamps in results], plan=plan, peak_retained_feature_columns=peak,
     )
 
 

@@ -175,6 +175,7 @@ def test_select_stdin_payload(small_csv):
     doc = json.loads(out)
     jsonschema.validate(doc, _schema("run_report.schema.json"))
     assert doc["mode"] == "centralized"
+    assert "batches" not in doc["timings_ms"]
     assert len(doc["selected_ids"]) == 3
     assert len(set(doc["selected_ids"])) == 3
     assert doc["config"]["k"] == 3 and doc["config"]["bins"] == 5
@@ -236,6 +237,8 @@ def test_distributed_and_streaming_agree(small_csv):
     jsonschema.validate(s_doc, _schema("run_report.schema.json"))
     assert d_doc["selected_ids"] == s_doc["selected_ids"]
     assert d_doc["objective"] == s_doc["objective"]
+    # one batch of both machines, or one batch per machine
+    assert [len(doc["timings_ms"]["batches"]) for doc in (d_doc, s_doc)] == [1, 2]
 
 
 def test_repeat_runs_identical_minus_timings(small_csv):

@@ -264,8 +264,10 @@ def test_selection_state_rejects_bad_adds():
         state.add(77)
     with pytest.raises(ValueError):
         SelectionState.start_groups([[]], cfg, cache)
-    with pytest.raises(ValueError):
-        SelectionState.start_groups([[1, 1, 2]], cfg, cache)
+    # a repeat within a group, or an id in two groups
+    for groups in ([[1, 1, 2]], [[0, 1], [1, 2]], [[3], [0, 5], [3]]):
+        with pytest.raises(ValueError, match="duplicate candidate ids"):
+            SelectionState.start_groups(groups, cfg, cache)
     for ids in ([0, 6], [-1, 0]):
         with pytest.raises(ValueError, match="out of range"):
             SelectionState.start_groups([ids], cfg, cache)

@@ -281,6 +281,23 @@ def test_every_batching_reports_the_same_run():
     assert list(runs[0].selected_ids) == greedy_select(union, 2, GreedyVariant.ALTGREEDY, cfg, InfoCache(data))
 
 
+def test_batch_stamps_fall_in_the_map_phase():
+    # serial: one batch; p = 2 and 3: the calling process's batch first,
+    # then each forked worker's; streaming: one batch per non-empty machine
+    data, cache = instance_with_cache(seed=70, d=12, n=24, t=2)
+    cfg = weighted_cfg(cache, k=2, lam=0.5, p=2)
+    runs = [distributed_select(data, 2, cfg, m=10, seed=3, parallelism=p) for p in (1, 2, 3)]
+    runs.append(streaming_select(data, 2, cfg, m=10, seed=3))
+    assert [len(r.timings_ms["batches"]) for r in runs] == [1, 2, 3, 7]
+    for rep in runs:
+        t = rep.timings_ms
+        map_start, map_end = t["partition"], t["partition"] + t["map"]
+        for stamp in t["batches"]:
+            assert map_start <= stamp["start"] <= stamp["end"] <= map_end
+    streamed = runs[-1].timings_ms["batches"]
+    assert all(a["end"] <= b["start"] for a, b in zip(streamed, streamed[1:]))
+
+
 @pytest.mark.parametrize("parallelism", [0, -3])
 def test_distributed_rejects_bad_parallelism(parallelism):
     data, cache = instance_with_cache(seed=71, d=20, n=20, t=2)
