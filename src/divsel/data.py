@@ -209,8 +209,8 @@ class Dataset:
     ``features`` and ``labels`` are read-only int32 code matrices, a row
     per variable and a column per instance, and ``feature_cards`` and
     ``label_cards`` hold each row's cardinality: row r holds exactly the
-    codes 0..cards[r]-1. Label rows are binary (cardinality <= 2) unless
-    ``allow_multiclass_labels`` is set. Names are unique within each group.
+    codes 0..cards[r]-1. Label rows are binary (cardinality <= 2). Names
+    are unique within each group.
 
     ``Dataset(features, feature_names, labels, label_names, n_instances)``
     takes integer code matrices, derives each row's cardinality, validates
@@ -224,30 +224,19 @@ class Dataset:
     labels: np.ndarray
     label_cards: np.ndarray
     label_names: tuple
-    allow_multiclass_labels: bool
 
-    def __init__(
-        self, features, feature_names, labels, label_names, n_instances: int, allow_multiclass_labels: bool = False
-    ):
-        self._set(
-            *_code_matrix(features, n_instances),
-            feature_names,
-            *_code_matrix(labels, n_instances),
-            label_names,
-            allow_multiclass_labels,
-        )
+    def __init__(self, features, feature_names, labels, label_names, n_instances: int):
+        self._set(*_code_matrix(features, n_instances), feature_names, *_code_matrix(labels, n_instances), label_names)
 
     @classmethod
-    def _from_codes(
-        cls, features, feature_cards, feature_names, labels, label_cards, label_names, allow_multiclass_labels=False
-    ) -> "Dataset":
+    def _from_codes(cls, features, feature_cards, feature_names, labels, label_cards, label_names) -> "Dataset":
         """A dataset over matrices from ``canonicalize``, whose codes need no
         re-validation."""
         data = object.__new__(cls)
-        data._set(features, feature_cards, feature_names, labels, label_cards, label_names, allow_multiclass_labels)
+        data._set(features, feature_cards, feature_names, labels, label_cards, label_names)
         return data
 
-    def _set(self, features, feature_cards, feature_names, labels, label_cards, label_names, multiclass):
+    def _set(self, features, feature_cards, feature_names, labels, label_cards, label_names):
         feature_names, label_names = tuple(feature_names), tuple(label_names)
         if features.shape[0] == 0:
             raise ValidationError("dataset needs at least one feature")
@@ -262,10 +251,9 @@ class Dataset:
                 raise ValidationError("column names must be unique")
             if any(not isinstance(s, str) or not s for s in group):
                 raise ValidationError("column names must be non-empty strings")
-        if not multiclass:
-            for name, card in zip(label_names, label_cards.tolist()):
-                if card > 2:
-                    raise ValidationError(f"label {name!r} has more than 2 values")
+        for name, card in zip(label_names, label_cards.tolist()):
+            if card > 2:
+                raise ValidationError(f"label {name!r} has more than 2 values")
         for attr, value in (
             ("features", features),
             ("feature_cards", feature_cards),
@@ -273,7 +261,6 @@ class Dataset:
             ("labels", labels),
             ("label_cards", label_cards),
             ("label_names", label_names),
-            ("allow_multiclass_labels", multiclass),
         ):
             object.__setattr__(self, attr, value)
 
@@ -313,7 +300,6 @@ def load_dense_csv(
     *,
     has_header: bool = True,
     binning: BinningSpec = DEFAULT_BINNING,
-    allow_multiclass_labels: bool = False,
 ) -> Dataset:
     """Load a comma-separated numeric table whose last ``label_count``
     columns are labels.
@@ -356,7 +342,7 @@ def load_dense_csv(
         label_names = [f"y{j}" for j in range(label_count)]
     features = canonicalize(table[:, :d].T, binning)
     labels = canonicalize(table[:, d:].T, BinningSpec(strategy="none"))
-    return Dataset._from_codes(*features, feature_names, *labels, label_names, allow_multiclass_labels)
+    return Dataset._from_codes(*features, feature_names, *labels, label_names)
 
 
 def _strip_line_end(line: str) -> str:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .info import InfoCache
+# marginal_g_rows is unused here: benchmarks/tracing.py looks it up on greedy with vars()
 from .objective import ObjectiveConfig, SelectionState, marginal_g_rows
 
 TIE_BAND = 1e-12
@@ -69,7 +70,7 @@ def greedy_states(groups, k: int, variant: GreedyVariant, cfg: ObjectiveConfig, 
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    state = SelectionState.start_groups(groups, cfg, cache)
+    state = SelectionState(groups, cfg, cache)
     hit = np.empty(state.order.size, dtype=bool)
     for step in range(min(k, int(np.diff(state.bounds).max()))):
         state.add(_step(state, None if step == 0 else variant.relevance_weight, hit))
@@ -125,15 +126,13 @@ def niceness_witness(
         raise ValueError("need more candidates than k")
     state = greedy_state(ids, k, variant, cfg, cache)
     selected = state.picks[0]
-    chosen = set(selected)
-    rejected = [t for t in ids if t not in chosen]
+    rejected = state.order[state.alive].tolist()
     f_val = float(state.values[0])
     # each rejected candidate's distances to the selected set, added in
-    # selected order from 0.0
-    dist_sum = np.zeros(len(rejected), dtype=np.float64)
-    for x in selected:
-        dist_sum += cache.distance_block(x, rejected)
-    rel = marginal_g_rows(cfg.mi_table[rejected], state.taus()[0])
+    # selected order from 0.0, and its relevance gain over the final
+    # thresholds, as the final state holds them
+    dist_sum = state.dist_sum[state.alive]
+    rel = state.relevance()[state.alive]
     gain = cfg.relevance_scale * rel + cfg.diversity_scale * dist_sum
     weighted_dist = cfg.diversity_scale * dist_sum
     if f_val > 0.0:

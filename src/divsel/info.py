@@ -192,21 +192,20 @@ def entropy_rows(mat: np.ndarray, cards: np.ndarray, *, packed=None) -> np.ndarr
 
 
 def joint_entropy_rows(
-    t_codes: np.ndarray, t_card: int, mat: np.ndarray, cards: np.ndarray, *, packed=None, t_bits=None
+    t_codes: np.ndarray, t_card: int, mat: np.ndarray, cards: np.ndarray, *, packed=None
 ) -> np.ndarray:
     """Joint entropy of a target column with each row of a code matrix: the
     count kernel followed by the reduction.
 
     ``packed`` may hand over ``pack_codes(mat, c)`` for any ``c >= max(cards)``
-    and ``t_bits`` the target's bit planes (words, t_card) when they are
-    already built; both are used only on the packed-bit path.
+    when it is already built; it is used only on the packed-bit path.
     """
     t_codes = np.asarray(t_codes)
     if mat.shape[1] == 0:
         raise ValueError("columns must have at least one value")
     if t_codes.size != mat.shape[1]:
         raise ValueError("column lengths differ")
-    return _joint_entropies([(t_codes, t_card, mat, int(np.max(cards)), packed, t_bits)], mat.shape[1])
+    return _joint_entropies([(t_codes, t_card, mat, int(np.max(cards)), packed, None)], mat.shape[1])
 
 
 def _nvi(h_target, h_rows, h_joint) -> np.ndarray:
@@ -218,11 +217,9 @@ def _nvi(h_target, h_rows, h_joint) -> np.ndarray:
     return np.maximum(dist, 0.0, out=dist)
 
 
-def nvi_distance_rows(
-    t_codes, t_card, h_target, mat, cards, h_rows, *, packed=None, t_bits=None
-) -> np.ndarray:
+def nvi_distance_rows(t_codes, t_card, h_target, mat, cards, h_rows, *, packed=None) -> np.ndarray:
     """Normalized variation-of-information distance, target vs. each row."""
-    h_joint = joint_entropy_rows(t_codes, t_card, mat, cards, packed=packed, t_bits=t_bits)
+    h_joint = joint_entropy_rows(t_codes, t_card, mat, cards, packed=packed)
     return _nvi(h_target, h_rows, h_joint)
 
 
@@ -328,12 +325,11 @@ def nvi_distance_spans(mat, cards, h, jobs) -> list:
 
 class InfoCache:
     """Memoized entropies, distance rows, and the normalized MI table of
-    one dataset's columns.
+    one dataset's features.
 
-    Column ids: features are 0..d-1; label j is d+j. A distance row is one
-    column's distance to every feature; ``distance_block`` memoizes it.
-    ``distance`` accepts any two column ids and is one unmemoized kernel
-    call.
+    Ids are feature ids 0..d-1. A distance row is one feature's distance to
+    every feature; ``distance_block`` memoizes it. ``distance`` is one
+    unmemoized kernel call.
     """
 
     def __init__(self, data: Dataset):
@@ -342,35 +338,15 @@ class InfoCache:
         self._mi_table = None
         self._h = None
         self._planes = None
-        self._label_h = None
 
     @property
     def data(self) -> Dataset:
         return self._data
 
-    def _column(self, cid: int) -> tuple[np.ndarray, int]:
-        """Codes and cardinality of a column id: a row of the dataset's
-        feature or label matrix."""
-        data = self._data
-        d = data.n_features
-        if 0 <= cid < d:
-            return data.features[cid], int(data.feature_cards[cid])
-        if d <= cid < d + data.n_labels:
-            return data.labels[cid - d], int(data.label_cards[cid - d])
-        raise ValueError(f"column id {cid} out of range")
-
-    def entropy(self, cid: int) -> float:
-        """Entropy of a column id, read from the features' or the labels'
-        entropy array, each computed once in one kernel call."""
-        data = self._data
-        d = data.n_features
-        if 0 <= cid < d:
-            return float(self.feature_arrays()[2][cid])
-        if not d <= cid < d + data.n_labels:
-            raise ValueError(f"column id {cid} out of range")
-        if self._label_h is None:
-            self._label_h = entropy_rows(data.labels, data.label_cards)
-        return float(self._label_h[cid - d])
+    def _check(self, *ids) -> None:
+        for fid in ids:
+            if not 0 <= fid < self._data.n_features:
+                raise ValueError(f"feature id {fid} out of range")
 
     def feature_arrays(self):
         """Every feature's codes, cardinalities and entropies, and their bit
@@ -383,24 +359,17 @@ class InfoCache:
             self._h.flags.writeable = False
         return mat, cards, self._h, self._planes
 
-    def _kernel_rows(self, rows_fn, cid: int) -> np.ndarray:
-        """``rows_fn`` of column ``cid`` against every feature."""
-        codes, card = self._column(cid)
-        mat, cards, h, planes = self.feature_arrays()
-        return rows_fn(codes, card, self.entropy(cid), mat, cards, h, packed=planes)
-
-    def memoized_row(self, cid: int):
-        """The memoized distance row of column ``cid``, or None."""
-        return self._rows.get(cid)
-
     def distance_block(self, target_id: int, ids=None) -> np.ndarray:
         """d(target, u) for each feature id u in ids; without ids, the whole
         row over every feature (read-only)."""
-        row = self._rows.get(target_id)
+        t = target_id
+        row = self._rows.get(t)
         if row is None:
-            row = self._kernel_rows(nvi_distance_rows, target_id)
+            self._check(t)
+            mat, cards, h, planes = self.feature_arrays()
+            row = nvi_distance_rows(mat[t], cards[t], h[t], mat, cards, h, packed=planes)
             row.flags.writeable = False
-            self._rows[target_id] = row
+            self._rows[t] = row
         if ids is None:
             return row
         ids = np.asarray(ids, dtype=np.int64)
@@ -409,17 +378,22 @@ class InfoCache:
         return row[ids]
 
     def distance(self, i: int, j: int) -> float:
-        """d(i, j) for any two column ids: one kernel call, not memoized."""
-        (a, a_card), (b, b_card) = self._column(i), self._column(j)
-        h_b = np.array([self.entropy(j)])
-        return float(nvi_distance_rows(a, a_card, self.entropy(i), b[None, :], np.array([b_card]), h_b)[0])
+        """d(i, j) for any two feature ids: one kernel call, not memoized."""
+        self._check(i, j)
+        mat, cards, h, _ = self.feature_arrays()
+        return float(nvi_distance_rows(mat[i], cards[i], h[i], mat[j : j + 1], cards[j : j + 1], h[j : j + 1])[0])
 
     def mi_table(self) -> np.ndarray:
         """Normalized MI of every feature against every label, shape
         (n_features, n_labels)."""
         if self._mi_table is None:
-            d = self._data.n_features
-            cols = [self._kernel_rows(normalized_mi_rows, d + j) for j in range(self._data.n_labels)]
+            labels, label_cards = self._data.labels, self._data.label_cards
+            mat, cards, h, planes = self.feature_arrays()
+            label_h = entropy_rows(labels, label_cards)
+            cols = [
+                normalized_mi_rows(y, card, h_y, mat, cards, h, packed=planes)
+                for y, card, h_y in zip(labels, label_cards.tolist(), label_h.tolist())
+            ]
             table = np.column_stack(cols)
             table.flags.writeable = False
             self._mi_table = table

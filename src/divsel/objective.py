@@ -171,7 +171,6 @@ def _gather(cache: InfoCache, order: np.ndarray, bounds: np.ndarray):
     return mat, cards, np.concatenate([h for h, _ in spans]), [planes for _, planes in spans]
 
 
-@dataclass
 class SelectionState:
     """Incremental companion of a greedy run over one group of candidates,
     or over several disjoint groups selected side by side.
@@ -179,41 +178,43 @@ class SelectionState:
     Group g owns the span ``bounds[g]:bounds[g + 1]`` of positions in
     ``order`` (its ids, ascending), ``picks[g]``, ``values[g]`` (its scaled
     objective) and ``top[g]``; it evolves exactly as it would alone. Per
-    position, ``dist_sum`` holds the running sum of raw distances to its
-    group's selected set (positions already picked stop being read).
-    ``top[g]`` holds, per label, the largest MI values of the group's picks
-    in min(top_p, largest group + 1) zero-seeded slots, so its minimum is
-    the group's threshold: the p-th largest value, or 0 while the group has
+    position, ``alive`` says whether it is still a candidate and
+    ``dist_sum`` holds the running sum of raw distances to its group's
+    selected set (positions already picked stop being read). ``top[g]``
+    holds, per label, the largest MI values of the group's picks in
+    min(top_p, largest group + 1) zero-seeded slots, so its minimum is the
+    group's threshold: the p-th largest value, or 0 while the group has
     fewer than top_p picks (MI is non-negative). ``mi`` and ``tau`` hold,
     label-major, each position's MI and its group's current threshold, so
     a scoring pass reads every position of every group in place.
     ``columns`` holds the codes, cardinality and entropy per position and
     each group's bit planes, gathered from ``cache``'s dataset when the
-    first distance row must be computed, so a run whose every pick has a
-    memoized row never gathers.
+    first distance row is computed.
     """
 
-    cfg: ObjectiveConfig
-    cache: InfoCache
-    order: np.ndarray
-    bounds: np.ndarray
-    alive: np.ndarray
-    dist_sum: np.ndarray
-    top: np.ndarray
-    picks: list
-    values: np.ndarray
-
-    def __post_init__(self):
-        self._by_id = np.argsort(self.order, kind="stable")
-        self._sorted = self.order[self._by_id]
+    def __init__(self, groups, cfg: ObjectiveConfig, cache: InfoCache):
+        orders = [sorted_feature_ids(g, cfg.mi_table.shape[0]) for g in groups]
+        if not orders or any(o.size == 0 for o in orders):
+            raise ValueError("no candidates")
+        self.cfg, self.cache = cfg, cache
+        self.order = order = np.concatenate(orders)
+        sizes = [o.size for o in orders]
+        self.bounds = np.cumsum([0] + sizes)
+        self._by_id = np.argsort(order, kind="stable")
+        self._sorted = order[self._by_id]
         # equal ids sort side by side, so one comparison finds any repeat
         if np.any(self._sorted[1:] == self._sorted[:-1]):
             raise ValueError("duplicate candidate ids")
-        n = self.order.size
-        self.group = np.repeat(np.arange(len(self.picks)), np.diff(self.bounds))
-        self._labels = np.arange(self.top.shape[1])
+        n = order.size
+        self.alive = np.ones(n, dtype=bool)
+        self.dist_sum = np.zeros(n, dtype=np.float64)
+        self.top = np.zeros((len(orders), cfg.n_labels, min(cfg.top_p, max(sizes) + 1)), dtype=np.float64)
+        self.picks = [[] for _ in orders]
+        self.values = np.zeros(len(orders), dtype=np.float64)
+        self.group = np.repeat(np.arange(len(orders)), sizes)
+        self._labels = np.arange(cfg.n_labels)
         self._spans = [slice(lo, hi) for lo, hi in zip(self.bounds[:-1].tolist(), self.bounds[1:].tolist())]
-        self.mi = np.ascontiguousarray(self.cfg.mi_table[self.order].T)
+        self.mi = np.ascontiguousarray(cfg.mi_table[order].T)
         self.tau = np.zeros_like(self.mi)
         # the scoring pass's buffers; the relevance buffer is refreshed
         # whenever a threshold moved since it was last summed
@@ -222,25 +223,6 @@ class SelectionState:
         # picked positions in pick order, the first _n_taken entries
         self._taken = np.empty(n, dtype=np.int64)
         self._n_taken = 0
-
-    @classmethod
-    def start_groups(cls, groups, cfg: ObjectiveConfig, cache: InfoCache) -> "SelectionState":
-        orders = [sorted_feature_ids(g, cfg.mi_table.shape[0]) for g in groups]
-        if not orders or any(o.size == 0 for o in orders):
-            raise ValueError("no candidates")
-        order = np.concatenate(orders)
-        sizes = [o.size for o in orders]
-        return cls(
-            cfg,
-            cache,
-            order,
-            np.cumsum([0] + sizes),
-            alive=np.ones(order.size, dtype=bool),
-            dist_sum=np.zeros(order.size, dtype=np.float64),
-            top=np.zeros((len(orders), cfg.n_labels, min(cfg.top_p, max(sizes) + 1)), dtype=np.float64),
-            picks=[[] for _ in orders],
-            values=np.zeros(len(orders), dtype=np.float64),
-        )
 
     @cached_property
     def columns(self) -> tuple:
@@ -285,9 +267,9 @@ class SelectionState:
     def add(self, feature_ids) -> None:
         """Select one candidate in each of some groups (one id, or one id per
         picking group): update their objective values, thresholds, and the
-        running distance sums of their other candidates. A pick's distances
-        are read from its memoized row in the cache if there is one, else
-        computed over its group's span, every group's in one batch."""
+        running distance sums of their other candidates. Each pick's
+        distances are computed over its group's span, every group's in one
+        batch."""
         ids = np.asarray(feature_ids, dtype=np.int64).reshape(-1)
         pos = self._by_id[np.minimum(np.searchsorted(self._sorted, ids), self.order.size - 1)]
         ok = self.alive[pos] & (self.order[pos] == ids)
@@ -316,10 +298,7 @@ class SelectionState:
             picks = self.picks[g]
             picks.append(fid)
             span = self._spans[g]
-            row = self.cache.memoized_row(fid)
-            if row is not None:
-                self.dist_sum[span] += row[self.order[span]]
-            elif len(picks) < span.stop - span.start:
+            if len(picks) < span.stop - span.start:
                 # the group still has a candidate to score
                 jobs.append((p, span, g))
         if jobs:

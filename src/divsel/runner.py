@@ -149,6 +149,12 @@ def _report(
     )
 
 
+def _check_k(k: int, cfg: ObjectiveConfig) -> None:
+    """A run selects cfg.k features, the k its report states."""
+    if k != cfg.k:
+        raise ValueError(f"k={k} differs from the objective's k={cfg.k}")
+
+
 def centralized_select(
     data: Dataset,
     k: int,
@@ -157,6 +163,7 @@ def centralized_select(
     cache: InfoCache | None = None,
 ) -> RunReport:
     """Run one greedy variant over all features."""
+    _check_k(k, cfg)
     t0 = time.perf_counter()
     if cache is None:
         cache = InfoCache(data)
@@ -247,6 +254,7 @@ def _partition_select(
     """
     if not 1 <= k <= data.n_features:
         raise ValueError("need 1 <= k <= n_features")
+    _check_k(k, cfg)
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     t0 = time.perf_counter()

@@ -65,12 +65,10 @@ def test_dense_csv_crlf_endings():
     assert data.features.tolist() == [[0, 1]]
 
 
-def test_multiclass_label_needs_flag():
+def test_multiclass_label_is_refused():
     text = "a,y\n0,0\n1,1\n0,2\n"
     with pytest.raises(ValidationError, match="more than 2"):
         load_dense_csv(io.StringIO(text), 1)
-    data = load_dense_csv(io.StringIO(text), 1, allow_multiclass_labels=True)
-    assert data.label_cards.tolist() == [3]
 
 
 def test_equal_frequency_binning_balances_counts():
@@ -329,7 +327,7 @@ def test_dataset_matrices_are_read_only():
         data.features = None
     # a selection state over every feature reads the dataset's own matrix
     cache = InfoCache(data)
-    state = SelectionState.start_groups([range(2)], ObjectiveConfig.plain(cache.mi_table(), 1), cache)
+    state = SelectionState([range(2)], ObjectiveConfig.plain(cache.mi_table(), 1), cache)
     assert state.columns[0] is data.features
 
 

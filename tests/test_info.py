@@ -193,7 +193,7 @@ def test_group_rows_match_full_cache_rows():
     full = InfoCache(data)
     cfg = ObjectiveConfig.plain(full.mi_table(), 2)
     for groups, picks in (([[1, 3, 5]], [3]), ([[1, 3, 5], [0, 2, 4]], [3, 0]), ([[5, 3, 1], [4]], [1, 4])):
-        state = SelectionState.start_groups(groups, cfg, InfoCache(data))
+        state = SelectionState(groups, cfg, InfoCache(data))
         state.add(picks)
         for g, t in enumerate(picks):
             span = slice(state.bounds[g], state.bounds[g + 1])
@@ -212,17 +212,19 @@ def test_mi_table_matches_scalar_nmi():
         table[0, 0] = 0.5
 
 
-def test_label_column_ids():
+def test_cache_ids_are_feature_ids():
     data = _small_dataset()
     cache = InfoCache(data)
-    # entropies come from one batched call per group; each equals the
-    # one-column value bit for bit, whichever group is read first
-    assert [cache.entropy(6 + j) for j in range(2)] == [entropy(y) for y in data.labels]
-    assert [cache.entropy(i) for i in range(6)] == [entropy(x) for x in data.features]
-    assert InfoCache(data).entropy(7) == entropy(data.labels[1])
-    for cid in (99, 8, -1):
-        with pytest.raises(ValueError):
-            cache.entropy(cid)
+    # entropies come from one batched call; each equals the one-column
+    # value bit for bit
+    assert cache.feature_arrays()[2].tolist() == [entropy(x) for x in data.features]
+    # labels have no id: 6 and 7 are out of range like any other non-feature
+    for cid in (6, 7, 99, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            cache.distance_block(cid)
+        for pair in ((0, cid), (cid, 0)):
+            with pytest.raises(ValueError, match="out of range"):
+                cache.distance(*pair)
 
 
 def _quantum_exponent(n):
@@ -311,9 +313,13 @@ def test_kernel_matches_contingency_reference_bitwise(n):
     table = cache.mi_table()
     for j, t in enumerate(targets):
         assert table[:, j].tolist() == [_ref_nmi(*_ref_pair(f, t)) for f in feats]
-    for cid in range(d + len(targets)):
-        t = (feats + targets)[cid]
-        assert cache.distance_block(cid).tolist() == [_ref_nvi(*_ref_pair(t, f)) for f in feats]
+    for cid in range(d):
+        assert cache.distance_block(cid).tolist() == [_ref_nvi(*_ref_pair(feats[cid], f)) for f in feats]
+    # the targets against every feature, over the cache's arrays and planes
+    mat, cards, h, planes = cache.feature_arrays()
+    for t in targets:
+        row = nvi_distance_rows(t.codes, t.cardinality, entropy(t), mat, cards, h, packed=planes)
+        assert row.tolist() == [_ref_nvi(*_ref_pair(t, f)) for f in feats]
     # selection states' rows: every feature (the cache's arrays), the
     # low-cardinality part alone (its own bit planes), and two groups side
     # by side, one of them holding the all-distinct column
@@ -321,7 +327,7 @@ def test_kernel_matches_contingency_reference_bitwise(n):
     for groups in ([np.arange(d)], [np.arange(d - 1)], [np.arange(1, d, 2), np.arange(0, d, 2)]):
         for r in range(d):
             picks = [int(g[r % g.size]) for g in groups]
-            state = SelectionState.start_groups(groups, cfg, InfoCache(data))
+            state = SelectionState(groups, cfg, InfoCache(data))
             state.add(picks)
             for g, (ids, t) in enumerate(zip(groups, picks)):
                 span = slice(state.bounds[g], state.bounds[g + 1])

@@ -82,7 +82,7 @@ def test_diversity_matches_pair_loop_bitwise(card_hi):
         cache = InfoCache(data)
         assert _bits(diversity(ids, cache)) == _bits(pair_loop_diversity(ids, data))
         # no distance row is memoized
-        assert all(cache.memoized_row(i) is None for i in range(40))
+        assert cache._rows == {}
     with pytest.raises(ValueError):
         diversity([0, 40], InfoCache(data))
     # all 40 ids make 780 pairs, many more than d: most calls hold one job
@@ -121,7 +121,7 @@ def _one_group(cfg, candidates):
     """A one-group state over ``candidates``; its distances come from a
     random dataset with one feature per ``mi_table`` row."""
     data = random_instance(seed=0, d=cfg.mi_table.shape[0], n=12, t=1)
-    return SelectionState.start_groups([candidates], cfg, InfoCache(data))
+    return SelectionState([candidates], cfg, InfoCache(data))
 
 
 def marginal_g(feature_id, cfg, state):
@@ -239,7 +239,7 @@ def test_submodularity_and_monotonicity_quick():
 def test_selection_state_invariants():
     data, cache = instance_with_cache(seed=25, d=14, n=40, t=2)
     cfg = weighted_cfg(cache, k=6, lam=0.5, p=3)
-    state = SelectionState.start_groups([range(14)], cfg, cache)
+    state = SelectionState([range(14)], cfg, cache)
     rng = np.random.default_rng(25)
     scratch = InfoCache(data)
     selected = state.picks[0]
@@ -256,18 +256,18 @@ def test_selection_state_invariants():
 def test_selection_state_rejects_bad_adds():
     _, cache = instance_with_cache(seed=26, d=6, n=20, t=2)
     cfg = weighted_cfg(cache, k=3, lam=0.5)
-    state = SelectionState.start_groups([range(6)], cfg, cache)
+    state = SelectionState([range(6)], cfg, cache)
     state.add(2)
     with pytest.raises(ValueError):
         state.add(2)
     with pytest.raises(ValueError):
         state.add(77)
     with pytest.raises(ValueError):
-        SelectionState.start_groups([[]], cfg, cache)
+        SelectionState([[]], cfg, cache)
     # a repeat within a group, or an id in two groups
     for groups in ([[1, 1, 2]], [[0, 1], [1, 2]], [[3], [0, 5], [3]]):
         with pytest.raises(ValueError, match="duplicate candidate ids"):
-            SelectionState.start_groups(groups, cfg, cache)
+            SelectionState(groups, cfg, cache)
     for ids in ([0, 6], [-1, 0]):
         with pytest.raises(ValueError, match="out of range"):
-            SelectionState.start_groups([ids], cfg, cache)
+            SelectionState([ids], cfg, cache)

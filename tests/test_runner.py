@@ -157,6 +157,14 @@ def test_distributed_rejects_bad_k(synth, synth_cache):
         distributed_select(synth, 801, cfg, m=4, seed=0)
 
 
+def test_runners_refuse_a_k_other_than_the_objectives(synth, synth_cache):
+    # a report states cfg.k, so a run of any other k would misstate it
+    cfg = weighted_cfg(synth_cache, k=10, lam=0.5)
+    for run in (centralized_select, distributed_select, streaming_select):
+        with pytest.raises(ValueError, match="k=4 differs from the objective's k=10"):
+            run(synth, 4, cfg)
+
+
 def test_parallel_pool_matches_serial():
     data, cache = instance_with_cache(seed=53, d=60, n=30, t=2)
     cfg = weighted_cfg(cache, k=6, lam=0.5, p=3)
