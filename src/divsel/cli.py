@@ -110,30 +110,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _binning_from_args(args, parser) -> BinningSpec:
+def _load_dataset(args, parser, k: int):
+    """The dataset the flags name, with at least ``k`` features."""
     if args.bins < 2 and args.binning != "none":
         parser.error("--bins must be >= 2")
-    return BinningSpec(
-        strategy=args.binning.replace("-", "_"),
-        bins=args.bins,
-        max_raw_categories=args.max_raw_categories,
-    )
-
-
-def _load_dataset(args, parser):
-    _check_positive(parser, args.labels, "--labels")
-    _check_positive(parser, args.n_features, "--n-features")
-    _check_positive(parser, args.n_labels, "--n-labels")
-    _check_positive(parser, args.max_raw_categories, "--max-raw-categories")
-    binning = _binning_from_args(args, parser)
+    binning = BinningSpec(args.binning.replace("-", "_"), args.bins, args.max_raw_categories)
     stream = sys.stdin if args.input == "-" else args.input
     if args.format == "dense-csv":
         if args.labels is None:
             parser.error("--labels is required for dense-csv input")
-        return load_dense_csv(stream, args.labels, has_header=not args.no_header, binning=binning)
-    if args.n_features is None or args.n_labels is None:
-        parser.error("--n-features and --n-labels are required for sparse-ml input")
-    return load_sparse_multilabel(stream, args.n_features, args.n_labels, binning=binning)
+        data = load_dense_csv(stream, args.labels, has_header=not args.no_header, binning=binning)
+    else:
+        if args.n_features is None or args.n_labels is None:
+            parser.error("--n-features and --n-labels are required for sparse-ml input")
+        data = load_sparse_multilabel(stream, args.n_features, args.n_labels, binning=binning)
+    if k > data.n_features:
+        parser.error(f"--k {k} exceeds the {data.n_features} available features")
+    return data
 
 
 def _to_stdout(write) -> None:
@@ -159,14 +152,23 @@ def _emit(payload, output: str | None) -> None:
         _to_stdout(lambda out: out.write(text))
 
 
-def _check_positive(parser, value, flag):
-    if value is not None and value < 1:
-        parser.error(f"{flag} must be >= 1")
+# The least value of each integer flag, by argparse dest; an unset flag
+# (None) is not checked.
+_FLOORS = {
+    "k": 1, "p": 1, "machines": 1, "parallelism": 1, "budget": 1, "seed": 0,
+    "labels": 1, "n_features": 1, "n_labels": 1, "max_raw_categories": 1,
+}
 
 
-def _check_non_negative(parser, value, flag):
-    if value < 0:
-        parser.error(f"{flag} must be >= 0")
+def _check_flags(args, parser) -> None:
+    """Usage errors that need no data: an integer flag below its floor, or
+    a --lambda outside [0, 1]."""
+    for dest, floor in _FLOORS.items():
+        value = getattr(args, dest, None)
+        if isinstance(value, int) and value < floor:
+            parser.error(f"--{dest.replace('_', '-')} must be >= {floor}")
+    if hasattr(args, "lam") and not 0.0 <= args.lam <= 1.0:
+        parser.error("--lambda must be in [0, 1]")
 
 
 def _run_mode(mode, data, k, cfg, cache, algorithm, machines, seed, parallelism):
@@ -180,16 +182,7 @@ def _run_mode(mode, data, k, cfg, cache, algorithm, machines, seed, parallelism)
 
 
 def _cmd_select(args, parser) -> int:
-    _check_positive(parser, args.k, "--k")
-    _check_positive(parser, args.p, "--p")
-    _check_positive(parser, args.machines, "--machines")
-    _check_positive(parser, args.parallelism, "--parallelism")
-    _check_non_negative(parser, args.seed, "--seed")
-    if not 0.0 <= args.lam <= 1.0:
-        parser.error("--lambda must be in [0, 1]")
-    data = _load_dataset(args, parser)
-    if args.k > data.n_features:
-        parser.error(f"--k {args.k} exceeds the {data.n_features} available features")
+    data = _load_dataset(args, parser, args.k)
     cache = InfoCache(data)
     cfg = ObjectiveConfig.weighted(cache.mi_table(), args.k, args.lam, args.p)
     report = _run_mode(
@@ -202,22 +195,15 @@ def _cmd_select(args, parser) -> int:
 
 
 def _cmd_oracle(args, parser) -> int:
-    _check_positive(parser, args.k, "--k")
-    _check_positive(parser, args.p, "--p")
-    _check_positive(parser, args.machines, "--machines")
-    _check_positive(parser, args.budget, "--budget")
-    if not 0.0 <= args.lam <= 1.0:
-        parser.error("--lambda must be in [0, 1]")
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError:
         parser.error("--seeds must be comma-separated integers")
     if not seeds:
         parser.error("--seeds must name at least one seed")
-    _check_non_negative(parser, min(seeds), "--seeds")
-    data = _load_dataset(args, parser)
-    if args.k > data.n_features:
-        parser.error(f"--k {args.k} exceeds the {data.n_features} available features")
+    if min(seeds) < 0:
+        parser.error("--seeds must be >= 0")
+    data = _load_dataset(args, parser, args.k)
     cache = InfoCache(data)
     cfg = ObjectiveConfig.weighted(cache.mi_table(), args.k, args.lam, args.p)
     machines = args.machines or default_machine_count(data.n_features, args.k)
@@ -243,7 +229,6 @@ def _cmd_eval_metrics(args, parser) -> int:
 
 
 def _cmd_gen_synth(args, parser) -> int:
-    _check_non_negative(parser, args.seed, "--seed")
     data = generate_synthesized(args.seed)
     if args.output:
         write_dense_csv(data, args.output)
@@ -265,14 +250,7 @@ def _cmd_bench(args, parser) -> int:
     for mode in modes:
         if mode not in MODES:
             parser.error(f"--modes: unknown mode {mode!r}")
-    _check_positive(parser, args.p, "--p")
-    _check_positive(parser, args.parallelism, "--parallelism")
-    _check_non_negative(parser, args.seed, "--seed")
-    if not 0.0 <= args.lam <= 1.0:
-        parser.error("--lambda must be in [0, 1]")
-    data = _load_dataset(args, parser)
-    if max(ks) > data.n_features:
-        parser.error(f"--k {max(ks)} exceeds the {data.n_features} available features")
+    data = _load_dataset(args, parser, max(ks))
     cache = InfoCache(data)
     runs = []
     for k in ks:
@@ -324,6 +302,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
+        _check_flags(args, parser)
         return _COMMANDS[args.command](args, parser)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE

@@ -48,6 +48,10 @@ class BinningSpec:
 
 DEFAULT_BINNING = BinningSpec()
 
+# Codes by sorted raw value, never binned: label rows and the raw integer
+# arrays the one-column functions in ``info`` take.
+RAW_CODES = BinningSpec(strategy="none")
+
 
 # Row blocks of the canonicalization and count kernels hold about this many
 # cells, which bounds their temporaries.
@@ -62,8 +66,10 @@ def canonicalize(values, binning: BinningSpec = DEFAULT_BINNING) -> tuple[np.nda
     ``binning.max_raw_categories`` distinct values (or any row under
     strategy ``"none"``) maps to codes by sorted raw value; a wider row is
     discretized per the strategy and the bins that occur are then densified
-    (quantile ties can merge bins). Rows are worked a block of about
-    ``BLOCK_CELLS`` cells at a time, so temporaries stay small.
+    (quantile ties can merge bins). Integer and bool values are ranked as
+    they are, so integers beyond 2^53 stay distinct; any other dtype is
+    read as float64. Rows are worked a block of about ``BLOCK_CELLS`` cells
+    at a time, so temporaries stay small.
     """
     values = np.asarray(values)
     if values.ndim != 2:
@@ -81,8 +87,8 @@ def canonicalize(values, binning: BinningSpec = DEFAULT_BINNING) -> tuple[np.nda
 
 
 def _canonicalize_block(values: np.ndarray, binning: BinningSpec) -> tuple[np.ndarray, np.ndarray]:
-    v = np.ascontiguousarray(values, dtype=np.float64)
-    if not np.isfinite(v).all():
+    v = np.ascontiguousarray(values, dtype=None if values.dtype.kind in "biu" else np.float64)
+    if v.dtype.kind == "f" and not np.isfinite(v).all():
         raise ValidationError("column contains non-finite values")
     rows, n = v.shape
     s = np.sort(v, axis=1)
@@ -103,18 +109,26 @@ def _canonicalize_block(values: np.ndarray, binning: BinningSpec) -> tuple[np.nd
         codes[categorical] = ranked
     binned = ~categorical
     if binned.any():
-        codes[binned], cards[binned] = _bin_rows(v[binned], s[binned], binning)
+        # binned codes are cut from float64 values, whatever the input dtype
+        floats = [a[binned].astype(np.float64, copy=False) for a in (v, s)]
+        codes[binned], cards[binned] = _bin_rows(*floats, binning)
     return codes, cards
 
 
 def _bin_rows(v: np.ndarray, s: np.ndarray, binning: BinningSpec) -> tuple[np.ndarray, np.ndarray]:
     """Bin ids (the count of cuts at or below a value) of rows with sorted
-    copies ``s``, densified to the bins that occur."""
+    copies ``s``, densified to the bins that occur. One pass per cut: time
+    is linear in the bins, at most n. More than n equal-frequency bins are
+    n bins (a cut at every sorted index gives the dense ranks either way);
+    more than n equal-width bins are a ValidationError."""
     rows, n = v.shape
     bins = binning.bins
     if binning.strategy == "equal_frequency":
+        bins = min(bins, n)
         cuts = s[:, [n * j // bins for j in range(1, bins)]]
     else:
+        if bins > n:
+            raise ValidationError(f"equal-width binning into {bins} bins needs at least {bins} instances, got {n}")
         lo, hi = s[:, :1], s[:, -1:]
         cuts = lo + (hi - lo) * np.arange(1, bins) / bins
     ids = np.zeros((rows, n), dtype=np.int32)
@@ -294,6 +308,17 @@ def open_text(source):
             fh.close()
 
 
+def read_lines(source) -> tuple[str, list]:
+    """(name, lines) of a whole text source (see ``open_text``): split at
+    each line feed, without the empty piece after a final one, and each
+    line's trailing carriage return dropped."""
+    with open_text(source) as (name, fh):
+        lines = fh.read().split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    return name, [line.removesuffix("\r") for line in lines]
+
+
 def load_dense_csv(
     source,
     label_count: int,
@@ -341,7 +366,7 @@ def load_dense_csv(
         feature_names = [f"f{i}" for i in range(d)]
         label_names = [f"y{j}" for j in range(label_count)]
     features = canonicalize(table[:, :d].T, binning)
-    labels = canonicalize(table[:, d:].T, BinningSpec(strategy="none"))
+    labels = canonicalize(table[:, d:].T, RAW_CODES)
     return Dataset._from_codes(*features, feature_names, *labels, label_names)
 
 
@@ -426,13 +451,9 @@ def load_sparse_multilabel(
     """
     if n_features < 1 or n_labels < 1:
         raise ValueError("n_features and n_labels must be >= 1")
-    with open_text(source) as (name, fh):
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    name, lines = read_lines(source)
     if not lines:
         raise ValidationError(f"{name}: no data rows")
-    lines = [ln[:-1] if ln.endswith("\r") else ln for ln in lines]
     n = len(lines)
     values = np.zeros((n_features, n), dtype=np.float64)
     label_hot = np.zeros((n_labels, n), dtype=np.int32)
@@ -469,7 +490,7 @@ def load_sparse_multilabel(
     return Dataset._from_codes(
         *canonicalize(values, binning),
         [f"f{i}" for i in range(n_features)],
-        *canonicalize(label_hot, BinningSpec(strategy="none")),
+        *canonicalize(label_hot, RAW_CODES),
         [f"y{j}" for j in range(n_labels)],
     )
 
@@ -521,14 +542,15 @@ def generate_synthesized(seed: int = 0) -> Dataset:
     return Dataset._from_codes(
         *canonicalize(np.repeat(np.stack(sources), 50, axis=0)),
         feature_names,
-        *canonicalize(np.stack(label_rows)),
+        *canonicalize(np.stack(label_rows), RAW_CODES),
         [f"y{j}" for j in range(8)],
     )
 
 
 def dataset_from_matrices(feature_rows, label_rows, *, feature_names=None, label_names=None) -> Dataset:
     """Build a dataset from integer matrices (columns as rows). Convenience
-    for tests and synthetic instances; rows are canonicalized."""
+    for tests and synthetic instances; rows are canonicalized, label rows
+    with ``RAW_CODES``."""
     feature_rows = np.atleast_2d(np.asarray(feature_rows))
     label_rows = np.atleast_2d(np.asarray(label_rows))
     d, n = feature_rows.shape
@@ -537,4 +559,4 @@ def dataset_from_matrices(feature_rows, label_rows, *, feature_names=None, label
         raise ValidationError("feature and label instance counts differ")
     fnames = feature_names if feature_names else [f"f{i}" for i in range(d)]
     lnames = label_names if label_names else [f"y{j}" for j in range(t)]
-    return Dataset._from_codes(*canonicalize(feature_rows), fnames, *canonicalize(label_rows), lnames)
+    return Dataset._from_codes(*canonicalize(feature_rows), fnames, *canonicalize(label_rows, RAW_CODES), lnames)

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import BLOCK_CELLS, Dataset, DiscreteColumn
+from .data import BLOCK_CELLS, RAW_CODES, Dataset, DiscreteColumn, canonicalize
 
 # Joint widths t_card * max(cards) up to this take the packed-bit path; wider
 # tables sort joint codes.
@@ -56,8 +56,8 @@ def _as_codes(col) -> tuple[np.ndarray, int]:
         raise ValueError("column must have at least one value")
     if not np.issubdtype(arr.dtype, np.integer) and not np.issubdtype(arr.dtype, np.bool_):
         raise ValueError("raw columns must hold integer codes")
-    uniq, codes = np.unique(arr, return_inverse=True)
-    return codes, int(uniq.size)
+    codes, cards = canonicalize(arr[None, :], RAW_CODES)
+    return codes[0], int(cards[0])
 
 
 def pack_codes(mat: np.ndarray, card: int) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import open_text
+from .data import read_lines
 from .errors import ParseError, ValidationError
 
 
@@ -36,12 +36,7 @@ class PredictionMatrix:
     @classmethod
     def from_csv(cls, source) -> "PredictionMatrix":
         """Dense CSV of 0/1 cells, no header."""
-        with open_text(source) as (name, fh):
-            text = fh.read()
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        lines = [ln[:-1] if ln.endswith("\r") else ln for ln in lines]
+        name, lines = read_lines(source)
         if not lines:
             raise ParseError(f"{name}: file is empty")
         rows = []

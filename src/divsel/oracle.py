@@ -18,9 +18,12 @@ from .errors import BudgetError, GuaranteeError
 from .greedy import GreedyVariant, greedy_select
 from .info import InfoCache
 from .objective import ObjectiveConfig, sorted_feature_ids
-from .runner import distributed_select
+from .runner import check_k, distributed_select, json_fields
 
 DEFAULT_BUDGET = 2_000_000
+
+# brute_force_opt enumerates and values this many subsets per block.
+CHUNK = 8192
 
 ALTGREEDY_RATIO = 0.5
 DISTRIBUTED_RATIO = 1.0 / 31.0
@@ -135,13 +138,12 @@ def brute_force_opt(
     cfg: ObjectiveConfig,
     cache: InfoCache,
     budget: int = DEFAULT_BUDGET,
-    chunk: int = 8192,
 ) -> OracleResult:
     """Exact maximizer over all k-subsets of the candidates.
 
     Refuses (BudgetError) when C(|candidates|, k) exceeds the budget and
     ValueError on duplicate or out-of-range ids. Subsets are enumerated and
-    evaluated ``chunk`` at a time, so memory does not grow with
+    evaluated ``CHUNK`` at a time, so memory does not grow with
     C(|candidates|, k).
     Ties resolve to the lexicographically smallest id tuple; the result
     depends only on the candidate set.
@@ -158,7 +160,7 @@ def brute_force_opt(
     best_value = -np.inf
     best_combo = None
     seen = 0
-    for combos in _combinations(c, k, chunk):
+    for combos in _combinations(c, k, CHUNK):
         values = _values_for_combos(combos, dmat, mi_sub, cfg)
         seen += combos.shape[0]
         local = int(np.argmax(values))
@@ -182,16 +184,7 @@ class ApproximationReport:
     mean_distributed_ratio: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "opt_ids": list(self.opt_ids),
-            "opt_value": self.opt_value,
-            "greedy_ids": list(self.greedy_ids),
-            "greedy_ratio": self.greedy_ratio,
-            "altgreedy_ids": list(self.altgreedy_ids),
-            "altgreedy_ratio": self.altgreedy_ratio,
-            "distributed": [dict(d) for d in self.distributed],
-            "mean_distributed_ratio": self.mean_distributed_ratio,
-        }
+        return json_fields(self)
 
 
 def approximation_report(
@@ -209,7 +202,9 @@ def approximation_report(
     All outputs are valued through the oracle's evaluator, so every ratio
     lies in [0, 1]. With ``enforce``, a half-relevance ratio below 1/2 or a
     distributed ratio below 1/31 (beyond fp slack) raises GuaranteeError.
+    A ``k`` other than ``cfg.k`` is refused before any subset is valued.
     """
+    check_k(k, cfg)
     cache = InfoCache(data)
     opt = brute_force_opt(range(data.n_features), k, cfg, cache, budget)
 

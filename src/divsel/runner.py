@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import get_context
 
 import numpy as np
@@ -90,24 +90,16 @@ class RunReport:
     peak_retained_feature_columns: int | None = None
 
     def to_json_dict(self) -> dict:
-        plan = None
+        doc = json_fields(self)
         if self.plan is not None:
-            plan = {
-                "m": self.plan.m,
-                "seed": self.plan.seed,
-                "sizes": self.plan.sizes(),
-                "assignment": [int(x) for x in self.plan.assignment],
-            }
-        return {
-            "mode": self.mode,
-            "selected_ids": [int(i) for i in self.selected_ids],
-            "selected_names": list(self.selected_names),
-            "objective": dict(self.objective),
-            "config": dict(self.config),
-            "timings_ms": dict(self.timings_ms),
-            "plan": plan,
-            "peak_retained_feature_columns": self.peak_retained_feature_columns,
-        }
+            doc["plan"].update(sizes=self.plan.sizes(), assignment=self.plan.assignment.tolist())
+        return doc
+
+
+def json_fields(report) -> dict:
+    """A dataclass report's fields as a new dict: a deep copy by
+    ``dataclasses.asdict``, with each tuple field made a list."""
+    return asdict(report, dict_factory=lambda fields: {k: list(v) if isinstance(v, tuple) else v for k, v in fields})
 
 
 def _report(
@@ -149,7 +141,7 @@ def _report(
     )
 
 
-def _check_k(k: int, cfg: ObjectiveConfig) -> None:
+def check_k(k: int, cfg: ObjectiveConfig) -> None:
     """A run selects cfg.k features, the k its report states."""
     if k != cfg.k:
         raise ValueError(f"k={k} differs from the objective's k={cfg.k}")
@@ -163,7 +155,7 @@ def centralized_select(
     cache: InfoCache | None = None,
 ) -> RunReport:
     """Run one greedy variant over all features."""
-    _check_k(k, cfg)
+    check_k(k, cfg)
     t0 = time.perf_counter()
     if cache is None:
         cache = InfoCache(data)
@@ -254,7 +246,7 @@ def _partition_select(
     """
     if not 1 <= k <= data.n_features:
         raise ValueError("need 1 <= k <= n_features")
-    _check_k(k, cfg)
+    check_k(k, cfg)
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     t0 = time.perf_counter()

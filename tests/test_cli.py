@@ -95,6 +95,25 @@ def test_usage_errors(small_csv):
         (["bench", "--input", "-", "--labels", "2", "--k", "2", "--seed", "-1"], small_csv, "--seed must be >= 0"),
         (["oracle", "--input", "-", "--labels", "2", "--k", "2", "--seeds=0,-1"], small_csv, "--seeds must be >= 0"),
         (["gen-synth", "--seed", "-1"], "", "--seed must be >= 0"),
+        (SELECT_BASE + ["--k", "0"], small_csv, "--k must be >= 1"),
+        (["oracle", "--input", "-", "--labels", "2", "--k", "0"], small_csv, "--k must be >= 1"),
+        (SELECT_BASE + ["--k", "99"], small_csv, "--k 99 exceeds the 10 available features"),
+        (["oracle", "--input", "-", "--labels", "2", "--k", "11"], small_csv, "--k 11 exceeds the 10 available"),
+        (["bench", "--input", "-", "--labels", "2", "--k", "2,12"], small_csv, "--k 12 exceeds the 10 available"),
+        (SELECT_BASE + ["--k", "1", "--p", "0"], small_csv, "--p must be >= 1"),
+        (["bench", "--input", "-", "--labels", "2", "--k", "2", "--p", "-3"], small_csv, "--p must be >= 1"),
+        (SELECT_BASE + ["--k", "1", "--mode", "distributed", "--machines", "0"], small_csv, "--machines must be >= 1"),
+        (["oracle", "--input", "-", "--labels", "2", "--k", "2", "--machines", "0"], small_csv, "--machines must be >= 1"),
+        (SELECT_BASE + ["--k", "1", "--parallelism", "0"], small_csv, "--parallelism must be >= 1"),
+        (
+            ["bench", "--input", "-", "--labels", "2", "--k", "2", "--parallelism", "0"],
+            small_csv,
+            "--parallelism must be >= 1",
+        ),
+        (["oracle", "--input", "-", "--labels", "2", "--k", "2", "--budget", "0"], small_csv, "--budget must be >= 1"),
+        (SELECT_BASE + ["--k", "1", "--lambda", "1.5"], small_csv, "--lambda must be in [0, 1]"),
+        (["oracle", "--input", "-", "--labels", "2", "--k", "2", "--lambda", "-0.5"], small_csv, "--lambda must be in"),
+        (["bench", "--input", "-", "--labels", "2", "--k", "2", "--lambda", "nan"], small_csv, "--lambda must be in"),
     ]
     for argv, text, message in named:
         code, out, err = run_cli(argv, stdin_text=text)
@@ -114,6 +133,11 @@ def test_data_errors(tmp_path, small_csv):
     assert code == 3 and err.startswith("error:")
     code, _, err = run_cli(["eval-metrics", "--truth", str(tmp_path), "--pred", str(tmp_path)])
     assert code == 3 and err.startswith("error:")
+    # equal-width binning of the 30 instances into more than 30 bins
+    wide = ["select", "--input", "-", "--labels", "2", "--k", "2", "--binning", "equal-width", "--max-raw-categories", "1"]
+    code, _, err = run_cli(wide + ["--bins", "31"], stdin_text=small_csv)
+    assert code == 3 and "31 bins needs at least 31 instances, got 30" in err
+    assert run_cli(wide + ["--bins", "30"], stdin_text=small_csv)[0] == 0
 
 
 NON_UTF8_CASES = {

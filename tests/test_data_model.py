@@ -9,6 +9,7 @@ import pytest
 
 from divsel import data as data_module
 from divsel.data import (
+    RAW_CODES,
     BinningSpec,
     Dataset,
     DiscreteColumn,
@@ -101,6 +102,33 @@ def test_small_cardinality_skips_binning():
     # 3 distinct <= max_raw_categories: codes by sorted raw value
     assert col.codes.tolist() == [1, 0, 1, 2]
     assert col.cardinality == 3
+
+
+def test_equal_frequency_bins_beyond_n_are_n_bins():
+    rng = np.random.default_rng(8)
+    # 10 rows of 1000 values, ties included: every row is binned
+    values = rng.integers(0, 400, size=(10, 1000)).astype(float)
+    codes, cards = canonicalize(values, BinningSpec(bins=1000))
+    # n - 1 cuts, one at every sorted index: the codes are the dense ranks
+    ranks, distinct = canonicalize(values, RAW_CODES)
+    assert np.array_equal(codes, ranks) and np.array_equal(cards, distinct)
+    tracemalloc.start()
+    try:
+        wide_codes, wide_cards = canonicalize(values, BinningSpec(bins=100000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(wide_codes, codes) and np.array_equal(wide_cards, cards)
+    # a rows x bins count table would be 8 MB
+    assert peak < 2_000_000
+
+
+def test_equal_width_bins_beyond_n_are_refused():
+    values = np.linspace(0.0, 1.0, 100)[None, :]
+    _, cards = canonicalize(values, BinningSpec(strategy="equal_width", bins=100))
+    assert cards.tolist() == [100]
+    with pytest.raises(ValidationError, match="101 bins needs at least 101 instances, got 100"):
+        canonicalize(values, BinningSpec(strategy="equal_width", bins=101))
 
 
 def test_binning_none_only_canonicalizes():

@@ -212,6 +212,18 @@ def test_mi_table_matches_scalar_nmi():
         table[0, 0] = 0.5
 
 
+def test_integers_beyond_2_53_are_told_apart_in_every_path():
+    # float64 holds 2**53 + 1 as 2**53: an integer column is ranked exactly
+    col = np.array([2**53, 2**53 + 1, 2**53, 2**53 + 1])
+    label = np.array([0, 1, 0, 1])
+    data = dataset_from_matrices(col[None, :], label[None, :])
+    assert data.feature_cards.tolist() == [2] and DiscreteColumn.from_values(col).cardinality == 2
+    cache = InfoCache(data)
+    assert cache.feature_arrays()[2].tolist() == [entropy(col)] == [1.0]
+    assert cache.mi_table().tolist() == [[normalized_mi(col, label)]] == [[1.0]]
+    assert mutual_information(col, label) == 1.0 and nvi_distance(col, label) == 0.0
+
+
 def test_cache_ids_are_feature_ids():
     data = _small_dataset()
     cache = InfoCache(data)

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from divsel import oracle
 from divsel.data import dataset_from_matrices
 from divsel.errors import BudgetError
 from divsel.greedy import GreedyVariant, greedy_select
@@ -80,11 +81,12 @@ def test_oracle_candidate_order_irrelevant():
         assert again.value == base.value
 
 
-def test_oracle_chunking_irrelevant():
+def test_oracle_chunking_irrelevant(monkeypatch):
     _, cache, cfg = _golden_instance()
     base = brute_force_opt(range(10), 3, cfg, cache)
     for chunk in (1, 7, math.comb(10, 3), math.comb(10, 3) + 1, 100000):
-        again = brute_force_opt(range(10), 3, cfg, cache, chunk=chunk)
+        monkeypatch.setattr(oracle, "CHUNK", chunk)
+        again = brute_force_opt(range(10), 3, cfg, cache)
         assert (again.ids, again.value, again.n_evaluated) == (base.ids, base.value, 120)
 
 
@@ -216,6 +218,14 @@ def test_approximation_report_fields_and_bounds():
     )
     doc = rep.to_json_dict()
     assert doc["opt_ids"] == list(rep.opt_ids)
+
+
+def test_approximation_report_refuses_k_before_enumerating():
+    data, cache = instance_with_cache(seed=72, d=11, n=24, t=2)
+    cfg = weighted_cfg(cache, k=3, lam=0.5, p=2)
+    # a budget of one subset would be refused, but only after the k check
+    with pytest.raises(ValueError, match="differs from the objective's k=3"):
+        approximation_report(data, 2, cfg, m=2, seeds=[0], budget=1)
 
 
 def test_oracle_result_is_frozen():
