@@ -309,14 +309,11 @@ def open_text(source):
 
 
 def read_lines(source) -> tuple[str, list]:
-    """(name, lines) of a whole text source (see ``open_text``): split at
-    each line feed, without the empty piece after a final one, and each
-    line's trailing carriage return dropped."""
+    """(name, lines) of a whole text source (see ``open_text``), each line
+    as the handle yields it with its end dropped (``_strip_line_end``), as
+    the dense loader reads its lines."""
     with open_text(source) as (name, fh):
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return name, [line.removesuffix("\r") for line in lines]
+        return name, [_strip_line_end(line) for line in fh]
 
 
 def load_dense_csv(

@@ -26,15 +26,17 @@ bit-for-bit; zero counts add -0.0 and change nothing, so a value does not
 depend on the path, on how many pairs are batched together, or on where a
 job's cells sit in the count matrix. Cached, batched, and one-off
 computations of the same pair agree exactly.
-``InfoCache`` packs every feature once and memoizes whole distance rows;
-``nvi_distance_spans`` computes the rows of several targets, each against
-its own span of one code matrix, in one batch, the way a greedy run over
-several machines' candidates needs them: every packed job's counts share
-one count matrix, which is reduced once.
+``InfoCache`` is the one reader of a dataset's feature matrix: it gathers
+and packs features into ``Columns``, packs every feature once and memoizes
+whole distance rows. ``Columns.distance_rows`` computes the rows of several
+targets, each against a span of its own group, in one batch, the way a
+greedy run over several machines' candidates needs them: every packed job's
+counts share one count matrix, which is reduced once.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -250,14 +252,6 @@ def joint_entropy(a, b) -> float:
     )
 
 
-def mutual_information(a, b) -> float:
-    """I(a; b) = H(a) + H(b) - H(a, b), clamped to be non-negative."""
-    ha = entropy(a)
-    hb = entropy(b)
-    hab = joint_entropy(a, b)
-    return max(0.0, (ha + hb) - hab)
-
-
 def _pair(rows_fn, a, b) -> float:
     """``rows_fn`` of column a against the one-row matrix of column b."""
     a_codes, a_card = _as_codes(a)
@@ -265,6 +259,15 @@ def _pair(rows_fn, a, b) -> float:
     ha = float(entropy_rows(a_codes[None, :], np.array([a_card]))[0])
     hb = entropy_rows(b_codes[None, :], np.array([b_card]))
     return float(rows_fn(a_codes, a_card, ha, b_codes[None, :], np.array([b_card]), hb)[0])
+
+
+def _mi_rows(t_codes, t_card, h_target, mat, cards, h_rows) -> np.ndarray:
+    return np.maximum(0.0, (h_target + h_rows) - joint_entropy_rows(t_codes, t_card, mat, cards))
+
+
+def mutual_information(a, b) -> float:
+    """I(a; b) = H(a) + H(b) - H(a, b), clamped to be non-negative."""
+    return _pair(_mi_rows, a, b)
 
 
 def nvi_distance(a, b) -> float:
@@ -281,51 +284,53 @@ def normalized_mi(a, b) -> float:
     return _pair(normalized_mi_rows, a, b)
 
 
-def entropies_and_planes(mat: np.ndarray, cards: np.ndarray):
-    """Entropy of each row of a code matrix, and the rows' bit planes at
-    their widest column, which later calls against these rows reuse; None
-    when that column is wider than PACKED_MAX_WIDTH."""
-    top = int(np.max(cards))
-    planes = pack_codes(mat, top) if top <= PACKED_MAX_WIDTH else None
-    return entropy_rows(mat, cards, packed=planes), planes
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """Codes, cardinalities and entropies of some features, one row each, in
+    groups ``bounds[g]:bounds[g + 1]``, and each group's bit planes packed
+    at its widest column (None when that is wider than PACKED_MAX_WIDTH).
+    ``InfoCache.columns`` builds them."""
 
+    mat: np.ndarray
+    cards: np.ndarray
+    h: np.ndarray
+    bounds: list
+    planes: list
 
-def nvi_distance_spans(mat, cards, h, jobs) -> list:
-    """For each job (t, span, planes): ``nvi_distance_rows`` of row t of a
-    code matrix against its rows ``span``, whose ``entropies_and_planes``
-    are ``h[span]`` and ``planes``.
+    def distance_rows(self, jobs) -> list:
+        """For each job (t, g, span), with row t and the rows ``span`` both
+        inside group g: ``nvi_distance_rows`` of row t against the rows
+        ``span``.
 
-    A target in its own span reads its bit planes from the span's. The jobs
-    share one kernel call, in which every packed job counts into one count
-    matrix that is reduced once, and one _nvi call covers every
-    row. Every value is what ``nvi_distance_rows`` alone gives.
-    """
-    if not jobs:
-        return []
-    kernel_jobs, targets, sizes = [], [], []
-    for t, span, planes in jobs:
-        t_bits = None
-        if planes is None:
-            top = int(np.max(cards[span]))
-        else:
-            # planes are packed at their span's widest column
-            top = planes.shape[1]
-            if span.start <= t < span.stop:
-                t_bits = planes[:, : cards[t], t - span.start]
-        kernel_jobs.append((mat[t], cards[t], mat[span], top, planes, t_bits))
-        targets.append(t)
-        sizes.append(span.stop - span.start)
-    h_joint = _joint_entropies(kernel_jobs, mat.shape[1])
-    if len(jobs) == 1:
-        return [_nvi(h[targets[0]], h[jobs[0][1]], h_joint)]
-    rows = _nvi(np.repeat(h[targets], sizes), np.concatenate([h[span] for _, span, _ in jobs]), h_joint)
-    ends = np.cumsum(sizes).tolist()
-    return [rows[end - size : end] for end, size in zip(ends, sizes)]
+        The jobs share one kernel call, in which every packed job counts
+        into one count matrix that is reduced once, and one _nvi call covers
+        every row. Every value is what ``nvi_distance_rows`` alone gives.
+        """
+        if not jobs:
+            return []
+        mat, cards, h = self.mat, self.cards, self.h
+        kernel_jobs, sizes = [], []
+        for t, g, span in jobs:
+            planes, lo = self.planes[g], self.bounds[g]
+            if planes is None:
+                kernel_jobs.append((mat[t], cards[t], mat[span], int(np.max(cards[span])), None, None))
+            else:
+                span_bits, t_bits = planes[:, :, span.start - lo : span.stop - lo], planes[:, : cards[t], t - lo]
+                kernel_jobs.append((mat[t], cards[t], mat[span], planes.shape[1], span_bits, t_bits))
+            sizes.append(span.stop - span.start)
+        h_joint = _joint_entropies(kernel_jobs, mat.shape[1])
+        targets = [t for t, _, _ in jobs]
+        if len(jobs) == 1:
+            return [_nvi(h[targets[0]], h[jobs[0][2]], h_joint)]
+        rows = _nvi(np.repeat(h[targets], sizes), np.concatenate([h[span] for _, _, span in jobs]), h_joint)
+        ends = np.cumsum(sizes).tolist()
+        return [rows[end - size : end] for end, size in zip(ends, sizes)]
 
 
 class InfoCache:
-    """Memoized entropies, distance rows, and the normalized MI table of
-    one dataset's features.
+    """The one reader of a dataset's feature matrix: memoized entropies,
+    distance rows, and the normalized MI table of its features, and the
+    ``Columns`` of any of them.
 
     Ids are feature ids 0..d-1. A distance row is one feature's distance to
     every feature; ``distance_block`` memoizes it. ``distance`` is one
@@ -336,8 +341,7 @@ class InfoCache:
         self._data = data
         self._rows: dict[int, np.ndarray] = {}
         self._mi_table = None
-        self._h = None
-        self._planes = None
+        self._all = None
 
     @property
     def data(self) -> Dataset:
@@ -348,16 +352,32 @@ class InfoCache:
             if not 0 <= fid < self._data.n_features:
                 raise ValueError(f"feature id {fid} out of range")
 
-    def feature_arrays(self):
-        """Every feature's codes, cardinalities and entropies, and their bit
-        planes (None when a feature has more than PACKED_MAX_WIDTH values).
-        The codes are the dataset's own matrix; the rest is built once."""
+    def columns(self, ids=None, bounds=None) -> Columns:
+        """The ``Columns`` of the distinct feature ids ``ids`` in that
+        order (every feature when None), in groups ``bounds[g]:bounds[g +
+        1]`` (one group when None), each group packed once. Every feature
+        in order as one group is the dataset's own matrix, built once and
+        kept; any other ids are gathered."""
         data = self._data
+        d = data.n_features
+        whole = (bounds is None or len(bounds) == 2) and (ids is None or np.array_equal(ids, np.arange(d)))
+        if whole and self._all is not None:
+            return self._all
         mat, cards = data.features, data.feature_cards
-        if self._h is None:
-            self._h, self._planes = entropies_and_planes(mat, cards)
-            self._h.flags.writeable = False
-        return mat, cards, self._h, self._planes
+        if not whole:
+            ids = np.arange(d) if ids is None else np.asarray(ids, dtype=np.int64)
+            mat, cards = mat[ids], cards[ids]
+        bounds = [0, mat.shape[0]] if bounds is None else [int(b) for b in bounds]
+        hs, planes = [], []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            top = int(np.max(cards[lo:hi]))
+            planes.append(pack_codes(mat[lo:hi], top) if top <= PACKED_MAX_WIDTH else None)
+            hs.append(entropy_rows(mat[lo:hi], cards[lo:hi], packed=planes[-1]))
+        cols = Columns(mat, cards, np.concatenate(hs), bounds, planes)
+        if whole:
+            cols.h.flags.writeable = False
+            self._all = cols
+        return cols
 
     def distance_block(self, target_id: int, ids=None) -> np.ndarray:
         """d(target, u) for each feature id u in ids; without ids, the whole
@@ -366,8 +386,8 @@ class InfoCache:
         row = self._rows.get(t)
         if row is None:
             self._check(t)
-            mat, cards, h, planes = self.feature_arrays()
-            row = nvi_distance_rows(mat[t], cards[t], h[t], mat, cards, h, packed=planes)
+            c = self.columns()
+            row = nvi_distance_rows(c.mat[t], c.cards[t], c.h[t], c.mat, c.cards, c.h, packed=c.planes[0])
             row.flags.writeable = False
             self._rows[t] = row
         if ids is None:
@@ -380,18 +400,19 @@ class InfoCache:
     def distance(self, i: int, j: int) -> float:
         """d(i, j) for any two feature ids: one kernel call, not memoized."""
         self._check(i, j)
-        mat, cards, h, _ = self.feature_arrays()
-        return float(nvi_distance_rows(mat[i], cards[i], h[i], mat[j : j + 1], cards[j : j + 1], h[j : j + 1])[0])
+        c = self.columns()
+        pair = slice(j, j + 1)
+        return float(nvi_distance_rows(c.mat[i], c.cards[i], c.h[i], c.mat[pair], c.cards[pair], c.h[pair])[0])
 
     def mi_table(self) -> np.ndarray:
         """Normalized MI of every feature against every label, shape
         (n_features, n_labels)."""
         if self._mi_table is None:
             labels, label_cards = self._data.labels, self._data.label_cards
-            mat, cards, h, planes = self.feature_arrays()
+            c = self.columns()
             label_h = entropy_rows(labels, label_cards)
             cols = [
-                normalized_mi_rows(y, card, h_y, mat, cards, h, packed=planes)
+                normalized_mi_rows(y, card, h_y, c.mat, c.cards, c.h, packed=c.planes[0])
                 for y, card, h_y in zip(labels, label_cards.tolist(), label_h.tolist())
             ]
             table = np.column_stack(cols)

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .info import InfoCache, entropies_and_planes, nvi_distance_spans
+from .info import Columns, InfoCache
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,28 +121,25 @@ def diversity(selected, cache: InfoCache) -> float:
     """Sum of pairwise distances over unordered pairs of ``selected``, a
     set of feature ids.
 
-    The ids are sorted and their rows gathered and packed once; each id is
-    one job against the later ids, consecutive jobs share a batched kernel
-    call of at most d pairs (one job alone may exceed it only if d is small),
-    and the pairs are added in that (a, b) order from 0.0. A call's memory
-    is thus that of one greedy step's distance row, whatever the number of
-    ids. Nothing is memoized.
+    The ids are sorted and their columns taken from the cache once; each
+    id is one job against the later ids, consecutive jobs share a batched
+    kernel call of at most d pairs (one job alone may exceed it only if d is
+    small), and the pairs are added in that (a, b) order from 0.0. A call's
+    memory is thus that of one greedy step's distance row, whatever the
+    number of ids. Nothing is memoized.
     """
-    data = cache.data
-    ids = sorted_feature_ids(selected, data.n_features)
+    d = cache.data.n_features
+    ids = sorted_feature_ids(selected, d)
     if ids.size < 2:
         return 0.0
-    mat, cards = data.features[ids], data.feature_cards[ids]
-    # planes wider than a job's rows need only add zero counts
-    h, packed = entropies_and_planes(mat, cards)
+    cols = cache.columns(ids)
     n = ids.size
     ends = np.cumsum(np.arange(n - 1, 0, -1))  # pairs through job a
     total, lo = 0.0, 0
     while lo < n - 1:
         done = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, done + data.n_features, side="right")))
-        jobs = [(a, slice(a + 1, n), None if packed is None else packed[:, :, a + 1 :]) for a in range(lo, hi)]
-        for row in nvi_distance_spans(mat, cards, h, jobs):
+        hi = max(lo + 1, int(np.searchsorted(ends, done + d, side="right")))
+        for row in cols.distance_rows([(a, 0, slice(a + 1, n)) for a in range(lo, hi)]):
             for value in row.tolist():
                 total += value
         lo = hi
@@ -154,21 +151,6 @@ def h_value(selected, cfg: ObjectiveConfig, cache: InfoCache) -> float:
     return cfg.relevance_scale * relevance_g(selected, cfg) + cfg.diversity_scale * diversity(
         selected, cache
     )
-
-
-def _gather(cache: InfoCache, order: np.ndarray, bounds: np.ndarray):
-    """Codes, cardinalities and entropies of the candidates in ``order``,
-    and each group's bit planes: the cache's own arrays for every feature
-    as one group, else gathered, and packed group by group."""
-    data = cache.data
-    # one group's ids are distinct, non-negative and ascending, so d of them
-    # ending at d - 1 are 0..d-1 in order
-    if bounds.size == 2 and order.size == data.n_features and order[-1] == order.size - 1:
-        mat, cards, h, planes = cache.feature_arrays()
-        return mat, cards, h, [planes]
-    mat, cards = data.features[order], data.feature_cards[order]
-    spans = [entropies_and_planes(mat[lo:hi], cards[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return mat, cards, np.concatenate([h for h, _ in spans]), [planes for _, planes in spans]
 
 
 class SelectionState:
@@ -187,9 +169,8 @@ class SelectionState:
     fewer than top_p picks (MI is non-negative). ``mi`` and ``tau`` hold,
     label-major, each position's MI and its group's current threshold, so
     a scoring pass reads every position of every group in place.
-    ``columns`` holds the codes, cardinality and entropy per position and
-    each group's bit planes, gathered from ``cache``'s dataset when the
-    first distance row is computed.
+    ``columns`` holds the candidates' ``Columns``, one group per span,
+    taken from ``cache`` when the first distance row is computed.
     """
 
     def __init__(self, groups, cfg: ObjectiveConfig, cache: InfoCache):
@@ -225,10 +206,9 @@ class SelectionState:
         self._n_taken = 0
 
     @cached_property
-    def columns(self) -> tuple:
-        """(mat, cards, h, planes): codes, cardinalities and entropies per
-        position, and each group's bit planes."""
-        return _gather(self.cache, self.order, self.bounds)
+    def columns(self) -> Columns:
+        """The candidates' columns in ``order``, one group per span."""
+        return self.cache.columns(self.order, self.bounds)
 
     def taus(self) -> np.ndarray:
         """Relevance thresholds of every group, shape (groups, n_labels)."""
@@ -300,9 +280,7 @@ class SelectionState:
             span = self._spans[g]
             if len(picks) < span.stop - span.start:
                 # the group still has a candidate to score
-                jobs.append((p, span, g))
+                jobs.append((p, g, span))
         if jobs:
-            mat, cards, h, planes = self.columns
-            rows = nvi_distance_spans(mat, cards, h, [(p, span, planes[g]) for p, span, g in jobs])
-            for (_, span, _), row in zip(jobs, rows):
+            for (_, _, span), row in zip(jobs, self.columns.distance_rows(jobs)):
                 self.dist_sum[span] += row

@@ -23,7 +23,7 @@ from divsel.data import (
 )
 from divsel.errors import ParseError, ValidationError
 from divsel.info import InfoCache, nvi_distance
-from divsel.objective import ObjectiveConfig, SelectionState
+from divsel.metrics import PredictionMatrix
 
 DENSE_EXAMPLE = "a,b,y\n0,0,0\n0,1,0\n1,0,1\n1,1,1\n"
 
@@ -211,6 +211,44 @@ def test_sparse_parse_errors():
         load_sparse_multilabel(io.StringIO("0 1:-3\n"), 2, 1)
 
 
+# (text, the same lines with LF ends, the sources that read them alike,
+# what both text readers make of the LF text as a stream): a lone CR ends a
+# line only in a file, which is read with universal newlines
+_BLANK_LINE = [[[0, 0, 1], [1, 0, 0]], "<stream>: line 2: cell '' is not 0 or 1"]
+
+
+@pytest.mark.parametrize(
+    "text, lf, kinds, expected",
+    [
+        ("1\r\n0\r\n", "1\n0\n", "stream file", [[[0, 1], [1, 0]], [[1], [0]]]),
+        ("1\r\n\r\n0", "1\n\n0\n", "stream file", _BLANK_LINE),
+        ("\r\n1\n", "\n1\n", "stream file", [[[0, 0], [0, 1]], "<stream>: line 1: cell '' is not 0 or 1"]),
+        ("1\r0\r", "1\n0\n", "file", [[[0, 1], [1, 0]], [[1], [0]]]),
+        ("1\r\r\n0", "1\n\n0\n", "file", _BLANK_LINE),
+    ],
+)
+def test_text_readers_split_cr_crlf_and_blank_lines_alike(tmp_path, text, lf, kinds, expected):
+    def outcomes(t, kind):
+        found = []
+        for read in (
+            lambda src: load_sparse_multilabel(src, 1, 2).labels.tolist(),
+            lambda src: PredictionMatrix.from_csv(src).values.tolist(),
+        ):
+            src = io.StringIO(t)
+            if kind == "file":
+                src = tmp_path / "in.txt"
+                src.write_bytes(t.encode())
+            try:
+                found.append(read(src))
+            except ParseError as exc:
+                found.append(str(exc))
+        return found
+
+    assert outcomes(lf, "stream") == expected
+    for kind in kinds.split():
+        assert outcomes(text, kind) == outcomes(lf, kind)
+
+
 def test_round_trip_dense_csv():
     rng = np.random.default_rng(8)
     data = dataset_from_matrices(rng.integers(0, 4, (5, 30)), rng.integers(0, 2, (2, 30)))
@@ -353,10 +391,8 @@ def test_dataset_matrices_are_read_only():
             arr[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         data.features = None
-    # a selection state over every feature reads the dataset's own matrix
-    cache = InfoCache(data)
-    state = SelectionState([range(2)], ObjectiveConfig.plain(cache.mi_table(), 1), cache)
-    assert state.columns[0] is data.features
+    # the cache's columns of every feature are the dataset's own matrix
+    assert InfoCache(data).columns(range(2)).mat is data.features
 
 
 def test_dataset_over_a_slice_of_features(synth, synth_cache):

@@ -319,14 +319,14 @@ def test_a_step_allocates_nothing_per_candidate(machines):
 
 def test_states_compute_every_pick_row(monkeypatch):
     # a single group computes each pick's row as one job of the kernel
-    # entry nvi_distance_spans, also when the cache has memoized that row,
-    # and its distance sums are the cache's rows added in pick order from
-    # 0.0, bit for bit
+    # entry Columns.distance_rows, also when the cache has memoized that
+    # row, and its distance sums are the cache's rows added in pick order
+    # from 0.0, bit for bit
     _, cache = instance_with_cache(seed=37, d=30, n=24, t=2)
     cfg = weighted_cfg(cache, k=8, lam=0.5, p=3)
     jobs = []
-    real = objective.nvi_distance_spans
-    monkeypatch.setattr(objective, "nvi_distance_spans", lambda *a: jobs.extend(a[3]) or real(*a))
+    real = info.Columns.distance_rows
+    monkeypatch.setattr(info.Columns, "distance_rows", lambda cols, batch: jobs.extend(batch) or real(cols, batch))
     for candidates in (range(30), range(1, 30)):
         jobs.clear()
         state = greedy_state(candidates, 8, GreedyVariant.GREEDY, cfg, cache)

@@ -10,7 +10,6 @@ from divsel.data import BinningSpec, Dataset, DiscreteColumn, dataset_from_matri
 from divsel import info
 from divsel.info import (
     InfoCache,
-    entropies_and_planes,
     entropy,
     entropy_rows,
     joint_entropy,
@@ -20,7 +19,6 @@ from divsel.info import (
     normalized_mi_rows,
     nvi_distance,
     nvi_distance_rows,
-    nvi_distance_spans,
 )
 from divsel.objective import ObjectiveConfig, SelectionState
 from helpers import ContingencyTable
@@ -219,7 +217,7 @@ def test_integers_beyond_2_53_are_told_apart_in_every_path():
     data = dataset_from_matrices(col[None, :], label[None, :])
     assert data.feature_cards.tolist() == [2] and DiscreteColumn.from_values(col).cardinality == 2
     cache = InfoCache(data)
-    assert cache.feature_arrays()[2].tolist() == [entropy(col)] == [1.0]
+    assert cache.columns().h.tolist() == [entropy(col)] == [1.0]
     assert cache.mi_table().tolist() == [[normalized_mi(col, label)]] == [[1.0]]
     assert mutual_information(col, label) == 1.0 and nvi_distance(col, label) == 0.0
 
@@ -229,7 +227,7 @@ def test_cache_ids_are_feature_ids():
     cache = InfoCache(data)
     # entropies come from one batched call; each equals the one-column
     # value bit for bit
-    assert cache.feature_arrays()[2].tolist() == [entropy(x) for x in data.features]
+    assert cache.columns().h.tolist() == [entropy(x) for x in data.features]
     # labels have no id: 6 and 7 are out of range like any other non-feature
     for cid in (6, 7, 99, -1):
         with pytest.raises(ValueError, match="out of range"):
@@ -328,9 +326,9 @@ def test_kernel_matches_contingency_reference_bitwise(n):
     for cid in range(d):
         assert cache.distance_block(cid).tolist() == [_ref_nvi(*_ref_pair(feats[cid], f)) for f in feats]
     # the targets against every feature, over the cache's arrays and planes
-    mat, cards, h, planes = cache.feature_arrays()
+    c = cache.columns()
     for t in targets:
-        row = nvi_distance_rows(t.codes, t.cardinality, entropy(t), mat, cards, h, packed=planes)
+        row = nvi_distance_rows(t.codes, t.cardinality, entropy(t), c.mat, c.cards, c.h, packed=c.planes[0])
         assert row.tolist() == [_ref_nvi(*_ref_pair(t, f)) for f in feats]
     # selection states' rows: every feature (the cache's arrays), the
     # low-cardinality part alone (its own bit planes), and two groups side
@@ -471,32 +469,71 @@ def test_network_sorted_counts_match_contingency_reference_bitwise(n):
 
 
 def test_batched_spans_with_mixed_widths_and_paths_match_single_calls():
-    # spans of 2, 6 and 40 values per column. The first batch counts two
-    # packed jobs of different widths (4 and 36 cells) together, the narrow
-    # one's counts above 32 zero cells; in the others one packed job
-    # shares the batch with jobs whose tables are wider than
-    # PACKED_MAX_WIDTH and take the sorted-codes path
+    # groups of 2, 6, 40 and 3 values per column, the last group holding
+    # one column of 70 values, so it has no bit planes. Each job's target
+    # lies in its own group; its span is the whole group or the rows after
+    # the target, as diversity asks. Jobs are 4 to 4900 cells wide: the two
+    # narrow groups' packed jobs count together, the narrow one's counts
+    # above 4 zero cells, next to sorted-codes jobs; the last group's narrow
+    # jobs pack their rows themselves
     rng = np.random.default_rng(12)
     n = 90
-    sizes, tops = (1200, 1000, 40), (2, 6, 40)
+    sizes, tops = (1200, 1000, 40, 30), (2, 6, 40, 3)
     blocks = [rng.integers(0, top, size=(size, n)) for size, top in zip(sizes, tops)]
     for block, top in zip(blocks, tops):
         block[:, :top] = np.arange(top)
-    mat = np.vstack(blocks).astype(np.int32)
-    cards = mat.max(axis=1) + 1
+    blocks[3][0] = np.arange(n) % 70
+    d = sum(sizes)
+    data = Dataset(np.vstack(blocks), [f"f{i}" for i in range(d)], np.zeros((1, n), dtype=int), ["y"], n)
     bounds = np.cumsum((0,) + sizes)
-    spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    found = [entropies_and_planes(mat[s], cards[s]) for s in spans]
-    h = np.concatenate([hs for hs, _ in found])
-    planes = [p for _, p in found]
-    # target rows of 2, 6 and 40 values: jobs from 4 to 1600 cells wide
-    for targets in ([0, 1200, 2200], [2210, 5, 1210], [1205, 2215, 10]):
-        jobs = [(t, s, p) for t, s, p in zip(targets, spans, planes)]
-        batched = nvi_distance_spans(mat, cards, h, jobs)
-        for (t, s, p), row in zip(jobs, batched):
-            alone = nvi_distance_rows(mat[t], cards[t], h[t], mat[s], cards[s], h[s], packed=p)
-            assert row.tolist() == alone.tolist()
-            assert nvi_distance_spans(mat, cards, h, [(t, s, p)])[0].tolist() == alone.tolist()
-            ids = range(s.start, s.stop, 97)
-            expected = [_ref_nvi(*_ref_pair(DiscreteColumn(mat[t], int(cards[t])), mat[i])) for i in ids]
-            assert row[:: 97].tolist() == expected
+    cols = InfoCache(data).columns(range(d), bounds)
+    assert [p is None for p in cols.planes] == [False, False, False, True]
+    mat, cards, h = cols.mat, cols.cards, cols.h
+    groups = [slice(lo, hi) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    for targets in ([0, 1200, 2200, 2240], [5, 1210, 2210, 2245], [1198, 2198, 2238, 2268]):
+        for after in (False, True):
+            jobs = [(t, g, slice(t + 1, s.stop) if after else s) for g, (t, s) in enumerate(zip(targets, groups))]
+            batched = cols.distance_rows(jobs)
+            for (t, g, s), row in zip(jobs, batched):
+                alone = nvi_distance_rows(mat[t], cards[t], h[t], mat[s], cards[s], h[s])
+                assert row.tolist() == alone.tolist()
+                assert cols.distance_rows([(t, g, s)])[0].tolist() == alone.tolist()
+                ids = range(s.start, s.stop, 97)
+                expected = [_ref_nvi(*_ref_pair(DiscreteColumn(mat[t], int(cards[t])), mat[i])) for i in ids]
+                assert row[:: 97].tolist() == expected
+
+
+def test_cache_columns_are_the_dataset_matrix_or_gathered_in_order():
+    data = _small_dataset()
+    d = data.n_features
+    cache = InfoCache(data)
+    # every feature in order as one group is the cache's own, kept columns
+    whole = cache.columns(range(d))
+    assert whole.mat is data.features and whole is cache.columns() and whole.bounds == [0, d]
+    cfg = ObjectiveConfig.plain(cache.mi_table(), 1)
+    assert SelectionState([range(d)], cfg, cache).columns is whole
+    # a permutation that ends at d - 1, and several groups over every
+    # feature, are gathered in the given order and packed group by group
+    perm = np.r_[np.arange(d - 2, -1, -1), d - 1]
+    for ids, bounds in ((perm, None), (np.arange(d), [0, 2, 5, d])):
+        cols = cache.columns(ids, bounds)
+        assert cols.mat is not data.features and cols.bounds == (bounds or [0, d])
+        assert cols.mat.tolist() == data.features[ids].tolist()
+        assert cols.cards.tolist() == data.feature_cards[ids].tolist()
+        assert cols.h.tolist() == whole.h[ids].tolist()
+        for g, (lo, hi) in enumerate(zip(cols.bounds[:-1], cols.bounds[1:])):
+            top = int(cols.cards[lo:hi].max())
+            assert np.array_equal(cols.planes[g], info.pack_codes(cols.mat[lo:hi], top))
+    # every feature in several groups is not the kept one-group columns
+    assert cache.columns(None, [0, 2, 5, d]).bounds == [0, 2, 5, d]
+
+
+def test_mutual_information_is_bit_identical_to_its_entropies():
+    # one canonicalization per column gives the bits of H(a) + H(b) - H(a, b)
+    rng = np.random.default_rng(20)
+    for _ in range(3000):
+        n = int(rng.integers(1, 50))
+        a = rng.integers(-5, int(rng.integers(-4, 9)), size=n)
+        b = rng.integers(0, int(rng.integers(1, 70)), size=n) * int(rng.integers(1, 4))
+        summed = max(0.0, (entropy(a) + entropy(b)) - joint_entropy(a, b))
+        assert mutual_information(a, b).hex() == summed.hex()
