@@ -26,6 +26,8 @@ bit-for-bit; zero counts add -0.0 and change nothing, so a value does not
 depend on the path, on how many pairs are batched together, or on where a
 job's cells sit in the count matrix. Cached, batched, and one-off
 computations of the same pair agree exactly.
+``Columns.of`` packs a code matrix group by group and computes every
+entropy; every MI and distance reads one MI expression, ``_mi``.
 ``InfoCache`` is the one reader of a dataset's feature matrix: it gathers
 and packs features into ``Columns``, packs every feature once and memoizes
 whole distance rows. ``Columns.distance_rows`` computes the rows of several
@@ -156,6 +158,8 @@ def _joint_entropies(jobs, n: int) -> np.ndarray:
     widest packed job, whose other jobs leave their lower cells zero; it is
     reduced once. Sorted-codes jobs are reduced block by block.
     """
+    if n == 0:
+        raise ValueError("columns must have at least one value")
     widths = [int(t_card) * int(max_card) for _, t_card, _, max_card, _, _ in jobs]
     total = sum(job[2].shape[0] for job, w in zip(jobs, widths) if w <= PACKED_MAX_WIDTH)
     width = max([w for w in widths if w <= PACKED_MAX_WIDTH], default=1)
@@ -186,13 +190,6 @@ def _joint_entropies(jobs, n: int) -> np.ndarray:
     return np.concatenate([h[part] if isinstance(part, slice) else part for part in out])
 
 
-def entropy_rows(mat: np.ndarray, cards: np.ndarray, *, packed=None) -> np.ndarray:
-    """Entropy of each row of a code matrix: its joint entropy with a
-    constant column."""
-    t_codes = np.zeros(mat.shape[1], dtype=np.int32)
-    return joint_entropy_rows(t_codes, 1, mat, cards, packed=packed)
-
-
 def joint_entropy_rows(
     t_codes: np.ndarray, t_card: int, mat: np.ndarray, cards: np.ndarray, *, packed=None
 ) -> np.ndarray:
@@ -203,15 +200,17 @@ def joint_entropy_rows(
     when it is already built; it is used only on the packed-bit path.
     """
     t_codes = np.asarray(t_codes)
-    if mat.shape[1] == 0:
-        raise ValueError("columns must have at least one value")
     if t_codes.size != mat.shape[1]:
         raise ValueError("column lengths differ")
     return _joint_entropies([(t_codes, t_card, mat, int(np.max(cards)), packed, None)], mat.shape[1])
 
 
+def _mi(h_target, h_rows, h_joint) -> np.ndarray:
+    return np.maximum(0.0, (h_target + h_rows) - h_joint)
+
+
 def _nvi(h_target, h_rows, h_joint) -> np.ndarray:
-    mi = np.maximum(0.0, (h_target + h_rows) - h_joint)
+    mi = _mi(h_target, h_rows, h_joint)
     positive = h_joint > 0.0
     dist = np.where(positive, 1.0 - mi / np.where(positive, h_joint, 1.0), 0.0)
     # clip to [0, 1] in place: mi >= 0 keeps dist at or below 1, and dist is
@@ -221,53 +220,40 @@ def _nvi(h_target, h_rows, h_joint) -> np.ndarray:
 
 def nvi_distance_rows(t_codes, t_card, h_target, mat, cards, h_rows, *, packed=None) -> np.ndarray:
     """Normalized variation-of-information distance, target vs. each row."""
-    h_joint = joint_entropy_rows(t_codes, t_card, mat, cards, packed=packed)
-    return _nvi(h_target, h_rows, h_joint)
+    return _nvi(h_target, h_rows, joint_entropy_rows(t_codes, t_card, mat, cards, packed=packed))
 
 
-def normalized_mi_rows(
-    t_codes, t_card, h_target, mat, cards, h_rows, *, packed=None
-) -> np.ndarray:
-    """Mutual information scaled by sqrt(H(a) H(b)), target vs. each row."""
-    h_joint = joint_entropy_rows(t_codes, t_card, mat, cards, packed=packed)
-    mi = np.maximum(0.0, (h_target + h_rows) - h_joint)
+def _nmi(h_target, h_rows, h_joint) -> np.ndarray:
     prod = h_target * h_rows
     denom = np.sqrt(np.where(prod > 0.0, prod, 1.0))
-    nmi = np.where(prod > 0.0, mi / denom, 0.0)
+    nmi = np.where(prod > 0.0, _mi(h_target, h_rows, h_joint) / denom, 0.0)
     return np.clip(nmi, 0.0, 1.0)
 
 
 def entropy(col) -> float:
     """Shannon entropy of one column, in bits."""
     codes, card = _as_codes(col)
-    return float(entropy_rows(codes[None, :], np.array([card]))[0])
+    return float(Columns.of(codes[None, :], np.array([card])).h[0])
+
+
+def _pair(measure, a, b) -> float:
+    """``measure(H(a), H(b), H(a, b))`` of two columns, each canonicalized
+    once."""
+    a_codes, a_card = _as_codes(a)
+    b_codes, b_card = _as_codes(b)
+    h_ab = joint_entropy_rows(a_codes, a_card, b_codes[None, :], np.array([b_card]))
+    h = Columns.of(np.stack([a_codes, b_codes]), np.array([a_card, b_card])).h
+    return float(measure(h[0], h[1:], h_ab)[0])
 
 
 def joint_entropy(a, b) -> float:
     """Shannon entropy of the paired column (a, b)."""
-    a_codes, a_card = _as_codes(a)
-    b_codes, b_card = _as_codes(b)
-    return float(
-        joint_entropy_rows(a_codes, a_card, b_codes[None, :], np.array([b_card]))[0]
-    )
-
-
-def _pair(rows_fn, a, b) -> float:
-    """``rows_fn`` of column a against the one-row matrix of column b."""
-    a_codes, a_card = _as_codes(a)
-    b_codes, b_card = _as_codes(b)
-    ha = float(entropy_rows(a_codes[None, :], np.array([a_card]))[0])
-    hb = entropy_rows(b_codes[None, :], np.array([b_card]))
-    return float(rows_fn(a_codes, a_card, ha, b_codes[None, :], np.array([b_card]), hb)[0])
-
-
-def _mi_rows(t_codes, t_card, h_target, mat, cards, h_rows) -> np.ndarray:
-    return np.maximum(0.0, (h_target + h_rows) - joint_entropy_rows(t_codes, t_card, mat, cards))
+    return _pair(lambda h_a, h_b, h_ab: h_ab, a, b)
 
 
 def mutual_information(a, b) -> float:
     """I(a; b) = H(a) + H(b) - H(a, b), clamped to be non-negative."""
-    return _pair(_mi_rows, a, b)
+    return _pair(_mi, a, b)
 
 
 def nvi_distance(a, b) -> float:
@@ -276,26 +262,39 @@ def nvi_distance(a, b) -> float:
     Zero exactly when the columns induce the same partition (duplicates
     included); 0 by convention when H(a, b) = 0.
     """
-    return _pair(nvi_distance_rows, a, b)
+    return _pair(_nvi, a, b)
 
 
 def normalized_mi(a, b) -> float:
     """I(a; b) / sqrt(H(a) H(b)) in [0, 1]; 0 if either entropy is 0."""
-    return _pair(normalized_mi_rows, a, b)
+    return _pair(_nmi, a, b)
 
 
 @dataclass(frozen=True, eq=False)
 class Columns:
     """Codes, cardinalities and entropies of some features, one row each, in
     groups ``bounds[g]:bounds[g + 1]``, and each group's bit planes packed
-    at its widest column (None when that is wider than PACKED_MAX_WIDTH).
-    ``InfoCache.columns`` builds them."""
+    at its widest column (None when that is wider than PACKED_MAX_WIDTH)."""
 
     mat: np.ndarray
     cards: np.ndarray
     h: np.ndarray
     bounds: list
     planes: list
+
+    @classmethod
+    def of(cls, mat: np.ndarray, cards: np.ndarray, bounds=None) -> Columns:
+        """The rows of a code matrix in groups ``bounds`` (one group when
+        None), each group packed once, and every row's entropy, its joint
+        entropy with a constant column, from one kernel call."""
+        bounds = [0, mat.shape[0]] if bounds is None else [int(b) for b in bounds]
+        constant = np.zeros(mat.shape[1], dtype=np.int32)
+        planes, jobs = [], []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            top = int(np.max(cards[lo:hi]))
+            planes.append(pack_codes(mat[lo:hi], top) if top <= PACKED_MAX_WIDTH else None)
+            jobs.append((constant, 1, mat[lo:hi], top, planes[-1], None))
+        return cls(mat, cards, _joint_entropies(jobs, mat.shape[1]), bounds, planes)
 
     def distance_rows(self, jobs) -> list:
         """For each job (t, g, span), with row t and the rows ``span`` both
@@ -333,8 +332,7 @@ class InfoCache:
     ``Columns`` of any of them.
 
     Ids are feature ids 0..d-1. A distance row is one feature's distance to
-    every feature; ``distance_block`` memoizes it. ``distance`` is one
-    unmemoized kernel call.
+    every feature; ``distance_block`` memoizes it and ``distance`` reads it.
     """
 
     def __init__(self, data: Dataset):
@@ -347,17 +345,12 @@ class InfoCache:
     def data(self) -> Dataset:
         return self._data
 
-    def _check(self, *ids) -> None:
-        for fid in ids:
-            if not 0 <= fid < self._data.n_features:
-                raise ValueError(f"feature id {fid} out of range")
-
     def columns(self, ids=None, bounds=None) -> Columns:
         """The ``Columns`` of the distinct feature ids ``ids`` in that
         order (every feature when None), in groups ``bounds[g]:bounds[g +
-        1]`` (one group when None), each group packed once. Every feature
-        in order as one group is the dataset's own matrix, built once and
-        kept; any other ids are gathered."""
+        1]`` (one group when None): ``Columns.of``. Every feature in order
+        as one group is the dataset's own matrix, built once and kept; any
+        other ids are gathered."""
         data = self._data
         d = data.n_features
         whole = (bounds is None or len(bounds) == 2) and (ids is None or np.array_equal(ids, np.arange(d)))
@@ -367,13 +360,7 @@ class InfoCache:
         if not whole:
             ids = np.arange(d) if ids is None else np.asarray(ids, dtype=np.int64)
             mat, cards = mat[ids], cards[ids]
-        bounds = [0, mat.shape[0]] if bounds is None else [int(b) for b in bounds]
-        hs, planes = [], []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            top = int(np.max(cards[lo:hi]))
-            planes.append(pack_codes(mat[lo:hi], top) if top <= PACKED_MAX_WIDTH else None)
-            hs.append(entropy_rows(mat[lo:hi], cards[lo:hi], packed=planes[-1]))
-        cols = Columns(mat, cards, np.concatenate(hs), bounds, planes)
+        cols = Columns.of(mat, cards, bounds)
         if whole:
             cols.h.flags.writeable = False
             self._all = cols
@@ -382,27 +369,21 @@ class InfoCache:
     def distance_block(self, target_id: int, ids=None) -> np.ndarray:
         """d(target, u) for each feature id u in ids; without ids, the whole
         row over every feature (read-only)."""
-        t = target_id
+        t, d = target_id, self._data.n_features
+        picked = np.asarray([] if ids is None else ids, dtype=np.int64)
+        if not 0 <= t < d or (picked.size and (picked.min() < 0 or picked.max() >= d)):
+            raise ValueError("feature id out of range")
         row = self._rows.get(t)
         if row is None:
-            self._check(t)
             c = self.columns()
             row = nvi_distance_rows(c.mat[t], c.cards[t], c.h[t], c.mat, c.cards, c.h, packed=c.planes[0])
             row.flags.writeable = False
             self._rows[t] = row
-        if ids is None:
-            return row
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= row.size):
-            raise ValueError("feature id out of range")
-        return row[ids]
+        return row if ids is None else row[picked]
 
     def distance(self, i: int, j: int) -> float:
-        """d(i, j) for any two feature ids: one kernel call, not memoized."""
-        self._check(i, j)
-        c = self.columns()
-        pair = slice(j, j + 1)
-        return float(nvi_distance_rows(c.mat[i], c.cards[i], c.h[i], c.mat[pair], c.cards[pair], c.h[pair])[0])
+        """d(i, j) for any two feature ids: an entry of i's memoized row."""
+        return float(self.distance_block(i, [j])[0])
 
     def mi_table(self) -> np.ndarray:
         """Normalized MI of every feature against every label, shape
@@ -410,9 +391,9 @@ class InfoCache:
         if self._mi_table is None:
             labels, label_cards = self._data.labels, self._data.label_cards
             c = self.columns()
-            label_h = entropy_rows(labels, label_cards)
+            label_h = Columns.of(labels, label_cards).h
             cols = [
-                normalized_mi_rows(y, card, h_y, c.mat, c.cards, c.h, packed=c.planes[0])
+                _nmi(h_y, c.h, joint_entropy_rows(y, card, c.mat, c.cards, packed=c.planes[0]))
                 for y, card, h_y in zip(labels, label_cards.tolist(), label_h.tolist())
             ]
             table = np.column_stack(cols)

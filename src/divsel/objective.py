@@ -89,11 +89,12 @@ def marginal_g_rows(mi_rows: np.ndarray, tau: np.ndarray) -> np.ndarray:
 def sorted_feature_ids(ids, n_features: int) -> np.ndarray:
     """``ids`` ascending as an int64 array; ValueError unless they are
     distinct feature ids in 0..n_features-1."""
-    if isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind in "iu":
-        # an integer array, such as a machine's ids, sorts without Python ints
-        ids = np.sort(ids.astype(np.int64))
+    if isinstance(ids, np.ndarray):
+        if ids.ndim != 1:
+            raise ValueError("feature ids must be one-dimensional")
+        ids = np.sort(np.asarray(ids, dtype=np.int64))
     else:
-        ids = np.asarray(sorted(int(i) for i in ids), dtype=np.int64)
+        ids = np.sort(np.fromiter(ids, dtype=np.int64))
     if ids.size and (ids[0] < 0 or ids[-1] >= n_features):
         raise ValueError("feature id out of range")
     if np.any(ids[1:] == ids[:-1]):

@@ -202,9 +202,10 @@ def approximation_report(
     All outputs are valued through the oracle's evaluator, so every ratio
     lies in [0, 1]. With ``enforce``, a half-relevance ratio below 1/2 or a
     distributed ratio below 1/31 (beyond fp slack) raises GuaranteeError.
-    A ``k`` other than ``cfg.k`` is refused before any subset is valued.
+    A ``k`` outside 1..n_features or other than ``cfg.k`` is refused
+    before any subset is valued.
     """
-    check_k(k, cfg)
+    check_k(data, k, cfg)
     cache = InfoCache(data)
     opt = brute_force_opt(range(data.n_features), k, cfg, cache, budget)
 

@@ -141,8 +141,11 @@ def _report(
     )
 
 
-def check_k(k: int, cfg: ObjectiveConfig) -> None:
-    """A run selects cfg.k features, the k its report states."""
+def check_k(data: Dataset, k: int, cfg: ObjectiveConfig) -> None:
+    """A run selects cfg.k features, the k its report states, out of the
+    dataset's features."""
+    if not 1 <= k <= data.n_features:
+        raise ValueError("need 1 <= k <= n_features")
     if k != cfg.k:
         raise ValueError(f"k={k} differs from the objective's k={cfg.k}")
 
@@ -155,7 +158,7 @@ def centralized_select(
     cache: InfoCache | None = None,
 ) -> RunReport:
     """Run one greedy variant over all features."""
-    check_k(k, cfg)
+    check_k(data, k, cfg)
     t0 = time.perf_counter()
     if cache is None:
         cache = InfoCache(data)
@@ -244,9 +247,7 @@ def _partition_select(
     union is taken in machine order, so every batching selects the same
     features.
     """
-    if not 1 <= k <= data.n_features:
-        raise ValueError("need 1 <= k <= n_features")
-    check_k(k, cfg)
+    check_k(data, k, cfg)
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     t0 = time.perf_counter()

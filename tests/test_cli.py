@@ -351,16 +351,17 @@ def test_gen_synth_into_closed_pipe_exits_quietly():
     pkg_parent = str(Path(divsel.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_parent, env.get("PYTHONPATH")]))
     launcher = "import sys; from divsel.cli import main; sys.exit(main())"
-    proc = subprocess.Popen(
+    # leaving the block closes both pipes
+    with subprocess.Popen(
         [sys.executable, "-c", launcher, "gen-synth", "--seed", "0"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
-    )
-    assert len(proc.stdout.read(100)) == 100
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=120) == 0, err
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0, err
     assert "Traceback" not in err
 
 

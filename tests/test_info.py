@@ -9,14 +9,13 @@ import pytest
 from divsel.data import BinningSpec, Dataset, DiscreteColumn, dataset_from_matrices
 from divsel import info
 from divsel.info import (
+    Columns,
     InfoCache,
     entropy,
-    entropy_rows,
     joint_entropy,
     joint_entropy_rows,
     mutual_information,
     normalized_mi,
-    normalized_mi_rows,
     nvi_distance,
     nvi_distance_rows,
 )
@@ -130,7 +129,7 @@ def test_batch_matches_scalar_bitwise():
     mat = rng.integers(0, 4, size=(7, n))
     cards = np.array([int(mat[i].max()) + 1 for i in range(7)])
     h_t = entropy(target)
-    h_rows = entropy_rows(mat, cards)
+    h_rows = Columns.of(mat, cards).h
     row = nvi_distance_rows(target.astype(np.int64), 3, h_t, mat, cards, h_rows)
     for i in range(7):
         assert row[i] == nvi_distance(target, mat[i])
@@ -298,7 +297,7 @@ def test_kernel_matches_contingency_reference_bitwise(n):
     for rows in (feats, feats[:-1]):
         mat = np.vstack([f.codes for f in rows])
         cards = np.array([f.cardinality for f in rows])
-        h_rows = entropy_rows(mat, cards)
+        h_rows = Columns.of(mat, cards).h
         assert h_rows.tolist() == [_ref_pair(f, f)[0] for f in rows]
         for t in feats + targets:
             refs = [_ref_pair(t, f) for f in rows]
@@ -308,7 +307,7 @@ def test_kernel_matches_contingency_reference_bitwise(n):
             assert h_joint.tolist() == [r[2] for r in refs]
             dist = nvi_distance_rows(t.codes, t.cardinality, h_t, mat, cards, h_rows)
             assert dist.tolist() == [_ref_nvi(*r) for r in refs]
-            nmi = normalized_mi_rows(t.codes, t.cardinality, h_t, mat, cards, h_rows)
+            nmi = info._nmi(h_t, h_rows, h_joint)
             assert nmi.tolist() == [_ref_nmi(*r) for r in refs]
 
     data = Dataset(
@@ -353,7 +352,7 @@ def test_distance_row_memory_is_linear_in_rows_times_n():
     assert all(c.cardinality == n for c in cols)
     mat = np.vstack([c.codes for c in cols])
     cards = np.array([c.cardinality for c in cols])
-    h_rows = entropy_rows(mat, cards)
+    h_rows = Columns.of(mat, cards).h
     target = cols[0]
     tracemalloc.start()
     try:
@@ -455,7 +454,7 @@ def test_network_sorted_counts_match_contingency_reference_bitwise(n):
     cards[0] = 5
     mat = (rng.integers(0, 1 << 20, size=(rows, n)) % cards[:, None]).astype(np.int32)
     mat[:, : cards.max()] = np.arange(cards.max()) % cards[:, None]
-    h_rows = entropy_rows(mat, cards)
+    h_rows = Columns.of(mat, cards).h
     cols = [DiscreteColumn(codes, int(card)) for codes, card in zip(mat, cards)]
     assert h_rows.tolist() == [_ref_entropy(np.bincount(c.codes), n) for c in cols]
     for t_card in (1, 3, 12, 13):
@@ -537,3 +536,23 @@ def test_mutual_information_is_bit_identical_to_its_entropies():
         b = rng.integers(0, int(rng.integers(1, 70)), size=n) * int(rng.integers(1, 4))
         summed = max(0.0, (entropy(a) + entropy(b)) - joint_entropy(a, b))
         assert mutual_information(a, b).hex() == summed.hex()
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_entropies_do_not_depend_on_grouping(wide):
+    # rows of 1 to 6 values, and with ``wide`` some of 65 to 120 values,
+    # so groups take the packed-bit path, the sorted-codes path, or both
+    rng = np.random.default_rng(30 + wide)
+    n, rows = 150, 40
+    cards = rng.integers(1, 7, size=rows)
+    if wide:
+        cards[::7] = rng.integers(65, 121, size=cards[::7].size)
+    mat = rng.integers(0, 1 << 20, size=(rows, n)) % cards[:, None]
+    mat[:, : cards.max()] = np.arange(cards.max()) % cards[:, None]
+    one = Columns.of(mat, cards)
+    assert one.h.tolist() == [_ref_entropy(np.bincount(row), n) for row in mat]
+    assert (max(cards) > 64) == (one.planes[0] is None) == wide
+    for bounds in ([0, 3, 17, 18, rows], list(range(rows + 1))):
+        cols = Columns.of(mat, cards, bounds)
+        assert cols.bounds == bounds and len(cols.planes) == len(bounds) - 1
+        assert cols.h.tobytes() == one.h.tobytes()

@@ -14,6 +14,7 @@ from divsel.objective import (
     h_value,
     marginal_g_rows,
     relevance_g,
+    sorted_feature_ids,
 )
 from helpers import instance_with_cache, pair_loop_diversity, random_instance, weighted_cfg
 
@@ -65,6 +66,17 @@ def test_terms_refuse_ids_that_are_not_a_set_of_features():
         for term in (lambda s: relevance_g(s, cfg), lambda s: diversity(s, cache), lambda s: h_value(s, cfg, cache)):
             with pytest.raises(ValueError, match=message):
                 term(ids)
+
+
+def test_sorted_feature_ids_reads_any_collection_of_ids():
+    kinds = ([3, 1, 2], (3, 1, 2), {1, 2, 3}, range(1, 4), (i for i in (2, 3, 1)), [np.int32(3), 1, 2])
+    for ids in kinds + (np.array([3, 1, 2], dtype=np.uint8), np.array([3, 1, 2])):
+        out = sorted_feature_ids(ids, 4)
+        assert out.dtype == np.int64 and out.tolist() == [1, 2, 3]
+    assert sorted_feature_ids([], 4).tolist() == sorted_feature_ids(np.array([], dtype=int), 4).tolist() == []
+    for ids in (np.array([[1, 2]]), np.array(1)):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            sorted_feature_ids(ids, 4)
 
 
 def _bits(x):

@@ -150,11 +150,14 @@ def test_distributed_default_machine_count_used():
 
 
 def test_distributed_rejects_bad_k(synth, synth_cache):
-    cfg = weighted_cfg(synth_cache, k=10, lam=0.5)
-    with pytest.raises(ValueError):
-        distributed_select(synth, 0, cfg, m=4, seed=0)
-    with pytest.raises(ValueError):
-        distributed_select(synth, 801, cfg, m=4, seed=0)
+    # every runner refuses a k outside 1..n_features, also one its objective
+    # states: a run of 801 of 800 features would report fewer than k ids
+    d = synth.n_features
+    for k, cfg_k in ((0, 10), (d + 1, 10), (d + 1, d + 1)):
+        cfg = weighted_cfg(synth_cache, k=cfg_k, lam=0.5)
+        for run in (centralized_select, distributed_select, streaming_select):
+            with pytest.raises(ValueError, match="need 1 <= k <= n_features"):
+                run(synth, k, cfg)
 
 
 def test_runners_refuse_a_k_other_than_the_objectives(synth, synth_cache):
