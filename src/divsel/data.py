@@ -256,6 +256,8 @@ class Dataset:
             raise ValidationError("dataset needs at least one feature")
         if labels.shape[0] == 0:
             raise ValidationError("dataset needs at least one label")
+        if features.shape[1] == 0:
+            raise ValidationError("dataset needs at least one instance")
         if features.shape[0] != len(feature_names):
             raise ValidationError("feature name count mismatch")
         if labels.shape[0] != len(label_names):

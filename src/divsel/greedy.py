@@ -58,9 +58,9 @@ def _step(state: SelectionState, weight, hit: np.ndarray) -> np.ndarray:
     return state.order[_band_argmax(state.scores(weight), state.bounds, hit)]
 
 
-def greedy_states(groups, k: int, variant: GreedyVariant, cfg: ObjectiveConfig, cache: InfoCache) -> SelectionState:
-    """Greedy selection in each of several disjoint candidate groups, run
-    side by side over one cache's dataset.
+def greedy_states(groups, variant: GreedyVariant, cfg: ObjectiveConfig, cache: InfoCache) -> SelectionState:
+    """Greedy selection of ``cfg.k`` features in each of several disjoint
+    candidate groups, run side by side over one cache's dataset.
 
     Every step picks once in each group with a candidate left, for min(k,
     largest group) steps, so each group ends with exactly the min(k, its
@@ -68,23 +68,21 @@ def greedy_states(groups, k: int, variant: GreedyVariant, cfg: ObjectiveConfig, 
     size, and a larger one is still live at the last step. The groups share
     each step's scoring pass and distance-row batch.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     state = SelectionState(groups, cfg, cache)
     hit = np.empty(state.order.size, dtype=bool)
-    for step in range(min(k, int(np.diff(state.bounds).max()))):
+    for step in range(min(cfg.k, int(np.diff(state.bounds).max()))):
         state.add(_step(state, None if step == 0 else variant.relevance_weight, hit))
     return state
 
 
-def greedy_state(candidates, k: int, variant: GreedyVariant, cfg: ObjectiveConfig, cache: InfoCache) -> SelectionState:
+def greedy_state(candidates, variant: GreedyVariant, cfg: ObjectiveConfig, cache: InfoCache) -> SelectionState:
     """Run a greedy selection and return its final state."""
-    return greedy_states([candidates], k, variant, cfg, cache)
+    return greedy_states([candidates], variant, cfg, cache)
 
 
-def greedy_select(candidates, k: int, variant: GreedyVariant, cfg: ObjectiveConfig, cache: InfoCache) -> list:
-    """Ordered ids of min(k, |candidates|) greedily selected features."""
-    return list(greedy_state(candidates, k, variant, cfg, cache).picks[0])
+def greedy_select(candidates, variant: GreedyVariant, cfg: ObjectiveConfig, cache: InfoCache) -> list:
+    """Ordered ids of min(cfg.k, |candidates|) greedily selected features."""
+    return list(greedy_state(candidates, variant, cfg, cache).picks[0])
 
 
 @dataclass(frozen=True)
@@ -107,24 +105,21 @@ class NicenessReport:
 
 
 def niceness_witness(
-    candidates,
-    k: int,
-    cfg: ObjectiveConfig,
-    cache: InfoCache,
-    variant: GreedyVariant = GreedyVariant.GREEDY,
-    check_stability: bool = True,
+    candidates, cfg: ObjectiveConfig, cache: InfoCache, variant: GreedyVariant = GreedyVariant.GREEDY
 ) -> NicenessReport:
-    """Measure the rejection bounds on one instance.
+    """Measure the rejection bounds of one greedy run of ``cfg.k`` picks,
+    and re-run it without each rejected candidate to check stability.
 
     Requires k >= 10 (the bounds hold from there) and more candidates than
     k so at least one candidate is rejected.
     """
+    k = cfg.k
     if k < 10:
         raise ValueError("k must be >= 10")
     ids = sorted(int(i) for i in candidates)
     if len(ids) <= k:
         raise ValueError("need more candidates than k")
-    state = greedy_state(ids, k, variant, cfg, cache)
+    state = greedy_state(ids, variant, cfg, cache)
     selected = state.picks[0]
     rejected = state.order[state.alive].tolist()
     f_val = float(state.values[0])
@@ -142,10 +137,7 @@ def niceness_witness(
         max_gain = max_dist = float("inf")
     else:
         max_gain = max_dist = 0.0
-    stable = not check_stability or all(
-        greedy_state([i for i in ids if i != t], k, variant, cfg, cache).picks[0] == selected
-        for t in rejected
-    )
+    stable = all(greedy_state([i for i in ids if i != t], variant, cfg, cache).picks[0] == selected for t in rejected)
     return NicenessReport(
         selected=tuple(selected),
         f_value=f_val,

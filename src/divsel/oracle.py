@@ -132,25 +132,19 @@ def subset_value(ids, cfg: ObjectiveConfig, cache: InfoCache) -> float:
     return float(_values_for_combos(combo, dmat, mi_sub, cfg)[0])
 
 
-def brute_force_opt(
-    candidates,
-    k: int,
-    cfg: ObjectiveConfig,
-    cache: InfoCache,
-    budget: int = DEFAULT_BUDGET,
-) -> OracleResult:
-    """Exact maximizer over all k-subsets of the candidates.
+def brute_force_opt(candidates, cfg: ObjectiveConfig, cache: InfoCache, budget: int = DEFAULT_BUDGET) -> OracleResult:
+    """Exact maximizer over all k-subsets of the candidates, k = ``cfg.k``.
 
     Refuses (BudgetError) when C(|candidates|, k) exceeds the budget and
-    ValueError on duplicate or out-of-range ids. Subsets are enumerated and
-    evaluated ``CHUNK`` at a time, so memory does not grow with
-    C(|candidates|, k).
+    ValueError on fewer candidates than k or on duplicate or out-of-range
+    ids. Subsets are enumerated and evaluated ``CHUNK`` at a time, so
+    memory does not grow with C(|candidates|, k).
     Ties resolve to the lexicographically smallest id tuple; the result
     depends only on the candidate set.
     """
     ids = sorted_feature_ids(candidates, cfg.mi_table.shape[0])
-    c = ids.size
-    if not 1 <= k <= c:
+    c, k = ids.size, cfg.k
+    if k > c:
         raise ValueError("need 1 <= k <= |candidates|")
     total = math.comb(c, k)
     if total > budget:
@@ -202,20 +196,23 @@ def approximation_report(
     All outputs are valued through the oracle's evaluator, so every ratio
     lies in [0, 1]. With ``enforce``, a half-relevance ratio below 1/2 or a
     distributed ratio below 1/31 (beyond fp slack) raises GuaranteeError.
-    A ``k`` outside 1..n_features or other than ``cfg.k`` is refused
+    Empty ``seeds`` and the inputs ``runner.check_k`` refuses are refused
     before any subset is valued.
     """
-    check_k(data, k, cfg)
+    seeds = [int(seed) for seed in seeds]
+    if not seeds:
+        raise ValueError("seeds must name at least one seed")
     cache = InfoCache(data)
-    opt = brute_force_opt(range(data.n_features), k, cfg, cache, budget)
+    check_k(data, k, cfg, cache)
+    opt = brute_force_opt(range(data.n_features), cfg, cache, budget)
 
     def ratio(ids) -> float:
         if opt.value <= 0.0:
             return 1.0
         return subset_value(ids, cfg, cache) / opt.value
 
-    greedy_ids = greedy_select(range(data.n_features), k, GreedyVariant.GREEDY, cfg, cache)
-    alt_ids = greedy_select(range(data.n_features), k, GreedyVariant.ALTGREEDY, cfg, cache)
+    greedy_ids = greedy_select(range(data.n_features), GreedyVariant.GREEDY, cfg, cache)
+    alt_ids = greedy_select(range(data.n_features), GreedyVariant.ALTGREEDY, cfg, cache)
     greedy_ratio = ratio(greedy_ids)
     alt_ratio = ratio(alt_ids)
     runs = []
@@ -223,16 +220,14 @@ def approximation_report(
     if alt_ratio < ALTGREEDY_RATIO - RATIO_SLACK:
         violations.append(f"altgreedy ratio {alt_ratio} below {ALTGREEDY_RATIO}")
     for seed in seeds:
-        report = distributed_select(data, k, cfg, m=m, seed=int(seed))
+        report = distributed_select(data, k, cfg, m=m, seed=seed)
         r = ratio(report.selected_ids)
-        runs.append(
-            {"seed": int(seed), "ids": [int(i) for i in report.selected_ids], "ratio": r}
-        )
+        runs.append({"seed": seed, "ids": [int(i) for i in report.selected_ids], "ratio": r})
         if r < DISTRIBUTED_RATIO - RATIO_SLACK:
             violations.append(f"distributed ratio {r} at seed {seed} below 1/31")
     if enforce and violations:
         raise GuaranteeError("; ".join(violations))
-    mean_ratio = float(np.mean([r["ratio"] for r in runs])) if runs else float("nan")
+    mean_ratio = float(np.mean([r["ratio"] for r in runs]))
     return ApproximationReport(
         opt_ids=opt.ids,
         opt_value=opt.value,

@@ -141,13 +141,18 @@ def _report(
     )
 
 
-def check_k(data: Dataset, k: int, cfg: ObjectiveConfig) -> None:
+def check_k(data: Dataset, k: int, cfg: ObjectiveConfig, cache: InfoCache) -> None:
     """A run selects cfg.k features, the k its report states, out of the
-    dataset's features."""
+    dataset's features, with one MI row per feature and a cache over that
+    dataset."""
     if not 1 <= k <= data.n_features:
         raise ValueError("need 1 <= k <= n_features")
     if k != cfg.k:
         raise ValueError(f"k={k} differs from the objective's k={cfg.k}")
+    if cfg.mi_table.shape[0] != data.n_features:
+        raise ValueError(f"mi_table has {cfg.mi_table.shape[0]} rows for {data.n_features} features")
+    if cache.data is not data:
+        raise ValueError("cache is over another dataset")
 
 
 def centralized_select(
@@ -158,11 +163,11 @@ def centralized_select(
     cache: InfoCache | None = None,
 ) -> RunReport:
     """Run one greedy variant over all features."""
-    check_k(data, k, cfg)
-    t0 = time.perf_counter()
     if cache is None:
         cache = InfoCache(data)
-    selected = greedy_select(range(data.n_features), k, variant, cfg, cache)
+    check_k(data, k, cfg, cache)
+    t0 = time.perf_counter()
+    selected = greedy_select(range(data.n_features), variant, cfg, cache)
     t1 = time.perf_counter()
     config = {"algorithm": variant.value, "seed": None, "machines": None, "parallelism": 1}
     return _report("centralized", data, selected, cfg, cache, config, (t0, t0, t1, t1))
@@ -177,9 +182,9 @@ _MERGE_VARIANT = GreedyVariant.ALTGREEDY
 def _machine_job(work, batch: list) -> tuple:
     """Core sets of a batch of machines, selected side by side, and the
     perf_counter readings at the batch's start and end."""
-    cache, cfg, k, machine_ids = work
+    cache, cfg, machine_ids = work
     start = time.perf_counter()
-    picks = greedy_states([machine_ids[i] for i in batch], k, _MACHINE_VARIANT, cfg, cache).picks
+    picks = greedy_states([machine_ids[i] for i in batch], _MACHINE_VARIANT, cfg, cache).picks
     return picks, (start, time.perf_counter())
 
 
@@ -247,11 +252,11 @@ def _partition_select(
     union is taken in machine order, so every batching selects the same
     features.
     """
-    check_k(data, k, cfg)
+    cache = InfoCache(data)
+    check_k(data, k, cfg, cache)
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     t0 = time.perf_counter()
-    cache = InfoCache(data)
     if m is None:
         m = default_machine_count(data.n_features, k)
     plan = random_partition(data.n_features, m, seed)
@@ -264,11 +269,11 @@ def _partition_select(
     else:
         workers = min(parallelism, len(jobs))
         batches = [jobs[w::workers] for w in range(workers)]
-    results = _run_machines((cache, cfg, k, machine_ids), batches, fork=not streaming)
+    results = _run_machines((cache, cfg, machine_ids), batches, fork=not streaming)
     core_sets = {i: core for batch, (cores, _) in zip(batches, results) for i, core in zip(batch, cores)}
     t2 = time.perf_counter()
     union = [i for j in jobs for i in core_sets[j]]
-    selected = greedy_select(union, k, _MERGE_VARIANT, cfg, cache)
+    selected = greedy_select(union, _MERGE_VARIANT, cfg, cache)
     t3 = time.perf_counter()
     peak = None
     if streaming:

@@ -94,16 +94,15 @@ def pair_loop_diversity(selected, data: Dataset) -> float:
 
 def pair_loop_niceness(
     candidates,
-    k: int,
     cfg: ObjectiveConfig,
     cache: InfoCache,
     variant: GreedyVariant = GreedyVariant.GREEDY,
-    check_stability: bool = True,
 ) -> NicenessReport:
     """``niceness_witness`` one rejected candidate at a time: its distance
     sum is ``nvi_distance`` to each selected id, added in selected order."""
+    k = cfg.k
     ids = sorted(int(i) for i in candidates)
-    state = greedy_state(ids, k, variant, cfg, cache)
+    state = greedy_state(ids, variant, cfg, cache)
     selected = state.picks[0]
     f_val = float(state.values[0])
     rows = cache.data.features
@@ -123,9 +122,8 @@ def pair_loop_niceness(
             max_dist = max(max_dist, weighted_dist * (k - 1) / f_val)
         elif gain > 0.0 or weighted_dist > 0.0:
             max_gain = max_dist = float("inf")
-        if check_stability:
-            rerun = greedy_state([i for i in ids if i != t], k, variant, cfg, cache)
-            stable = stable and rerun.picks[0] == selected
+        rerun = greedy_state([i for i in ids if i != t], variant, cfg, cache)
+        stable = stable and rerun.picks[0] == selected
     return NicenessReport(
         selected=tuple(selected),
         f_value=f_val,

@@ -103,7 +103,7 @@ def test_03_rejection_niceness():
         d = int(rng.integers(30, 61))
         k = int(rng.integers(10, 16))
         _, cache = instance_with_cache(seed=3000 + i, d=d, n=24, t=2)
-        rep = niceness_witness(range(d), k, plain_cfg(cache, k=k, p=3), cache)
+        rep = niceness_witness(range(d), plain_cfg(cache, k=k, p=3), cache)
         worst_gain = max(worst_gain, rep.max_gain_ratio)
         worst_dist = max(worst_dist, rep.max_distance_ratio)
         unstable += 0 if rep.removal_stable else 1
@@ -126,8 +126,8 @@ def test_04_half_of_optimum():
         lam = (0.0, 0.5, 1.0)[i % 3]
         _, cache = instance_with_cache(seed=400 + i, d=d, n=20, t=2)
         cfg = weighted_cfg(cache, k=k, lam=lam, p=3)
-        picked = greedy_select(range(d), k, GreedyVariant.ALTGREEDY, cfg, cache)
-        opt = brute_force_opt(range(d), k, cfg, cache)
+        picked = greedy_select(range(d), GreedyVariant.ALTGREEDY, cfg, cache)
+        opt = brute_force_opt(range(d), cfg, cache)
         ratio = h_value(picked, cfg, cache) / opt.value if opt.value > 0 else 1.0
         worst = min(worst, ratio)
     _verdict(4, "altgreedy-half-bound", worst >= 0.5 - 1e-9, f"50 instances, worst ratio {worst:.4f}")
@@ -148,7 +148,7 @@ def test_05_distributed_ratio_floor_and_baselines():
     for i in range(20):
         data, cache = instance_with_cache(seed=100 + i, d=12, n=24, t=2)
         cfg = weighted_cfg(cache, k=3, lam=0.5, p=10)
-        opt = brute_force_opt(range(12), 3, cfg, cache)
+        opt = brute_force_opt(range(12), cfg, cache)
         ratios = []
         for seed in range(20):
             rep = distributed_select(data, 3, cfg, m=3, seed=seed)

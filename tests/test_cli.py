@@ -217,7 +217,7 @@ def test_select_k1_matches_top_mi_feature(small_csv):
     code, out, _ = run_cli(SELECT_BASE + ["--k", "1", "--lambda", "0"], stdin_text=small_csv)
     assert code == 0
     _, cache = instance_with_cache(seed=40, d=10, n=30, t=2)
-    expected = greedy_select(range(10), 1, GreedyVariant.GREEDY, plain_cfg(cache, k=1, p=10), cache)[0]
+    expected = greedy_select(range(10), GreedyVariant.GREEDY, plain_cfg(cache, k=1, p=10), cache)[0]
     assert json.loads(out)["selected_ids"] == [expected]
 
 

@@ -165,6 +165,12 @@ def test_dataset_validation():
         Dataset(np.vstack([row, row]), ("a", "a"), row, ("y",), 2)
     with pytest.raises(ValidationError, match="at least one feature"):
         Dataset(np.zeros((0, 2), dtype=np.int64), (), row, ("y",), 2)
+    # a dataset of no instances would fail only at its first entropy
+    none = np.zeros((1, 0), dtype=np.int64)
+    with pytest.raises(ValidationError, match="at least one instance"):
+        Dataset(none, ("a",), none, ("y",), 0)
+    with pytest.raises(ValidationError, match="at least one instance"):
+        dataset_from_matrices(np.zeros((3, 0), dtype=np.int64), none)
     with pytest.raises(ValidationError, match="length"):
         Dataset(row, ("a",), np.array([[0, 1, 1]]), ("y",), 2)
     with pytest.raises(ValidationError, match="length"):

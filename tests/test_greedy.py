@@ -1,7 +1,9 @@
 """Greedy engines: goldens, tie-breaking, determinism, niceness bounds."""
 
 import importlib.util
+import inspect
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from divsel.greedy import (
     greedy_states,
     niceness_witness,
 )
-from divsel import greedy, info, objective
+from divsel import greedy, info, objective, runner
 from divsel.info import InfoCache
 from divsel.objective import ObjectiveConfig, SelectionState, h_value, marginal_g_rows, relevance_g
 from divsel.oracle import brute_force_opt, subset_value
@@ -37,13 +39,13 @@ def _fixture():
 
 def test_golden_triples():
     _, cache, cfg = _fixture()
-    assert greedy_select(range(8), 3, GreedyVariant.GREEDY, cfg, cache) == GOLDEN_GREEDY
-    assert greedy_select(range(8), 3, GreedyVariant.ALTGREEDY, cfg, cache) == GOLDEN_ALTGREEDY
+    assert greedy_select(range(8), GreedyVariant.GREEDY, cfg, cache) == GOLDEN_GREEDY
+    assert greedy_select(range(8), GreedyVariant.ALTGREEDY, cfg, cache) == GOLDEN_ALTGREEDY
 
 
 def test_golden_validated_against_oracle():
     _, cache, cfg = _fixture()
-    opt = brute_force_opt(range(8), 3, cfg, cache)
+    opt = brute_force_opt(range(8), cfg, cache)
     assert opt.ids == GOLDEN_OPT_IDS
     assert opt.value == pytest.approx(GOLDEN_OPT_VALUE, abs=1e-12)
     alt_value = subset_value(GOLDEN_ALTGREEDY, cfg, cache)
@@ -51,7 +53,7 @@ def test_golden_validated_against_oracle():
 
 
 def _first(candidates, cfg, cache, variant=GreedyVariant.GREEDY):
-    return greedy_select(candidates, 1, variant, cfg, cache)[0]
+    return greedy_select(candidates, variant, replace(cfg, k=1), cache)[0]
 
 
 def test_select_first():
@@ -74,7 +76,7 @@ def test_select_first_tie_goes_to_smallest_id():
 
 def test_candidates_fewer_than_k_returns_all():
     _, cache, cfg = _fixture()
-    out = greedy_select([2, 5, 6], 10, GreedyVariant.GREEDY, cfg, cache)
+    out = greedy_select([2, 5, 6], GreedyVariant.GREEDY, replace(cfg, k=10), cache)
     assert sorted(out) == [2, 5, 6]
     assert len(out) == 3
 
@@ -82,16 +84,16 @@ def test_candidates_fewer_than_k_returns_all():
 def test_k_below_one_rejected():
     _, cache, cfg = _fixture()
     with pytest.raises(ValueError):
-        greedy_select(range(8), 0, GreedyVariant.GREEDY, cfg, cache)
+        greedy_select(range(8), GreedyVariant.GREEDY, replace(cfg, k=0), cache)
 
 
 def test_enumeration_order_does_not_matter():
     _, cache, cfg = _fixture()
     rng = np.random.default_rng(31)
-    base = greedy_select(range(8), 3, GreedyVariant.ALTGREEDY, cfg, cache)
+    base = greedy_select(range(8), GreedyVariant.ALTGREEDY, cfg, cache)
     for _ in range(5):
         perm = list(rng.permutation(8))
-        assert greedy_select(perm, 3, GreedyVariant.ALTGREEDY, cfg, cache) == base
+        assert greedy_select(perm, GreedyVariant.ALTGREEDY, cfg, cache) == base
 
 
 def _reference_greedy(candidates, k, variant, cfg, cache):
@@ -121,15 +123,15 @@ def test_incremental_matches_quadratic_reference(variant):
     for seed in range(8):
         data, cache = instance_with_cache(seed=300 + seed, d=12, n=24, t=2)
         cfg = weighted_cfg(cache, k=5, lam=0.5, p=2)
-        fast = greedy_select(range(12), 5, variant, cfg, cache)
+        fast = greedy_select(range(12), variant, cfg, cache)
         slow = _reference_greedy(range(12), 5, variant, cfg, InfoCache(data))
         assert fast == slow
 
 
 def test_variants_share_first_pick_then_diverge_on_weight():
     _, cache, cfg = _fixture()
-    g = greedy_select(range(8), 3, GreedyVariant.GREEDY, cfg, cache)
-    a = greedy_select(range(8), 3, GreedyVariant.ALTGREEDY, cfg, cache)
+    g = greedy_select(range(8), GreedyVariant.GREEDY, cfg, cache)
+    a = greedy_select(range(8), GreedyVariant.ALTGREEDY, cfg, cache)
     assert g[0] == a[0]
 
 
@@ -140,7 +142,7 @@ def test_duplicate_columns_tie_break_by_id():
     data = dataset_from_matrices(feats, np.array([y]))
     cache = InfoCache(data)
     cfg = plain_cfg(cache, k=3, p=1)
-    out = greedy_select(range(4), 3, GreedyVariant.GREEDY, cfg, cache)
+    out = greedy_select(range(4), GreedyVariant.GREEDY, cfg, cache)
     # duplicates of the label all tie; then the one distinct column is the
     # only candidate at positive distance; then ids 1 and 2 tie again
     assert out == [0, 3, 1]
@@ -149,24 +151,24 @@ def test_duplicate_columns_tie_break_by_id():
 def test_greedy_state_objective_tracks_h():
     data, cache = instance_with_cache(seed=33, d=10, n=30, t=2)
     cfg = weighted_cfg(cache, k=4, lam=0.5, p=2)
-    state = greedy_state(range(10), 4, GreedyVariant.ALTGREEDY, cfg, cache)
+    state = greedy_state(range(10), GreedyVariant.ALTGREEDY, cfg, cache)
     assert state.values[0] == pytest.approx(h_value(state.picks[0], cfg, InfoCache(data)), abs=1e-9)
 
 
 def test_niceness_witness_validation():
     _, cache, cfg = _fixture()
     with pytest.raises(ValueError):
-        niceness_witness(range(8), 3, cfg, cache)
+        niceness_witness(range(8), cfg, cache)
     data, cache = instance_with_cache(seed=34, d=10, n=24, t=2)
     cfg = plain_cfg(cache, k=10, p=2)
     with pytest.raises(ValueError):
-        niceness_witness(range(10), 10, cfg, cache)
+        niceness_witness(range(10), cfg, cache)
 
 
 def test_niceness_witness_single_instance():
     data, cache = instance_with_cache(seed=35, d=30, n=32, t=2)
     cfg = plain_cfg(cache, k=10, p=3)
-    report = niceness_witness(range(30), 10, cfg, cache)
+    report = niceness_witness(range(30), cfg, cache)
     assert report.rejected_count == 20
     assert report.max_gain_ratio <= 5.0 + 1e-9
     assert report.max_distance_ratio <= 4.5 + 1e-9
@@ -182,7 +184,7 @@ def test_niceness_holds_under_lambda_weighting():
     for lam in (0.25, 0.75):
         data, cache = instance_with_cache(seed=36, d=32, n=32, t=2)
         cfg = weighted_cfg(cache, k=10, lam=lam, p=3)
-        report = niceness_witness(range(32), 10, cfg, cache, check_stability=False)
+        report = niceness_witness(range(32), cfg, cache)
         assert report.max_gain_ratio <= 5.0 + 1e-9
         assert report.max_distance_ratio <= 4.5 + 1e-9
 
@@ -193,22 +195,22 @@ def test_niceness_matches_pair_loop_reference():
     data, cache = instance_with_cache(seed=35, d=30, n=32, t=2)
     cfg = plain_cfg(cache, k=10, p=3)
     for variant in GreedyVariant:
-        report = niceness_witness(range(30), 10, cfg, cache, variant)
-        assert report == pair_loop_niceness(range(30), 10, cfg, InfoCache(data), variant)
+        report = niceness_witness(range(30), cfg, cache, variant)
+        assert report == pair_loop_niceness(range(30), cfg, InfoCache(data), variant)
     for lam in (0.25, 0.75):
         data, cache = instance_with_cache(seed=36, d=32, n=32, t=2)
         cfg = weighted_cfg(cache, k=10, lam=lam, p=3)
-        report = niceness_witness(range(32), 10, cfg, cache, check_stability=False)
-        assert report == pair_loop_niceness(range(32), 10, cfg, InfoCache(data), check_stability=False)
+        report = niceness_witness(range(32), cfg, cache)
+        assert report == pair_loop_niceness(range(32), cfg, InfoCache(data))
 
 
 def test_greedy_never_beats_oracle():
     for seed in range(6):
         data, cache = instance_with_cache(seed=40 + seed, d=9, n=20, t=2)
         cfg = weighted_cfg(cache, k=3, lam=0.5, p=2)
-        opt = brute_force_opt(range(9), 3, cfg, cache)
+        opt = brute_force_opt(range(9), cfg, cache)
         for variant in GreedyVariant:
-            ids = greedy_select(range(9), 3, variant, cfg, cache)
+            ids = greedy_select(range(9), variant, cfg, cache)
             assert subset_value(ids, cfg, cache) <= opt.value + 1e-9
 
 
@@ -222,8 +224,8 @@ def test_groups_side_by_side_match_one_group_at_a_time(card_hi):
         cut = np.sort(rng.choice(np.arange(1, 60), size=int(rng.integers(0, 7)), replace=False))
         groups = np.split(rng.permutation(60), cut)  # some smaller than k
         for variant in GreedyVariant:
-            alone = [greedy_state(g, cfg.k, variant, cfg, InfoCache(data)) for g in groups]
-            state = greedy_states(groups, cfg.k, variant, cfg, InfoCache(data))
+            alone = [greedy_state(g, variant, cfg, InfoCache(data)) for g in groups]
+            state = greedy_states(groups, variant, cfg, InfoCache(data))
             assert state.picks == [s.picks[0] for s in alone]
             assert state.values.tolist() == [s.values[0] for s in alone]
 
@@ -236,8 +238,8 @@ def test_groups_that_run_out_before_between_and_after_live_groups():
     cfg = weighted_cfg(cache, k=5, lam=0.5, p=2)
     groups = np.split(np.random.default_rng(39).permutation(18), [2, 8, 9, 15])
     for variant in GreedyVariant:
-        alone = [greedy_state(g, 5, variant, cfg, InfoCache(data)) for g in groups]
-        state = greedy_states(groups, 5, variant, cfg, InfoCache(data))
+        alone = [greedy_state(g, variant, cfg, InfoCache(data)) for g in groups]
+        state = greedy_states(groups, variant, cfg, InfoCache(data))
         assert [len(p) for p in state.picks] == [2, 5, 1, 5, 3]
         assert state.picks == [s.picks[0] for s in alone]
         assert state.values.tolist() == [s.values[0] for s in alone]
@@ -277,21 +279,46 @@ def test_greedy_states_adds_once_per_step(monkeypatch):
     monkeypatch.setattr(objective.SelectionState, "add", lambda self, ids: calls.append(ids) or real(self, ids))
     for groups, k, steps in (([range(10)], 3, 3), ([range(2), range(2, 9)], 5, 5), ([range(3), range(3, 5)], 10, 3)):
         calls.clear()
-        greedy_states(groups, k, GreedyVariant.GREEDY, cfg, cache)
+        greedy_states(groups, GreedyVariant.GREEDY, replace(cfg, k=k), cache)
         assert len(calls) == steps
+
+
+def _benchmark_tracing():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def test_names_the_benchmark_tracer_replaces_exist():
     # benchmarks/tracing.py looks up every (owner, attribute) pair of its
     # _SPANNED, and greedy.marginal_g_rows, with vars() and wraps them
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _benchmark_tracing()
     pairs = [(owner, attr) for owner, attr, _, _ in tracing._SPANNED] + [(greedy, "marginal_g_rows")]
     for owner, attr in pairs:
         found = vars(owner).get(attr)
         assert callable(getattr(found, "__func__", found)), f"{owner.__name__}.{attr}"
+
+
+def test_benchmark_tracer_counts_read_the_arguments_they_mean():
+    # the tracer counts a greedy_select span's candidates as len(args[0]),
+    # and an nvi_distance_rows span's rows and cells from args[1], args[3]
+    # and args[4]; a signature that moves them breaks a traced benchmark run
+    tracing = _benchmark_tracing()
+    for fn, reads in ((greedy_select, {0: "candidates"}), (info.nvi_distance_rows, {1: "t_card", 3: "mat", 4: "cards"})):
+        names = list(inspect.signature(fn).parameters)
+        assert {i: names[i] for i in reads} == reads, fn.__name__
+    data, cache = instance_with_cache(seed=1, d=12, n=12, t=1)
+    cfg = weighted_cfg(cache, k=3, lam=0.5)
+    tracer = tracing.Tracer()
+    with tracing.tracing(tracer):
+        runner.greedy_select(range(5, 12), GreedyVariant.GREEDY, cfg, cache)
+        InfoCache(data).distance_block(4)
+    counts = {name: found for name, _, _, _, found in tracer.spans}
+    assert counts["greedy.greedy_select"] == {"candidates": 7}
+    cards = data.feature_cards
+    assert counts["info.nvi_distance_rows"] == {"rows": 12, "cells": 12 * int(cards[4]) * int(cards.max())}
 
 
 @pytest.mark.parametrize("machines", [1, 5])
@@ -329,7 +356,7 @@ def test_states_compute_every_pick_row(monkeypatch):
     monkeypatch.setattr(info.Columns, "distance_rows", lambda cols, batch: jobs.extend(batch) or real(cols, batch))
     for candidates in (range(30), range(1, 30)):
         jobs.clear()
-        state = greedy_state(candidates, 8, GreedyVariant.GREEDY, cfg, cache)
+        state = greedy_state(candidates, GreedyVariant.GREEDY, cfg, cache)
         assert len(jobs) == 8
         expect = np.zeros(state.order.size)
         for x in state.picks[0]:
@@ -342,10 +369,10 @@ def test_groups_reject_bad_input():
     cfg = weighted_cfg(cache, k=2, lam=0.5)
     for groups in ([[0, 1], []], [[0, 1], [1, 2]], []):
         with pytest.raises(ValueError):
-            greedy_states(groups, 2, GreedyVariant.GREEDY, cfg, cache)
+            greedy_states(groups, GreedyVariant.GREEDY, cfg, cache)
     with pytest.raises(ValueError):
-        greedy_states([[0, 1]], 0, GreedyVariant.GREEDY, cfg, cache)
-    state = greedy_states([[0, 1, 2], [3, 4, 5]], 1, GreedyVariant.GREEDY, cfg, cache)
+        greedy_states([[0, 1]], GreedyVariant.GREEDY, replace(cfg, k=0), cache)
+    state = greedy_states([[0, 1, 2], [3, 4, 5]], GreedyVariant.GREEDY, replace(cfg, k=1), cache)
     left = state.order[state.alive]
     with pytest.raises(ValueError):
         state.add([int(left[0]), int(left[1])])  # two picks in one group
@@ -370,7 +397,7 @@ def test_groups_with_mixed_column_sizes_pack_each_group_once(monkeypatch, widest
     groups = [np.arange(0, 20), np.arange(20, 50), np.arange(50, 60)]
     tops = [int(data.feature_cards[g].max()) for g in groups]
     assert tops[0] <= 4 and 16 < tops[2] <= 40 and (tops[1] == 65) == (widest == 65)
-    alone = [greedy_select(g, 6, GreedyVariant.GREEDY, cfg, InfoCache(data)) for g in groups]
+    alone = [greedy_select(g, GreedyVariant.GREEDY, cfg, InfoCache(data)) for g in groups]
     packed_rows, counted_rows = [], []
     real_pack, real_counts = info.pack_codes, info._packed_counts
 
@@ -384,7 +411,7 @@ def test_groups_with_mixed_column_sizes_pack_each_group_once(monkeypatch, widest
 
     monkeypatch.setattr(info, "pack_codes", packing)
     monkeypatch.setattr(info, "_packed_counts", counting)
-    assert greedy_states(groups, 6, GreedyVariant.GREEDY, cfg, InfoCache(data)).picks == alone
+    assert greedy_states(groups, GreedyVariant.GREEDY, cfg, InfoCache(data)).picks == alone
     # each group with at most 64 values per column is packed once; any other
     # call packs at most one target per group
     assert sorted(r for r in packed_rows if r > len(groups)) == sorted(

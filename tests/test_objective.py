@@ -189,8 +189,8 @@ def test_huge_top_p_selects_as_p_past_every_feature():
     huge = ObjectiveConfig.plain(cache.mi_table(), k=8, top_p=10**12)
     past = ObjectiveConfig.plain(cache.mi_table(), k=8, top_p=21)
     for groups in ([range(20)], [range(0, 20, 2), range(1, 20, 2)]):
-        found = greedy_states(groups, 8, GreedyVariant.GREEDY, huge, cache)
-        expect = greedy_states(groups, 8, GreedyVariant.GREEDY, past, cache)
+        found = greedy_states(groups, GreedyVariant.GREEDY, huge, cache)
+        expect = greedy_states(groups, GreedyVariant.GREEDY, past, cache)
         assert found.picks == expect.picks
         assert found.values.tolist() == expect.values.tolist()
 

@@ -4,6 +4,7 @@ distributed-merge bounds checked at desk scale."""
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ def _golden_instance():
 
 def test_oracle_golden():
     _, cache, cfg = _golden_instance()
-    opt = brute_force_opt(range(10), 3, cfg, cache)
+    opt = brute_force_opt(range(10), cfg, cache)
     assert opt.ids == GOLDEN_OPT_IDS
     assert opt.value == pytest.approx(GOLDEN_OPT_VALUE, abs=1e-12)
     assert opt.n_evaluated == 120
@@ -73,20 +74,20 @@ def test_oracle_reverse_enumeration_cross_check():
 def test_oracle_candidate_order_irrelevant():
     _, cache, cfg = _golden_instance()
     rng = np.random.default_rng(70)
-    base = brute_force_opt(range(10), 3, cfg, cache)
+    base = brute_force_opt(range(10), cfg, cache)
     for _ in range(3):
         perm = rng.permutation(10).tolist()
-        again = brute_force_opt(perm, 3, cfg, cache)
+        again = brute_force_opt(perm, cfg, cache)
         assert again.ids == base.ids
         assert again.value == base.value
 
 
 def test_oracle_chunking_irrelevant(monkeypatch):
     _, cache, cfg = _golden_instance()
-    base = brute_force_opt(range(10), 3, cfg, cache)
+    base = brute_force_opt(range(10), cfg, cache)
     for chunk in (1, 7, math.comb(10, 3), math.comb(10, 3) + 1, 100000):
         monkeypatch.setattr(oracle, "CHUNK", chunk)
-        again = brute_force_opt(range(10), 3, cfg, cache)
+        again = brute_force_opt(range(10), cfg, cache)
         assert (again.ids, again.value, again.n_evaluated) == (base.ids, base.value, 120)
 
 
@@ -121,14 +122,14 @@ def test_evaluator_bitwise_equals_sorting_reference(k, t):
 def test_oracle_rejects_duplicate_ids():
     _, cache, cfg = _golden_instance()
     with pytest.raises(ValueError, match="duplicate candidate ids"):
-        brute_force_opt([3, 3, 3, 3], 2, cfg, cache)
+        brute_force_opt([3, 3, 3, 3], replace(cfg, k=2), cache)
     with pytest.raises(ValueError, match="duplicate candidate ids"):
         subset_value([3, 3], cfg, cache)
     for ids in ([-1], [0, 10]):
         with pytest.raises(ValueError, match="out of range"):
             subset_value(ids, cfg, cache)
         with pytest.raises(ValueError, match="out of range"):
-            brute_force_opt(ids, 1, cfg, cache)
+            brute_force_opt(ids, replace(cfg, k=1), cache)
 
 
 def test_oracle_memory_does_not_grow_with_subset_count():
@@ -138,7 +139,7 @@ def test_oracle_memory_does_not_grow_with_subset_count():
     cfg = weighted_cfg(cache, k=5, lam=0.5, p=3)
     tracemalloc.start()
     try:
-        opt = brute_force_opt(range(40), 5, cfg, cache)
+        opt = brute_force_opt(range(40), cfg, cache)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -148,12 +149,12 @@ def test_oracle_memory_does_not_grow_with_subset_count():
 
 def test_oracle_whole_set_and_k1():
     _, cache, cfg = _golden_instance()
-    whole = brute_force_opt(range(10), 10, cfg, cache)
+    whole = brute_force_opt(range(10), replace(cfg, k=10), cache)
     assert whole.ids == tuple(range(10))
     # weighted scaling vanishes at k=1, so compare under the plain objective
     plain1 = plain_cfg(cache, k=1, p=2)
-    top = brute_force_opt(range(10), 1, plain1, cache)
-    assert top.ids == (greedy_select(range(10), 1, GreedyVariant.GREEDY, plain1, cache)[0],)
+    top = brute_force_opt(range(10), plain1, cache)
+    assert top.ids == (greedy_select(range(10), GreedyVariant.GREEDY, plain1, cache)[0],)
 
 
 @pytest.mark.parametrize("card_hi", [4, 40])
@@ -174,11 +175,11 @@ def test_distance_matrix_rows_equal_scalar_distances(card_hi):
 def test_oracle_budget_refusal():
     _, cache, cfg = _golden_instance()
     with pytest.raises(BudgetError, match="budget 100"):
-        brute_force_opt(range(10), 3, cfg, cache, budget=100)
+        brute_force_opt(range(10), cfg, cache, budget=100)
     with pytest.raises(ValueError):
-        brute_force_opt(range(10), 0, cfg, cache)
+        brute_force_opt(range(10), replace(cfg, k=0), cache)
     with pytest.raises(ValueError):
-        brute_force_opt(range(10), 11, cfg, cache)
+        brute_force_opt(range(10), replace(cfg, k=11), cache)
 
 
 def test_oracle_lexicographic_tie_break():
@@ -186,7 +187,7 @@ def test_oracle_lexicographic_tie_break():
     data = dataset_from_matrices(np.array([y, y, y, y, y]), np.array([y]))
     cache = InfoCache(data)
     cfg = plain_cfg(cache, k=2, p=1)
-    opt = brute_force_opt(range(5), 2, cfg, cache)
+    opt = brute_force_opt(range(5), cfg, cache)
     # every pair has the same value; lexicographically smallest wins
     assert opt.ids == (0, 1)
 
@@ -228,6 +229,18 @@ def test_approximation_report_refuses_k_before_enumerating():
         approximation_report(data, 2, cfg, m=2, seeds=[0], budget=1)
 
 
+def test_approximation_report_refuses_empty_seeds_and_foreign_tables():
+    # no seed would leave the mean distributed ratio NaN, which JSON cannot
+    # hold; both refusals come before any subset is valued
+    data, cache = instance_with_cache(seed=72, d=11, n=24, t=2)
+    cfg = weighted_cfg(cache, k=3, lam=0.5, p=2)
+    with pytest.raises(ValueError, match="at least one seed"):
+        approximation_report(data, 3, cfg, m=2, seeds=[], budget=1)
+    _, wider = instance_with_cache(seed=73, d=12, n=24, t=2)
+    with pytest.raises(ValueError, match="mi_table has 12 rows for 11 features"):
+        approximation_report(data, 3, weighted_cfg(wider, k=3, lam=0.5, p=2), m=2, seeds=[0], budget=1)
+
+
 def test_oracle_result_is_frozen():
     res = OracleResult((1, 2), 3.0, 10)
     with pytest.raises(AttributeError):
@@ -242,7 +255,7 @@ def test_distributed_merge_bounds_at_desk_scale():
     across 50 partition seeds."""
     data, cache = instance_with_cache(seed=77, d=24, n=24, t=2)
     cfg = plain_cfg(cache, k=10, p=3)
-    opt = brute_force_opt(range(24), 10, cfg, cache)
+    opt = brute_force_opt(range(24), cfg, cache)
     d_opt = diversity(opt.ids, cache)
     g_opt = relevance_g(opt.ids, cfg)
 
@@ -252,8 +265,8 @@ def test_distributed_merge_bounds_at_desk_scale():
         union = []
         for ids in plan.machines():
             if ids.size:
-                union.extend(greedy_select(ids, 10, GreedyVariant.GREEDY, cfg, cache))
-        u_opt = brute_force_opt(union, min(10, len(union)), cfg, cache)
+                union.extend(greedy_select(ids, GreedyVariant.GREEDY, cfg, cache))
+        u_opt = brute_force_opt(union, replace(cfg, k=min(10, len(union))), cache)
         union_vals.append(u_opt.value)
     mean_val = float(np.mean(union_vals))
     for val in union_vals:

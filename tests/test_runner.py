@@ -126,8 +126,8 @@ def test_distributed_matches_manual_pipeline():
     union = []
     for ids in plan.machines():
         if ids.size:
-            union.extend(greedy_select(ids, 5, GreedyVariant.GREEDY, cfg, InfoCache(data)))
-    expect = greedy_select(union, 5, GreedyVariant.ALTGREEDY, cfg, InfoCache(data))
+            union.extend(greedy_select(ids, GreedyVariant.GREEDY, cfg, InfoCache(data)))
+    expect = greedy_select(union, GreedyVariant.ALTGREEDY, cfg, InfoCache(data))
     assert list(rep.selected_ids) == expect
     assert set(rep.selected_ids) <= set(union)  # core-set containment
 
@@ -136,8 +136,8 @@ def test_distributed_m1_degenerate():
     data, cache = instance_with_cache(seed=51, d=25, n=28, t=2)
     cfg = weighted_cfg(cache, k=4, lam=0.5, p=2)
     rep = distributed_select(data, 4, cfg, m=1, seed=0)
-    stage1 = greedy_select(range(25), 4, GreedyVariant.GREEDY, cfg, cache)
-    stage2 = greedy_select(stage1, 4, GreedyVariant.ALTGREEDY, cfg, cache)
+    stage1 = greedy_select(range(25), GreedyVariant.GREEDY, cfg, cache)
+    stage2 = greedy_select(stage1, GreedyVariant.ALTGREEDY, cfg, cache)
     assert list(rep.selected_ids) == stage2
 
 
@@ -166,6 +166,19 @@ def test_runners_refuse_a_k_other_than_the_objectives(synth, synth_cache):
     for run in (centralized_select, distributed_select, streaming_select):
         with pytest.raises(ValueError, match="k=4 differs from the objective's k=10"):
             run(synth, 4, cfg)
+
+
+def test_runners_refuse_a_cache_or_mi_table_of_another_dataset():
+    # either would score the run's features with another dataset's rows
+    data, cache = instance_with_cache(seed=80, d=30, n=24, t=2)
+    cfg = weighted_cfg(cache, k=5, lam=0.5, p=3)
+    _, wider = instance_with_cache(seed=81, d=40, n=24, t=2)
+    for run in (centralized_select, distributed_select, streaming_select):
+        with pytest.raises(ValueError, match="mi_table has 40 rows for 30 features"):
+            run(data, 5, weighted_cfg(wider, k=5, lam=0.5, p=3))
+    for other in (wider, InfoCache(instance_with_cache(seed=82, d=30, n=24, t=2)[0])):
+        with pytest.raises(ValueError, match="cache is over another dataset"):
+            centralized_select(data, 5, cfg, GreedyVariant.ALTGREEDY, other)
 
 
 def test_parallel_pool_matches_serial():
@@ -251,7 +264,7 @@ def test_streaming_single_partition_retains_everything():
     assert rep.peak_retained_feature_columns == 35
 
 
-def one_machine_at_a_time(data, cfg, k, plan):
+def one_machine_at_a_time(data, cfg, plan):
     """Reference map: machines in order, each through greedy_select alone.
     Returns the core-set union and the peak count of columns held."""
     retained, peak = [], 0
@@ -259,7 +272,7 @@ def one_machine_at_a_time(data, cfg, k, plan):
         if ids.size == 0:
             continue
         peak = max(peak, len(retained) + ids.size)
-        retained.extend(greedy_select(ids, k, GreedyVariant.GREEDY, cfg, InfoCache(data)))
+        retained.extend(greedy_select(ids, GreedyVariant.GREEDY, cfg, InfoCache(data)))
     return retained, max(peak, len(retained))
 
 
@@ -268,7 +281,7 @@ def test_streaming_peak_matches_one_machine_at_a_time(d, m):
     data, cache = instance_with_cache(seed=69, d=d, n=24, t=2)
     cfg = weighted_cfg(cache, k=2, lam=0.5, p=2)
     rep = streaming_select(data, 2, cfg, m=m, seed=3)
-    _, peak = one_machine_at_a_time(data, cfg, 2, rep.plan)
+    _, peak = one_machine_at_a_time(data, cfg, rep.plan)
     assert rep.peak_retained_feature_columns == peak
 
 
@@ -288,8 +301,8 @@ def test_every_batching_reports_the_same_run():
     runs.append(streaming_select(data, 2, cfg, m=10, seed=3))
     assert runs[0].plan.sizes().count(0) == 3
     assert len({canonical(r) for r in runs}) == 1
-    union, _ = one_machine_at_a_time(data, cfg, 2, runs[0].plan)
-    assert list(runs[0].selected_ids) == greedy_select(union, 2, GreedyVariant.ALTGREEDY, cfg, InfoCache(data))
+    union, _ = one_machine_at_a_time(data, cfg, runs[0].plan)
+    assert list(runs[0].selected_ids) == greedy_select(union, GreedyVariant.ALTGREEDY, cfg, InfoCache(data))
 
 
 def test_batch_stamps_fall_in_the_map_phase():
