@@ -2,10 +2,12 @@
 How close does greedy get to the true optimum?
 ==============================================
 
-On instances small enough to enumerate every k-subset, compare both
-greedy variants and a handful of seeded distributed runs against the
-exhaustive optimum. AltGreedy is guaranteed half; in practice everything
-lands far above its floor.
+On instances small enough to cover every k-subset, compare both greedy
+variants and a handful of seeded distributed runs against the exact
+optimum. The oracle finds it by bound and prune: it values only the
+subsets an upper bound cannot rule out, with the result of valuing them
+all. AltGreedy is guaranteed half; in practice everything lands far above
+its floor.
 """
 
 import numpy as np

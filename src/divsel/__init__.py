@@ -3,7 +3,7 @@
 Selects k feature columns that are mutually non-redundant (pairwise
 normalized variation-of-information distance) and collectively relevant
 (per-label top-p normalized mutual information), with centralized,
-distributed, and streaming drivers plus an exhaustive oracle for
+distributed, and streaming drivers plus an exact oracle for
 small instances.
 """
 

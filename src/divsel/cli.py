@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: select (run a selection, emit a run report), oracle (compare
-against the exhaustive optimizer), eval-metrics (score predictions),
+against the exact optimizer), eval-metrics (score predictions),
 gen-synth (write the synthesized benchmark as dense CSV), bench (objective
 and runtime across modes and k values). All JSON goes to stdout or
 --output with sorted keys.
@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--parallelism", type=int, default=1)
     p_select.add_argument("--output", help="write JSON here instead of stdout")
 
-    p_oracle = subs.add_parser("oracle", help="compare against the exhaustive optimizer")
+    p_oracle = subs.add_parser("oracle", help="compare against the exact optimizer")
     _add_dataset_flags(p_oracle)
     _add_objective_flags(p_oracle)
     p_oracle.add_argument("--machines", type=int)

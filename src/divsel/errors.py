@@ -14,7 +14,9 @@ class ValidationError(DataError):
 
 
 class BudgetError(Exception):
-    """An exhaustive enumeration would exceed the configured subset budget."""
+    """The oracle's search would cover more k-subsets, C(c, k), than the
+    configured budget allows (whatever share of them a bound would rule
+    out)."""
 
 
 class GuaranteeError(Exception):

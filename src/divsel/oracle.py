@@ -1,9 +1,12 @@
-"""Exhaustive reference optimizer and approximation-ratio reports.
+"""Exact reference optimizer and approximation-ratio reports.
 
-The oracle enumerates every k-subset of the candidates (within a hard
-budget), evaluating the same scaled objective the greedy engines maximize.
-It exists to verify the engines' guarantees on desk-scale instances, so its
-evaluation path is deliberately separate from objective.h_value.
+The oracle finds the best k-subset of the candidates (within a hard budget
+on C(c, k)), valuing subsets with the same scaled objective the greedy
+engines maximize. A depth-first bound-and-prune search values only the
+subsets an upper bound cannot rule out, so the result is that of valuing
+every subset. It exists to verify the engines' guarantees on desk-scale
+instances, so its evaluation path is deliberately separate from
+objective.h_value and from the greedy engine.
 """
 
 from __future__ import annotations
@@ -22,12 +25,18 @@ from .runner import check_k, distributed_select, json_fields
 
 DEFAULT_BUDGET = 2_000_000
 
-# brute_force_opt enumerates and values this many subsets per block.
+# brute_force_opt values at most this many subsets per evaluator call, and
+# its search expands blocks of prefixes whose tables hold about CHUNK * k
+# cells each
 CHUNK = 8192
 
 ALTGREEDY_RATIO = 0.5
 DISTRIBUTED_RATIO = 1.0 / 31.0
 RATIO_SLACK = 1e-9
+# the search drops a subtree whose bound falls below the incumbent by more
+# than this share of it (at least 1), which covers the float error of the
+# search's running sums
+PRUNE_SLACK = 1e-9
 
 
 def distance_matrix(ids, cache: InfoCache) -> np.ndarray:
@@ -40,33 +49,6 @@ def distance_matrix(ids, cache: InfoCache) -> np.ndarray:
     for a, i in enumerate(ids.tolist()):
         mat[a] = cache.distance_block(i, ids)
     return mat
-
-
-def _combinations(c: int, k: int, chunk: int):
-    """Every k-subset of range(c) in lexicographic order, as (rows, k) int64
-    blocks of at most ``chunk`` rows whose columns are contiguous. Memory is
-    O(chunk * k) whatever C(c, k) is.
-
-    Lexicographic rank r of (a_0 < ... < a_{k-1}) is C(c, k) - 1 - N, where
-    N = sum_i C(c - 1 - a_i, k - i) is the combinatorial-number-system rank
-    of the reversed ids; a block unranks N greedily, one position at a time.
-    """
-    total = math.comb(c, k)
-    # binom[m][b] = C(b, m) for b <= c - 1 - k + m, the entries position
-    # k - m reads; all are at most C(c, k)
-    binom = [np.ones(c - k, dtype=np.int64)]
-    for _ in range(k):
-        binom.append(np.concatenate(([0], np.cumsum(binom[-1]))))
-    for start in range(0, total, chunk):
-        rows = min(chunk, total - start)
-        rest = np.arange(total - 1 - start, total - 1 - start - rows, -1, dtype=np.int64)
-        block = np.empty((k, rows), dtype=np.int64)
-        for i in range(k):
-            table = binom[k - i]
-            b = np.searchsorted(table, rest, side="right") - 1
-            rest -= table[b]
-            np.subtract(c - 1, b, out=block[i])
-        yield block.T
 
 
 def _values_for_combos(combos: np.ndarray, dmat: np.ndarray, mi_sub: np.ndarray, cfg: ObjectiveConfig) -> np.ndarray:
@@ -116,9 +98,161 @@ def _values_for_combos(combos: np.ndarray, dmat: np.ndarray, mi_sub: np.ndarray,
 
 @dataclass(frozen=True)
 class OracleResult:
+    """The optimum's ids and value. ``n_evaluated`` counts the subsets the
+    search covered, C(c, k); ``n_valued`` those passed to the evaluator."""
+
     ids: tuple
     value: float
     n_evaluated: int
+    n_valued: int
+
+
+@dataclass(frozen=True)
+class _Prefixes:
+    """A block of prefixes of one length j in lexicographic order: each
+    row's j positions, its value, its distance sums to every position, and
+    per label its largest MI values in min(top_p, k) zero-seeded slots, as
+    ``SelectionState.top`` keeps them (the smallest slot is the label's
+    relevance threshold)."""
+
+    pos: np.ndarray
+    value: np.ndarray
+    dist: np.ndarray
+    top: np.ndarray
+
+
+class _Search:
+    """Bound-and-prune search for the best k-subset of positions into
+    ``dmat`` and ``mi_sub``, k = ``cfg.k``.
+
+    A prefix is extended only by later positions, one block of prefixes at
+    a time, and the children of a block are taken row-major, so k-subsets
+    are reached in lexicographic order. A child whose bound falls below the
+    incumbent, less a relative slack for the float error of the running
+    sums, is dropped with every subset that extends it; every other
+    k-subset is valued by ``_values_for_combos``, and the first strict
+    maximum wins.
+    """
+
+    def __init__(self, dmat: np.ndarray, mi_sub: np.ndarray, cfg: ObjectiveConfig):
+        c, k = dmat.shape[0], cfg.k
+        self.dmat, self.mi_sub, self.cfg = dmat, mi_sub, cfg
+        self.mi_labels = np.ascontiguousarray(mi_sub.T)
+        self.positions = np.arange(c)
+        # row_top[x, m]: the sum of the m largest distances in row x
+        self.row_top = np.zeros((c, k))
+        np.cumsum(np.sort(dmat, axis=1)[:, ::-1][:, : k - 1], axis=1, out=self.row_top[:, 1:])
+        self.incumbent, self.best, self.best_value, self.n_valued = -np.inf, None, -np.inf, 0
+
+    def root(self) -> _Prefixes:
+        c, t = self.mi_sub.shape
+        slots = min(self.cfg.top_p, self.cfg.k)
+        return _Prefixes(np.empty((1, 0), dtype=np.int64), np.zeros(1), np.zeros((1, c)), np.zeros((1, t, slots)))
+
+    def expand(self, pre: _Prefixes):
+        """(gain, bound, valid), each (rows, c): the exact gain of every
+        child prefix + x over its prefix, an upper bound on the value of
+        every k-subset that extends the child, and whether x may extend the
+        prefix (a later position with room for the rest after it).
+
+        With r = k - j positions to add, a position's gain in any completion
+        is at most its g: its scaled relevance gain over the prefix's
+        thresholds (by submodularity also when k > top_p), plus its scaled
+        distance sum to the prefix and half its r - 1 largest distances. A
+        child's bound is the prefix value plus the smaller of T_r and g_x +
+        T_(r-1), T_m the sum of the m largest g over later positions."""
+        cfg = self.cfg
+        rows, j = pre.pos.shape
+        c, r = self.positions.size, cfg.k - j
+        last = pre.pos[:, -1:] if j else np.full((rows, 1), -1)
+        later = self.positions > last
+        valid = later & (self.positions <= c - r)
+        rel = np.zeros((rows, c))
+        term = np.empty((rows, c))
+        for mi, tau in zip(self.mi_labels, pre.top.min(axis=2).T):
+            np.subtract(mi, tau[:, None], out=term)
+            np.maximum(term, 0.0, out=term)
+            rel += term
+        rel *= cfg.relevance_scale
+        gain = rel + cfg.diversity_scale * pre.dist
+        if r == 1:
+            bound = pre.value[:, None] + gain
+        else:
+            g = rel + cfg.diversity_scale * (pre.dist + 0.5 * self.row_top[:, r - 1])
+            # every g is >= 0 and at least r positions are later, so zeros
+            # leave the sums of the largest later ones unchanged
+            g[~later] = 0.0
+            largest = np.sort(g, axis=1)[:, c - r :]
+            bound = np.minimum(largest.sum(axis=1)[:, None], g + largest[:, 1:].sum(axis=1)[:, None])
+            bound += pre.value[:, None]
+        return gain, bound, valid
+
+    def children(self, pre: _Prefixes, gain: np.ndarray, flat: np.ndarray) -> _Prefixes:
+        """The child prefixes at ``flat``, row-major indices into expand's
+        (rows, c) tables."""
+        rows, x = np.divmod(flat, self.positions.size)
+        top = pre.top[rows]
+        # each label's smallest slot takes x's MI value when that is larger
+        at = (np.arange(flat.size)[:, None], np.arange(top.shape[1]), top.argmin(axis=2))
+        top[at] = np.maximum(top[at], self.mi_sub[x])
+        return _Prefixes(
+            np.concatenate((pre.pos[rows], x[:, None]), axis=1),
+            pre.value[rows] + gain.reshape(-1)[flat],
+            pre.dist[rows] + self.dmat[x],
+            top,
+        )
+
+    def floor(self) -> float:
+        """The value a bound must reach: the incumbent, less the slack."""
+        best = max(self.incumbent, self.best_value)
+        return best - PRUNE_SLACK * max(1.0, abs(best))
+
+    def plunge(self) -> None:
+        """The incumbent: from the empty prefix, repeatedly the child of
+        largest exact value (the smallest position on ties), valued."""
+        pre = self.root()
+        for _ in range(self.cfg.k):
+            gain, _, valid = self.expand(pre)
+            pre = self.children(pre, gain, np.array([int(np.argmax(np.where(valid, gain, -1.0)))]))
+        self.incumbent = float(_values_for_combos(pre.pos, self.dmat, self.mi_sub, self.cfg)[0])
+        self.n_valued += 1
+
+    def visit(self, pre: _Prefixes, stack: list) -> None:
+        """Expand ``pre``: value its kept children when they are k-subsets,
+        else open them as the next depth on ``stack``, as [prefixes, gains,
+        kept children's flat indices, their bounds, how many were taken]."""
+        gain, bound, valid = self.expand(pre)
+        flat = np.flatnonzero(valid & (bound >= self.floor()))
+        if pre.pos.shape[1] < self.cfg.k - 1:
+            stack.append([pre, gain, flat, bound.reshape(-1)[flat], 0])
+            return
+        rows, x = np.divmod(flat, self.positions.size)
+        for lo in range(0, flat.size, CHUNK):
+            combos = np.concatenate((pre.pos[rows[lo : lo + CHUNK]], x[lo : lo + CHUNK, None]), axis=1)
+            values = _values_for_combos(combos, self.dmat, self.mi_sub, self.cfg)
+            self.n_valued += combos.shape[0]
+            at = int(np.argmax(values))
+            if values[at] > self.best_value:
+                self.best, self.best_value = combos[at].copy(), float(values[at])
+
+    def run(self):
+        """(positions, value) of the lexicographically first optimum."""
+        self.plunge()
+        block = max(1, CHUNK * self.cfg.k // self.positions.size)
+        stack = []
+        self.visit(self.root(), stack)
+        while stack:
+            level = stack[-1]
+            pre, gain, flat, bounds, lo = level
+            if lo >= flat.size:
+                stack.pop()
+                continue
+            level[4] = lo + block
+            # the incumbent may have risen since these bounds were taken
+            part = flat[lo : lo + block][bounds[lo : lo + block] >= self.floor()]
+            if part.size:
+                self.visit(self.children(pre, gain, part), stack)
+        return self.best, self.best_value
 
 
 def subset_value(ids, cfg: ObjectiveConfig, cache: InfoCache) -> float:
@@ -137,10 +271,14 @@ def brute_force_opt(candidates, cfg: ObjectiveConfig, cache: InfoCache, budget: 
 
     Refuses (BudgetError) when C(|candidates|, k) exceeds the budget and
     ValueError on fewer candidates than k or on duplicate or out-of-range
-    ids. Subsets are enumerated and evaluated ``CHUNK`` at a time, so
-    memory does not grow with C(|candidates|, k).
+    ids. A bound-and-prune search (``_Search``) values only the subsets
+    whose bound reaches the incumbent, ``CHUNK`` at most per evaluator
+    call, and keeps at most k - 1 blocks of prefixes open, each with tables
+    of about ``CHUNK * k`` cells, so memory does not grow with
+    C(|candidates|, k) however little it prunes.
     Ties resolve to the lexicographically smallest id tuple; the result
-    depends only on the candidate set.
+    depends only on the candidate set, and its ids and value bits are those
+    of valuing every subset.
     """
     ids = sorted_feature_ids(candidates, cfg.mi_table.shape[0])
     c, k = ids.size, cfg.k
@@ -149,19 +287,9 @@ def brute_force_opt(candidates, cfg: ObjectiveConfig, cache: InfoCache, budget: 
     total = math.comb(c, k)
     if total > budget:
         raise BudgetError(f"C({c}, {k}) = {total} subsets exceeds budget {budget}")
-    dmat = distance_matrix(ids, cache)
-    mi_sub = cfg.mi_table[ids]
-    best_value = -np.inf
-    best_combo = None
-    seen = 0
-    for combos in _combinations(c, k, CHUNK):
-        values = _values_for_combos(combos, dmat, mi_sub, cfg)
-        seen += combos.shape[0]
-        local = int(np.argmax(values))
-        if values[local] > best_value:
-            best_value = float(values[local])
-            best_combo = combos[local].copy()
-    return OracleResult(tuple(int(i) for i in ids[best_combo]), best_value, seen)
+    search = _Search(distance_matrix(ids, cache), cfg.mi_table[ids], cfg)
+    best, value = search.run()
+    return OracleResult(tuple(int(i) for i in ids[best]), value, total, search.n_valued)
 
 
 @dataclass(frozen=True)

@@ -4,17 +4,22 @@ test suites.
 Instances plant some label-correlated features and some duplicate columns
 so that both objective terms have signal; everything derives from the seed.
 The references compute each value from an explicit joint count table,
-or from one scalar ``nvi_distance`` per pair added in a fixed order.
+or from one scalar ``nvi_distance`` per pair added in a fixed order, and
+the exhaustive optimum values every k-subset.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
+from divsel import oracle
 from divsel.data import Dataset, dataset_from_matrices
 from divsel.greedy import GreedyVariant, NicenessReport, greedy_state
 from divsel.info import InfoCache, _as_codes, nvi_distance
-from divsel.objective import ObjectiveConfig, marginal_g_rows
+from divsel.objective import ObjectiveConfig, marginal_g_rows, sorted_feature_ids
 
 
 def random_instance(seed: int, d: int, n: int, t: int, card_hi: int = 4) -> Dataset:
@@ -132,3 +137,30 @@ def pair_loop_niceness(
         max_distance_ratio=max_dist,
         removal_stable=stable,
     )
+
+
+def lexicographic_blocks(c: int, k: int, chunk: int):
+    """Every k-subset of range(c) in lexicographic order, as (rows, k)
+    int64 blocks of at most ``chunk`` rows."""
+    combos = itertools.combinations(range(c), k)
+    while True:
+        block = np.fromiter(itertools.islice(combos, chunk), dtype=np.dtype((np.int64, k)))
+        if not block.size:
+            return
+        yield block
+
+
+def exhaustive_opt(candidates, cfg: ObjectiveConfig, cache: InfoCache) -> oracle.OracleResult:
+    """``brute_force_opt`` by valuing every k-subset, ``oracle.CHUNK`` at a
+    time with the oracle's evaluator, keeping the first strict maximum."""
+    ids = sorted_feature_ids(candidates, cfg.mi_table.shape[0])
+    dmat = oracle.distance_matrix(ids, cache)
+    mi_sub = cfg.mi_table[ids]
+    best_value, best = -np.inf, None
+    for combos in lexicographic_blocks(ids.size, cfg.k, oracle.CHUNK):
+        values = oracle._values_for_combos(combos, dmat, mi_sub, cfg)
+        at = int(np.argmax(values))
+        if values[at] > best_value:
+            best_value, best = float(values[at]), combos[at]
+    total = math.comb(ids.size, cfg.k)
+    return oracle.OracleResult(tuple(int(i) for i in ids[best]), best_value, total, total)

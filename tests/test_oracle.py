@@ -1,5 +1,6 @@
-"""Exhaustive oracle: goldens, tie-breaking, budget, and the loose
-distributed-merge bounds checked at desk scale."""
+"""Exact oracle: goldens, tie-breaking, budget, the pruned search against
+valuing every subset, and the loose distributed-merge bounds checked at
+desk scale."""
 
 import itertools
 import math
@@ -17,7 +18,7 @@ from divsel.info import InfoCache
 from divsel.objective import ObjectiveConfig, diversity, h_value, relevance_g
 from divsel.oracle import (
     OracleResult,
-    _combinations,
+    _Search,
     _values_for_combos,
     approximation_report,
     brute_force_opt,
@@ -25,7 +26,14 @@ from divsel.oracle import (
     subset_value,
 )
 from divsel.runner import random_partition
-from helpers import instance_with_cache, plain_cfg, weighted_cfg
+from helpers import (
+    exhaustive_opt,
+    instance_with_cache,
+    lexicographic_blocks,
+    plain_cfg,
+    random_instance,
+    weighted_cfg,
+)
 
 # frozen from one run; reproduced below by an independent reverse-order scan
 GOLDEN_OPT_IDS = (0, 3, 7)
@@ -95,7 +103,7 @@ def test_oracle_chunking_irrelevant(monkeypatch):
 def test_combinations_enumerate_in_lexicographic_order(c, k):
     expected = list(itertools.combinations(range(c), k))
     for chunk in (1, 5, len(expected), 100000):
-        blocks = list(_combinations(c, k, chunk))
+        blocks = list(lexicographic_blocks(c, k, chunk))
         assert all(0 < b.shape[0] <= chunk and b.shape[1] == k for b in blocks)
         assert [tuple(row) for b in blocks for row in b.tolist()] == expected
 
@@ -133,8 +141,9 @@ def test_oracle_rejects_duplicate_ids():
 
 
 def test_oracle_memory_does_not_grow_with_subset_count():
-    # C(40, 5) = 658,008 subsets; the evaluator's temporaries are
-    # O(chunk * k * t), about 2.6 MB at the default chunk
+    # C(40, 5) = 658,008 subsets, all covered; the bound leaves fewer than
+    # 1% of them to the evaluator, whose temporaries are O(chunk * k * t),
+    # about 2.6 MB at the default chunk
     _, cache = instance_with_cache(seed=73, d=40, n=64, t=4)
     cfg = weighted_cfg(cache, k=5, lam=0.5, p=3)
     tracemalloc.start()
@@ -144,7 +153,63 @@ def test_oracle_memory_does_not_grow_with_subset_count():
     finally:
         tracemalloc.stop()
     assert opt.n_evaluated == 658008
+    assert opt.n_valued * 100 < opt.n_evaluated
     assert peak < 8_000_000
+
+
+def test_oracle_worst_case_prunes_nothing_in_bounded_memory():
+    # identical columns tie every subset, so no bound falls below the
+    # incumbent and the search values all C(30, 5) = 142,506 > CHUNK subsets
+    # (and the incumbent once more) in the blocks the bound would prune
+    y = np.array([0, 1, 0, 1, 1, 0] * 10)
+    data = dataset_from_matrices(np.array([y] * 30), np.array([y]))
+    cache = InfoCache(data)
+    cfg = weighted_cfg(cache, k=5, lam=0.5, p=3)
+    tracemalloc.start()
+    try:
+        opt = brute_force_opt(range(30), cfg, cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert opt.ids == (0, 1, 2, 3, 4)
+    assert opt.n_evaluated == 142506 > oracle.CHUNK
+    assert opt.n_valued == 142506 + 1
+    assert peak < 8_000_000
+
+
+def _sweep_instances():
+    """Planted, uniform, duplicate-heavy and constant-column instances."""
+    for seed in (0, 1):
+        rng = np.random.default_rng(80 + seed)
+        labels = rng.integers(0, 2, size=(2, 24))
+        base = rng.integers(0, 3, size=(3, 24))
+        constant = rng.integers(0, 3, size=(10, 24))
+        constant[::3] = 1
+        yield random_instance(80 + seed, 11, 24, 2)
+        yield dataset_from_matrices(rng.integers(0, 3, size=(11, 24)), labels)
+        yield dataset_from_matrices(base[rng.integers(0, 3, size=11)], labels)
+        yield dataset_from_matrices(constant, labels)
+
+
+def test_pruned_search_equals_valuing_every_subset():
+    for data in _sweep_instances():
+        cache = InfoCache(data)
+        c = data.n_features
+        # k <= p and k > p, k = 1 and k = c
+        for k, p in ((1, 2), (2, 3), (4, 2), (5, 10), (c, 3)):
+            cfgs = [weighted_cfg(cache, k, lam, p) for lam in (0.0, 0.5, 1.0)]
+            for cfg in cfgs + [plain_cfg(cache, k, p)]:
+                got = brute_force_opt(range(c), cfg, cache)
+                ref = exhaustive_opt(range(c), cfg, cache)
+                assert got.ids == ref.ids
+                assert np.float64(got.value).view(np.int64) == np.float64(ref.value).view(np.int64)
+                assert got.n_evaluated == ref.n_evaluated == math.comb(c, k)
+                # the bound the search prunes by holds at the empty prefix
+                ids = np.arange(c)
+                search = _Search(distance_matrix(ids, cache), cfg.mi_table[ids], cfg)
+                _, bound, valid = search.expand(search.root())
+                slack = oracle.PRUNE_SLACK * max(1.0, abs(ref.value))
+                assert bound[valid].max() >= ref.value - slack
 
 
 def test_oracle_whole_set_and_k1():
@@ -242,7 +307,7 @@ def test_approximation_report_refuses_empty_seeds_and_foreign_tables():
 
 
 def test_oracle_result_is_frozen():
-    res = OracleResult((1, 2), 3.0, 10)
+    res = OracleResult((1, 2), 3.0, 10, 10)
     with pytest.raises(AttributeError):
         res.value = 4.0
 
