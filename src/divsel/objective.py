@@ -66,8 +66,10 @@ class ObjectiveConfig:
         if not 0.0 <= lam <= 1.0:
             raise ValueError("lambda must be in [0, 1]")
         mi_table = np.asarray(mi_table, dtype=np.float64)
-        n_labels = mi_table.shape[1]
-        rel = (1.0 - lam) * (k * (k - 1)) / (2.0 * top_p * n_labels)
+        # a positive denominator, so that the constructor refuses top_p < 1
+        # and a table that is not (n_features, n_labels) with its own message
+        n_labels = mi_table.shape[1] if mi_table.ndim == 2 else 0
+        rel = (1.0 - lam) * (k * (k - 1)) / (2.0 * max(top_p, 1) * max(n_labels, 1))
         return cls(mi_table, k, top_p, rel, lam, diversity_weight=lam)
 
     @classmethod

@@ -4,9 +4,11 @@ The oracle finds the best k-subset of the candidates (within a hard budget
 on C(c, k)), valuing subsets with the same scaled objective the greedy
 engines maximize. A depth-first bound-and-prune search values only the
 subsets an upper bound cannot rule out, so the result is that of valuing
-every subset. It exists to verify the engines' guarantees on desk-scale
-instances, so its evaluation path is deliberately separate from
-objective.h_value and from the greedy engine.
+every subset. A subset's value is the search's running sum over its
+ascending positions, which ``subset_value`` walks too: one valuation. It
+exists to verify the engines' guarantees on desk-scale instances, so its
+evaluation path is deliberately separate from objective.h_value and from
+the greedy engine.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from .runner import check_k, distributed_select, json_fields
 
 DEFAULT_BUDGET = 2_000_000
 
-# brute_force_opt values at most this many subsets per evaluator call, and
-# its search expands blocks of prefixes whose tables hold about CHUNK * k
-# cells each
+# brute_force_opt's search expands blocks of prefixes whose tables hold
+# about CHUNK * k cells each
 CHUNK = 8192
 
 ALTGREEDY_RATIO = 0.5
@@ -51,55 +52,11 @@ def distance_matrix(ids, cache: InfoCache) -> np.ndarray:
     return mat
 
 
-def _values_for_combos(combos: np.ndarray, dmat: np.ndarray, mi_sub: np.ndarray, cfg: ObjectiveConfig) -> np.ndarray:
-    """Objective value of each row of ``combos`` (positions into dmat and
-    mi_sub), evaluated one position column at a time.
-
-    Bit-identical to gathering each subset's (k, t) MI block, sorting it
-    along positions and summing the top min(top_p, k) of them over
-    positions, then over labels: pair distances are added in (a, b) order
-    from 0.0, and bubble passes of compare-exchange, which only permute
-    values, leave the top values in the same ascending order as the sort.
-    """
-    n, k = combos.shape
-    c = dmat.shape[0]
-    cols = [combos[:, a] for a in range(k)]
-    dflat = dmat.reshape(-1)
-    div = np.zeros(n, dtype=np.float64)
-    flat = np.empty(n, dtype=np.int64)
-    dist = np.empty(n, dtype=np.float64)
-    for a in range(k - 1):
-        row = cols[a] * c
-        for b in range(a + 1, k):
-            np.add(row, cols[b], out=flat)
-            np.take(dflat, flat, out=dist)
-            div += dist
-    take = min(cfg.top_p, k)
-    mi = [mi_sub.take(col, axis=0) for col in cols]
-    spare = np.empty_like(mi[0])
-    for p in range(take):
-        # carry the running maximum from position 0 up to position k - 1 - p
-        for j in range(k - 1 - p):
-            np.minimum(mi[j], mi[j + 1], out=spare)
-            np.maximum(mi[j], mi[j + 1], out=mi[j + 1])
-            mi[j], spare = spare, mi[j]
-    top = mi[k - take :]
-    # numpy sums a (rows, take, t) block over positions pairwise when t == 1
-    # and position by position otherwise
-    if mi_sub.shape[1] == 1:
-        rel = np.concatenate(top, axis=1).sum(axis=1)
-    else:
-        rel = top[0]
-        for col in top[1:]:
-            rel += col
-        rel = rel.sum(axis=1)
-    return cfg.relevance_scale * rel + cfg.diversity_scale * div
-
-
 @dataclass(frozen=True)
 class OracleResult:
     """The optimum's ids and value. ``n_evaluated`` counts the subsets the
-    search covered, C(c, k); ``n_valued`` those passed to the evaluator."""
+    search covered, C(c, k); ``n_valued`` the leaves it valued: those the
+    bound kept, and the plunge's."""
 
     ids: tuple
     value: float
@@ -123,20 +80,23 @@ class _Prefixes:
 
 class _Search:
     """Bound-and-prune search for the best k-subset of positions into
-    ``dmat`` and ``mi_sub``, k = ``cfg.k``.
+    ``dmat`` and ``mi_sub``; k comes from the caller, ``cfg.k`` for
+    ``brute_force_opt`` and the subset's size for ``subset_value``.
 
     A prefix is extended only by later positions, one block of prefixes at
     a time, and the children of a block are taken row-major, so k-subsets
-    are reached in lexicographic order. A child whose bound falls below the
+    are reached in lexicographic order. Each prefix carries its exact value
+    as a running sum, so a k-subset's value is its last prefix's value plus
+    the gain of its last position, the same bits on whatever path or in
+    whatever block it is reached. A child whose bound falls below the
     incumbent, less a relative slack for the float error of the running
-    sums, is dropped with every subset that extends it; every other
-    k-subset is valued by ``_values_for_combos``, and the first strict
-    maximum wins.
+    sums, is dropped with every subset that extends it; the first strict
+    maximum over the other k-subsets wins.
     """
 
-    def __init__(self, dmat: np.ndarray, mi_sub: np.ndarray, cfg: ObjectiveConfig):
-        c, k = dmat.shape[0], cfg.k
-        self.dmat, self.mi_sub, self.cfg = dmat, mi_sub, cfg
+    def __init__(self, dmat: np.ndarray, mi_sub: np.ndarray, cfg: ObjectiveConfig, k: int):
+        c = dmat.shape[0]
+        self.dmat, self.mi_sub, self.cfg, self.k = dmat, mi_sub, cfg, k
         self.mi_labels = np.ascontiguousarray(mi_sub.T)
         self.positions = np.arange(c)
         # row_top[x, m]: the sum of the m largest distances in row x
@@ -146,7 +106,7 @@ class _Search:
 
     def root(self) -> _Prefixes:
         c, t = self.mi_sub.shape
-        slots = min(self.cfg.top_p, self.cfg.k)
+        slots = min(self.cfg.top_p, self.k)
         return _Prefixes(np.empty((1, 0), dtype=np.int64), np.zeros(1), np.zeros((1, c)), np.zeros((1, t, slots)))
 
     def expand(self, pre: _Prefixes):
@@ -160,10 +120,11 @@ class _Search:
         thresholds (by submodularity also when k > top_p), plus its scaled
         distance sum to the prefix and half its r - 1 largest distances. A
         child's bound is the prefix value plus the smaller of T_r and g_x +
-        T_(r-1), T_m the sum of the m largest g over later positions."""
+        T_(r-1), T_m the sum of the m largest g over later positions. At
+        r = 1 the bound is each k-subset's exact value."""
         cfg = self.cfg
         rows, j = pre.pos.shape
-        c, r = self.positions.size, cfg.k - j
+        c, r = self.positions.size, self.k - j
         last = pre.pos[:, -1:] if j else np.full((rows, 1), -1)
         later = self.positions > last
         valid = later & (self.positions <= c - r)
@@ -207,38 +168,41 @@ class _Search:
         best = max(self.incumbent, self.best_value)
         return best - PRUNE_SLACK * max(1.0, abs(best))
 
-    def plunge(self) -> None:
-        """The incumbent: from the empty prefix, repeatedly the child of
-        largest exact value (the smallest position on ties), valued."""
+    def walk(self, path=None) -> float:
+        """The running value of one k-subset, reached from the empty prefix
+        a position at a time: the ascending positions ``path``, or by
+        default the plunge's, each step the valid child of largest gain
+        (the smallest position on ties)."""
         pre = self.root()
-        for _ in range(self.cfg.k):
+        for j in range(self.k):
             gain, _, valid = self.expand(pre)
-            pre = self.children(pre, gain, np.array([int(np.argmax(np.where(valid, gain, -1.0)))]))
-        self.incumbent = float(_values_for_combos(pre.pos, self.dmat, self.mi_sub, self.cfg)[0])
-        self.n_valued += 1
+            x = path[j] if path is not None else int(np.argmax(np.where(valid, gain, -1.0)))
+            pre = self.children(pre, gain, np.array([x]))
+        return float(pre.value[0])
 
     def visit(self, pre: _Prefixes, stack: list) -> None:
         """Expand ``pre``: value its kept children when they are k-subsets,
         else open them as the next depth on ``stack``, as [prefixes, gains,
         kept children's flat indices, their bounds, how many were taken]."""
         gain, bound, valid = self.expand(pre)
-        flat = np.flatnonzero(valid & (bound >= self.floor()))
-        if pre.pos.shape[1] < self.cfg.k - 1:
+        kept = valid & (bound >= self.floor())
+        if pre.pos.shape[1] < self.k - 1:
+            flat = np.flatnonzero(kept)
             stack.append([pre, gain, flat, bound.reshape(-1)[flat], 0])
             return
-        rows, x = np.divmod(flat, self.positions.size)
-        for lo in range(0, flat.size, CHUNK):
-            combos = np.concatenate((pre.pos[rows[lo : lo + CHUNK]], x[lo : lo + CHUNK, None]), axis=1)
-            values = _values_for_combos(combos, self.dmat, self.mi_sub, self.cfg)
-            self.n_valued += combos.shape[0]
-            at = int(np.argmax(values))
-            if values[at] > self.best_value:
-                self.best, self.best_value = combos[at].copy(), float(values[at])
+        # the bound is each leaf's value; a row-major argmax is the first
+        # maximum in lexicographic order
+        self.n_valued += int(np.count_nonzero(kept))
+        values = np.where(kept, bound, -np.inf)
+        row, x = np.unravel_index(np.argmax(values), values.shape)
+        if values[row, x] > self.best_value:
+            self.best, self.best_value = np.append(pre.pos[row], x), float(values[row, x])
 
     def run(self):
         """(positions, value) of the lexicographically first optimum."""
-        self.plunge()
-        block = max(1, CHUNK * self.cfg.k // self.positions.size)
+        self.incumbent = self.walk()
+        self.n_valued += 1
+        block = max(1, CHUNK * self.k // self.positions.size)
         stack = []
         self.visit(self.root(), stack)
         while stack:
@@ -256,14 +220,11 @@ class _Search:
 
 
 def subset_value(ids, cfg: ObjectiveConfig, cache: InfoCache) -> float:
-    """Objective value of one subset, through the oracle's evaluator."""
+    """Objective value of one subset, 0.0 for none: the oracle's running sum
+    over its sorted ids, the bits its leaf has in ``brute_force_opt``."""
     ids = sorted_feature_ids(ids, cfg.mi_table.shape[0])
-    if ids.size == 0:
-        return 0.0
-    dmat = distance_matrix(ids, cache)
-    mi_sub = cfg.mi_table[ids]
-    combo = np.arange(ids.size, dtype=np.int64)[None, :]
-    return float(_values_for_combos(combo, dmat, mi_sub, cfg)[0])
+    search = _Search(distance_matrix(ids, cache), cfg.mi_table[ids], cfg, ids.size)
+    return search.walk(range(ids.size))
 
 
 def brute_force_opt(candidates, cfg: ObjectiveConfig, cache: InfoCache, budget: int = DEFAULT_BUDGET) -> OracleResult:
@@ -272,13 +233,12 @@ def brute_force_opt(candidates, cfg: ObjectiveConfig, cache: InfoCache, budget: 
     Refuses (BudgetError) when C(|candidates|, k) exceeds the budget and
     ValueError on fewer candidates than k or on duplicate or out-of-range
     ids. A bound-and-prune search (``_Search``) values only the subsets
-    whose bound reaches the incumbent, ``CHUNK`` at most per evaluator
-    call, and keeps at most k - 1 blocks of prefixes open, each with tables
-    of about ``CHUNK * k`` cells, so memory does not grow with
-    C(|candidates|, k) however little it prunes.
+    whose bound reaches the incumbent, and keeps at most k - 1 blocks of
+    prefixes open, each with tables of about ``CHUNK * k`` cells, so memory
+    does not grow with C(|candidates|, k) however little it prunes.
     Ties resolve to the lexicographically smallest id tuple; the result
     depends only on the candidate set, and its ids and value bits are those
-    of valuing every subset.
+    of valuing every subset with ``subset_value``.
     """
     ids = sorted_feature_ids(candidates, cfg.mi_table.shape[0])
     c, k = ids.size, cfg.k
@@ -287,7 +247,7 @@ def brute_force_opt(candidates, cfg: ObjectiveConfig, cache: InfoCache, budget: 
     total = math.comb(c, k)
     if total > budget:
         raise BudgetError(f"C({c}, {k}) = {total} subsets exceeds budget {budget}")
-    search = _Search(distance_matrix(ids, cache), cfg.mi_table[ids], cfg)
+    search = _Search(distance_matrix(ids, cache), cfg.mi_table[ids], cfg, k)
     best, value = search.run()
     return OracleResult(tuple(int(i) for i in ids[best]), value, total, search.n_valued)
 
@@ -321,15 +281,18 @@ def approximation_report(
     """Compare both centralized variants and seeded distributed runs
     against the exact optimum of the same objective.
 
-    All outputs are valued through the oracle's evaluator, so every ratio
-    lies in [0, 1]. With ``enforce``, a half-relevance ratio below 1/2 or a
-    distributed ratio below 1/31 (beyond fp slack) raises GuaranteeError.
-    Empty ``seeds`` and the inputs ``runner.check_k`` refuses are refused
-    before any subset is valued.
+    All outputs are valued by ``subset_value``, the search's own running
+    sums, so every ratio lies in [0, 1] exactly. With ``enforce``, a
+    half-relevance ratio below 1/2 or a distributed ratio below 1/31
+    (beyond fp slack) raises GuaranteeError. Empty ``seeds``, m < 1 and the
+    inputs ``runner.check_k`` refuses are refused before any subset is
+    valued.
     """
     seeds = [int(seed) for seed in seeds]
     if not seeds:
         raise ValueError("seeds must name at least one seed")
+    if m < 1:
+        raise ValueError("m must be >= 1")
     cache = InfoCache(data)
     check_k(data, k, cfg, cache)
     opt = brute_force_opt(range(data.n_features), cfg, cache, budget)

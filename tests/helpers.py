@@ -4,8 +4,11 @@ test suites.
 Instances plant some label-correlated features and some duplicate columns
 so that both objective terms have signal; everything derives from the seed.
 The references compute each value from an explicit joint count table,
-or from one scalar ``nvi_distance`` per pair added in a fixed order, and
-the exhaustive optimum values every k-subset.
+or from one scalar ``nvi_distance`` per pair added in a fixed order. The
+exhaustive optimum values every k-subset by the oracle search's own running
+sums, without its bound, so it is the reference for the pruning only; the
+independent checks of an oracle value are ``objective.h_value`` and the
+sorting evaluator in ``test_oracle.py``.
 """
 
 from __future__ import annotations
@@ -150,15 +153,29 @@ def lexicographic_blocks(c: int, k: int, chunk: int):
         yield block
 
 
+def leaf_values(search: oracle._Search, combos: np.ndarray) -> np.ndarray:
+    """The search's value of each row of ``combos`` (ascending positions):
+    the rows walked down ``root``/``expand``/``children`` together, without
+    the bound, and each leaf read from expand's r = 1 bound as the search
+    reads it."""
+    pre, c, n = search.root(), search.positions.size, combos.shape[0]
+    for a in range(combos.shape[1]):
+        gain, bound, _ = search.expand(pre)
+        # the root is one row that every combo extends
+        flat = (np.arange(n) * c if a else 0) + combos[:, a]
+        if a == combos.shape[1] - 1:
+            return bound.reshape(-1)[flat]
+        pre = search.children(pre, gain, flat)
+
+
 def exhaustive_opt(candidates, cfg: ObjectiveConfig, cache: InfoCache) -> oracle.OracleResult:
     """``brute_force_opt`` by valuing every k-subset, ``oracle.CHUNK`` at a
-    time with the oracle's evaluator, keeping the first strict maximum."""
+    time with ``leaf_values``, keeping the first strict maximum."""
     ids = sorted_feature_ids(candidates, cfg.mi_table.shape[0])
-    dmat = oracle.distance_matrix(ids, cache)
-    mi_sub = cfg.mi_table[ids]
+    search = oracle._Search(oracle.distance_matrix(ids, cache), cfg.mi_table[ids], cfg, cfg.k)
     best_value, best = -np.inf, None
     for combos in lexicographic_blocks(ids.size, cfg.k, oracle.CHUNK):
-        values = oracle._values_for_combos(combos, dmat, mi_sub, cfg)
+        values = leaf_values(search, combos)
         at = int(np.argmax(values))
         if values[at] > best_value:
             best_value, best = float(values[at]), combos[at]

@@ -227,6 +227,17 @@ def test_weighted_scale_formula():
     assert cfg.n_labels == 5
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_weighted_refuses_what_the_constructor_refuses(lam):
+    # the scale's denominator must not fail first with a ZeroDivisionError
+    # or an IndexError
+    with pytest.raises(ValueError, match="top_p must be >= 1"):
+        ObjectiveConfig.weighted(np.array([[0.5], [0.3]]), 2, lam, top_p=0)
+    for table in (np.zeros((3, 0)), np.array([0.5, 0.3])):
+        with pytest.raises(ValueError, match=r"mi_table must be \(n_features, n_labels\)"):
+            ObjectiveConfig.weighted(table, 2, lam)
+
+
 def test_submodularity_and_monotonicity_quick():
     rng = np.random.default_rng(24)
     data, cache = instance_with_cache(seed=24, d=15, n=32, t=3)

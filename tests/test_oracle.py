@@ -19,7 +19,6 @@ from divsel.objective import ObjectiveConfig, diversity, h_value, relevance_g
 from divsel.oracle import (
     OracleResult,
     _Search,
-    _values_for_combos,
     approximation_report,
     brute_force_opt,
     distance_matrix,
@@ -29,6 +28,7 @@ from divsel.runner import random_partition
 from helpers import (
     exhaustive_opt,
     instance_with_cache,
+    leaf_values,
     lexicographic_blocks,
     plain_cfg,
     random_instance,
@@ -41,8 +41,8 @@ GOLDEN_OPT_VALUE = 1.7315917660674351
 
 
 def _sorting_values_for_combos(combos, dmat, mi_sub, cfg):
-    """Reference evaluator: gathers each subset's (k, t) MI block and sorts
-    it along positions."""
+    """Independent reference evaluator: gathers each subset's (k, t) MI
+    block and sorts it along positions."""
     k = combos.shape[1]
     div = np.zeros(combos.shape[0], dtype=np.float64)
     for a in range(k):
@@ -111,6 +111,9 @@ def test_combinations_enumerate_in_lexicographic_order(c, k):
 @pytest.mark.parametrize("t", [1, 2, 8])
 @pytest.mark.parametrize("k", [1, 2, 5, 10])
 def test_evaluator_bitwise_equals_sorting_reference(k, t):
+    # the search's leaves, valued a block at a time, have the bits of the
+    # one-row walk subset_value takes over each subset alone; the sorting
+    # reference adds in another order, so it agrees to rounding
     rng = np.random.default_rng(100 * k + t)
     c = 14
     dmat = rng.random((c, c))
@@ -122,9 +125,11 @@ def test_evaluator_bitwise_equals_sorting_reference(k, t):
     combos = np.sort(np.argsort(rng.random((500, c)), axis=1)[:, :k], axis=1)
     for top_p in sorted({max(1, k - 1), k, k + 1}):
         cfg = ObjectiveConfig(mi_sub, k, top_p, float(rng.random()), float(rng.random()))
-        got = _values_for_combos(combos, dmat, mi_sub, cfg)
+        got = leaf_values(_Search(dmat, mi_sub, cfg, k), combos)
+        walked = np.array([_Search(dmat[np.ix_(row, row)], mi_sub[row], cfg, k).walk(range(k)) for row in combos])
+        assert np.array_equal(got.view(np.int64), walked.view(np.int64)), top_p
         ref = _sorting_values_for_combos(combos, dmat, mi_sub, cfg)
-        assert np.array_equal(got.view(np.int64), ref.view(np.int64)), top_p
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0, err_msg=str(top_p))
 
 
 def test_oracle_rejects_duplicate_ids():
@@ -142,8 +147,8 @@ def test_oracle_rejects_duplicate_ids():
 
 def test_oracle_memory_does_not_grow_with_subset_count():
     # C(40, 5) = 658,008 subsets, all covered; the bound leaves fewer than
-    # 1% of them to the evaluator, whose temporaries are O(chunk * k * t),
-    # about 2.6 MB at the default chunk
+    # 1% of them to be valued, and a block of prefixes holds O(chunk * k * t)
+    # cells
     _, cache = instance_with_cache(seed=73, d=40, n=64, t=4)
     cfg = weighted_cfg(cache, k=5, lam=0.5, p=3)
     tracemalloc.start()
@@ -159,8 +164,8 @@ def test_oracle_memory_does_not_grow_with_subset_count():
 
 def test_oracle_worst_case_prunes_nothing_in_bounded_memory():
     # identical columns tie every subset, so no bound falls below the
-    # incumbent and the search values all C(30, 5) = 142,506 > CHUNK subsets
-    # (and the incumbent once more) in the blocks the bound would prune
+    # incumbent and the search values all C(30, 5) = 142,506 > CHUNK leaves
+    # (and the plunge's once more) in the blocks the bound would prune
     y = np.array([0, 1, 0, 1, 1, 0] * 10)
     data = dataset_from_matrices(np.array([y] * 30), np.array([y]))
     cache = InfoCache(data)
@@ -206,10 +211,25 @@ def test_pruned_search_equals_valuing_every_subset():
                 assert got.n_evaluated == ref.n_evaluated == math.comb(c, k)
                 # the bound the search prunes by holds at the empty prefix
                 ids = np.arange(c)
-                search = _Search(distance_matrix(ids, cache), cfg.mi_table[ids], cfg)
+                search = _Search(distance_matrix(ids, cache), cfg.mi_table[ids], cfg, k)
                 _, bound, valid = search.expand(search.root())
                 slack = oracle.PRUNE_SLACK * max(1.0, abs(ref.value))
                 assert bound[valid].max() >= ref.value - slack
+
+
+def test_optimum_and_ratios_are_valued_by_the_same_sums():
+    # subset_value walks the search's own running sums, so the optimum's
+    # value has the same bits and no ratio exceeds 1, with no slack
+    for data in _sweep_instances():
+        cache = InfoCache(data)
+        c = data.n_features
+        for k, p in ((1, 2), (2, 3), (4, 2), (5, 10), (c, 3)):
+            for cfg in (weighted_cfg(cache, k, 0.5, p), plain_cfg(cache, k, p)):
+                rep = approximation_report(data, k, cfg, m=2, seeds=[0, 1])
+                value = subset_value(rep.opt_ids, cfg, cache)
+                assert np.float64(value).view(np.int64) == np.float64(rep.opt_value).view(np.int64)
+                ratios = [rep.greedy_ratio, rep.altgreedy_ratio] + [run["ratio"] for run in rep.distributed]
+                assert all(0.0 <= r <= 1.0 for r in ratios), ratios
 
 
 def test_oracle_whole_set_and_k1():
@@ -304,6 +324,16 @@ def test_approximation_report_refuses_empty_seeds_and_foreign_tables():
     _, wider = instance_with_cache(seed=73, d=12, n=24, t=2)
     with pytest.raises(ValueError, match="mi_table has 12 rows for 11 features"):
         approximation_report(data, 3, weighted_cfg(wider, k=3, lam=0.5, p=2), m=2, seeds=[0], budget=1)
+
+
+def test_approximation_report_refuses_machine_count_before_enumerating():
+    # random_partition would refuse m only after the search and both
+    # greedy runs; a budget of one subset shows the refusal comes first
+    data, cache = instance_with_cache(seed=72, d=11, n=24, t=2)
+    cfg = weighted_cfg(cache, k=3, lam=0.5, p=2)
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            approximation_report(data, 3, cfg, m=m, seeds=[0], budget=1)
 
 
 def test_oracle_result_is_frozen():
