@@ -35,6 +35,13 @@ class ObjectiveConfig:
     diversity_weight: float | None = None
 
     def __post_init__(self):
+        for name in ("k", "top_p"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(value))
+        if not (np.isfinite(self.relevance_scale) and np.isfinite(self.diversity_scale)):
+            raise ValueError("scales must be finite")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.top_p < 1:
@@ -47,8 +54,8 @@ class ObjectiveConfig:
         if table.ndim != 2 or table.shape[1] < 1:
             raise ValueError("mi_table must be (n_features, n_labels)")
         # the greedy state's zero-seeded top-p buffer relies on MI >= 0
-        if not (table >= 0.0).all():
-            raise ValueError("mi_table entries must be non-negative")
+        if not ((table >= 0.0) & (table < np.inf)).all():
+            raise ValueError("mi_table entries must be finite and non-negative")
         object.__setattr__(self, "mi_table", table)
 
     @property
@@ -90,13 +97,21 @@ def marginal_g_rows(mi_rows: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
 def sorted_feature_ids(ids, n_features: int) -> np.ndarray:
     """``ids`` ascending as an int64 array; ValueError unless they are
-    distinct feature ids in 0..n_features-1."""
-    if isinstance(ids, np.ndarray):
-        if ids.ndim != 1:
-            raise ValueError("feature ids must be one-dimensional")
-        ids = np.sort(np.asarray(ids, dtype=np.int64))
-    else:
-        ids = np.sort(np.fromiter(ids, dtype=np.int64))
+    distinct integer feature ids in 0..n_features-1 (a float is refused,
+    not truncated)."""
+    if isinstance(ids, range):
+        ids = np.arange(ids.start, ids.stop, ids.step)
+    elif not isinstance(ids, np.ndarray):
+        items = ids if isinstance(ids, (list, tuple)) else list(ids)
+        ids = np.asarray(items)
+        # numpy reads a list that mixes uint64 with other integers as float64
+        if ids.dtype.kind == "f" and all(isinstance(i, (int, np.integer)) for i in items):
+            ids = np.fromiter(items, dtype=np.int64)
+    if ids.ndim != 1:
+        raise ValueError("feature ids must be one-dimensional")
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError("feature ids must be integers")
+    ids = np.sort(ids.astype(np.int64, copy=False))
     if ids.size and (ids[0] < 0 or ids[-1] >= n_features):
         raise ValueError("feature id out of range")
     if np.any(ids[1:] == ids[:-1]):

@@ -5,7 +5,9 @@ on C(c, k)), valuing subsets with the same scaled objective the greedy
 engines maximize. A depth-first bound-and-prune search values only the
 subsets an upper bound cannot rule out, so the result is that of valuing
 every subset. A subset's value is the search's running sum over its
-ascending positions, which ``subset_value`` walks too: one valuation. It
+ascending positions, which ``_Search.walk`` reaches for any rows of
+subsets side by side: ``subset_value`` walks one, and
+``approximation_report`` walks all its outputs at once. One valuation. It
 exists to verify the engines' guarantees on desk-scale instances, so its
 evaluation path is deliberately separate from objective.h_value and from
 the greedy engine.
@@ -81,7 +83,8 @@ class _Prefixes:
 class _Search:
     """Bound-and-prune search for the best k-subset of positions into
     ``dmat`` and ``mi_sub``; k comes from the caller, ``cfg.k`` for
-    ``brute_force_opt`` and the subset's size for ``subset_value``.
+    ``brute_force_opt`` and ``approximation_report``, and the subset's size
+    for ``subset_value``.
 
     A prefix is extended only by later positions, one block of prefixes at
     a time, and the children of a block are taken row-major, so k-subsets
@@ -168,17 +171,19 @@ class _Search:
         best = max(self.incumbent, self.best_value)
         return best - PRUNE_SLACK * max(1.0, abs(best))
 
-    def walk(self, path=None) -> float:
-        """The running value of one k-subset, reached from the empty prefix
-        a position at a time: the ascending positions ``path``, or by
-        default the plunge's, each step the valid child of largest gain
+    def walk(self, paths=None) -> np.ndarray:
+        """The running value of each row of ``paths``, (rows, k) ascending
+        positions, its rows reached side by side from the empty prefix a
+        position at a time, as the search reaches its leaves. By default
+        one row, the plunge's: each step the valid child of largest gain
         (the smallest position on ties)."""
-        pre = self.root()
+        pre, c = self.root(), self.positions.size
         for j in range(self.k):
             gain, _, valid = self.expand(pre)
-            x = path[j] if path is not None else int(np.argmax(np.where(valid, gain, -1.0)))
-            pre = self.children(pre, gain, np.array([x]))
-        return float(pre.value[0])
+            x = paths[:, j] if paths is not None else np.argmax(np.where(valid, gain, -1.0), axis=1)
+            # the root is one row that every path extends
+            pre = self.children(pre, gain, x + (np.arange(x.size) * c if j else 0))
+        return pre.value
 
     def visit(self, pre: _Prefixes, stack: list) -> None:
         """Expand ``pre``: value its kept children when they are k-subsets,
@@ -200,7 +205,7 @@ class _Search:
 
     def run(self):
         """(positions, value) of the lexicographically first optimum."""
-        self.incumbent = self.walk()
+        self.incumbent = float(self.walk()[0])
         self.n_valued += 1
         block = max(1, CHUNK * self.k // self.positions.size)
         stack = []
@@ -221,10 +226,11 @@ class _Search:
 
 def subset_value(ids, cfg: ObjectiveConfig, cache: InfoCache) -> float:
     """Objective value of one subset, 0.0 for none: the oracle's running sum
-    over its sorted ids, the bits its leaf has in ``brute_force_opt``."""
+    over its sorted ids, the bits its leaf has in ``brute_force_opt``; the
+    one-row case of ``_Search.walk``."""
     ids = sorted_feature_ids(ids, cfg.mi_table.shape[0])
     search = _Search(distance_matrix(ids, cache), cfg.mi_table[ids], cfg, ids.size)
-    return search.walk(range(ids.size))
+    return float(search.walk(np.arange(ids.size)[None])[0])
 
 
 def brute_force_opt(candidates, cfg: ObjectiveConfig, cache: InfoCache, budget: int = DEFAULT_BUDGET) -> OracleResult:
@@ -281,12 +287,14 @@ def approximation_report(
     """Compare both centralized variants and seeded distributed runs
     against the exact optimum of the same objective.
 
-    All outputs are valued by ``subset_value``, the search's own running
-    sums, so every ratio lies in [0, 1] exactly. With ``enforce``, a
-    half-relevance ratio below 1/2 or a distributed ratio below 1/31
-    (beyond fp slack) raises GuaranteeError. Empty ``seeds``, m < 1 and the
-    inputs ``runner.check_k`` refuses are refused before any subset is
-    valued.
+    Every output is valued in one ``_Search.walk`` over the dataset's
+    features, a row per output: the search's own running sums, whose bits
+    do not depend on the other positions, so each value is the output's
+    ``subset_value`` and every ratio lies in [0, 1] exactly. With
+    ``enforce``, a half-relevance ratio below 1/2 or a distributed ratio
+    below 1/31 (beyond fp slack) raises GuaranteeError. Empty ``seeds``,
+    m < 1 and the inputs ``runner.check_k`` refuses are refused before any
+    subset is valued.
     """
     seeds = [int(seed) for seed in seeds]
     if not seeds:
@@ -295,37 +303,26 @@ def approximation_report(
         raise ValueError("m must be >= 1")
     cache = InfoCache(data)
     check_k(data, k, cfg, cache)
-    opt = brute_force_opt(range(data.n_features), cfg, cache, budget)
-
-    def ratio(ids) -> float:
-        if opt.value <= 0.0:
-            return 1.0
-        return subset_value(ids, cfg, cache) / opt.value
-
-    greedy_ids = greedy_select(range(data.n_features), GreedyVariant.GREEDY, cfg, cache)
-    alt_ids = greedy_select(range(data.n_features), GreedyVariant.ALTGREEDY, cfg, cache)
-    greedy_ratio = ratio(greedy_ids)
-    alt_ratio = ratio(alt_ids)
-    runs = []
-    violations = []
-    if alt_ratio < ALTGREEDY_RATIO - RATIO_SLACK:
-        violations.append(f"altgreedy ratio {alt_ratio} below {ALTGREEDY_RATIO}")
-    for seed in seeds:
-        report = distributed_select(data, k, cfg, m=m, seed=seed)
-        r = ratio(report.selected_ids)
-        runs.append({"seed": seed, "ids": [int(i) for i in report.selected_ids], "ratio": r})
-        if r < DISTRIBUTED_RATIO - RATIO_SLACK:
-            violations.append(f"distributed ratio {r} at seed {seed} below 1/31")
+    everything = range(data.n_features)
+    opt = brute_force_opt(everything, cfg, cache, budget)
+    outputs = [greedy_select(everything, v, cfg, cache) for v in (GreedyVariant.GREEDY, GreedyVariant.ALTGREEDY)]
+    outputs += [[int(i) for i in distributed_select(data, k, cfg, m=m, seed=seed).selected_ids] for seed in seeds]
+    search = _Search(distance_matrix(everything, cache), cfg.mi_table, cfg, k)
+    values = search.walk(np.sort(outputs, axis=1))
+    ratios = (values / opt.value if opt.value > 0.0 else np.ones(len(outputs))).tolist()
+    # GREEDY has no floor, ALTGREEDY's is 1/2 and each distributed run's 1/31
+    floors = [("altgreedy ratio {} below 0.5", ALTGREEDY_RATIO)]
+    floors += [(f"distributed ratio {{}} at seed {seed} below 1/31", DISTRIBUTED_RATIO) for seed in seeds]
+    violations = [text.format(r) for (text, floor), r in zip(floors, ratios[1:]) if r < floor - RATIO_SLACK]
     if enforce and violations:
         raise GuaranteeError("; ".join(violations))
-    mean_ratio = float(np.mean([r["ratio"] for r in runs]))
     return ApproximationReport(
         opt_ids=opt.ids,
         opt_value=opt.value,
-        greedy_ids=tuple(greedy_ids),
-        greedy_ratio=greedy_ratio,
-        altgreedy_ids=tuple(alt_ids),
-        altgreedy_ratio=alt_ratio,
-        distributed=tuple(runs),
-        mean_distributed_ratio=mean_ratio,
+        greedy_ids=tuple(outputs[0]),
+        greedy_ratio=ratios[0],
+        altgreedy_ids=tuple(outputs[1]),
+        altgreedy_ratio=ratios[1],
+        distributed=tuple({"seed": s, "ids": ids, "ratio": r} for s, ids, r in zip(seeds, outputs[2:], ratios[2:])),
+        mean_distributed_ratio=float(np.mean(ratios[2:])),
     )

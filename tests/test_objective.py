@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from divsel.data import dataset_from_matrices
-from divsel.greedy import GreedyVariant, greedy_states
+from divsel.greedy import GreedyVariant, greedy_select, greedy_states
 from divsel.info import InfoCache
 from divsel.objective import (
     ObjectiveConfig,
@@ -77,6 +77,23 @@ def test_sorted_feature_ids_reads_any_collection_of_ids():
     for ids in (np.array([[1, 2]]), np.array(1)):
         with pytest.raises(ValueError, match="one-dimensional"):
             sorted_feature_ids(ids, 4)
+    # numpy integer types of any width, also a list that numpy would read as float64
+    for ids in ([np.uint64(3), 1, 2], np.array([3, 1, 2], dtype=np.uint64), [np.int8(3), np.int64(1), 2]):
+        assert sorted_feature_ids(ids, 4).tolist() == [1, 2, 3]
+
+
+def test_non_integer_ids_are_refused_not_truncated():
+    data, cache = instance_with_cache(seed=22, d=6, n=20, t=2)
+    cfg = weighted_cfg(cache, k=2, lam=0.5, p=2)
+    bad = ([0.5, 1.7, 2.2, 3.9], [0.9, 1.9], [0, 1.0], (x for x in (1.0, 2.0)), [np.nan, 1], [np.inf, 1])
+    for ids in bad + (np.array([0.0, 1.0]), ["0", "1"], np.array([True, False])):
+        with pytest.raises(ValueError, match="feature ids must be integers"):
+            sorted_feature_ids(ids, 6)
+    for term in (lambda s: relevance_g(s, cfg), lambda s: diversity(s, cache), lambda s: h_value(s, cfg, cache)):
+        with pytest.raises(ValueError, match="must be integers"):
+            term([0.9, 1.9])
+    with pytest.raises(ValueError, match="must be integers"):
+        greedy_select([0.5, 1.7, 2.2, 3.9], GreedyVariant.GREEDY, cfg, cache)
 
 
 def _bits(x):
@@ -213,6 +230,21 @@ def test_config_validation():
             ObjectiveConfig(np.array([[0.5], [bad]]), 2, 1, 1.0, 1.0)
         with pytest.raises(ValueError, match="non-negative"):
             ObjectiveConfig.plain(np.array([[bad, 0.5]]), 1)
+    # a float k or top_p, even an integral one, would fail deep in the engine
+    for k, top_p in ((2.5, 1), (2.0, 1), (True, 1), (2, 2.5), (2, 2.0)):
+        name = "k" if top_p == 1 else "top_p"
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            ObjectiveConfig(table, k, top_p, 1.0, 1.0)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            ObjectiveConfig.weighted(table, k, 0.5, top_p)
+    cfg = ObjectiveConfig(table, np.int64(2), np.uint8(1), 1.0, 1.0)
+    assert (type(cfg.k), type(cfg.top_p)) == (int, int) and (cfg.k, cfg.top_p) == (2, 1)
+    for rel, div in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)):
+        with pytest.raises(ValueError, match="scales must be finite"):
+            ObjectiveConfig(table, 2, 1, rel, div)
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            ObjectiveConfig(np.array([[0.5], [bad]]), 2, 1, 1.0, 1.0)
     # k=1 with lambda=0 collapses both scales; allowed, selection is the top single
     cfg = ObjectiveConfig.weighted(table, 1, 0.0)
     assert cfg.relevance_scale == 0.0 and cfg.diversity_scale == 0.0

@@ -12,7 +12,7 @@ import pytest
 
 from divsel import oracle
 from divsel.data import dataset_from_matrices
-from divsel.errors import BudgetError
+from divsel.errors import BudgetError, GuaranteeError
 from divsel.greedy import GreedyVariant, greedy_select
 from divsel.info import InfoCache
 from divsel.objective import ObjectiveConfig, diversity, h_value, relevance_g
@@ -112,8 +112,9 @@ def test_combinations_enumerate_in_lexicographic_order(c, k):
 @pytest.mark.parametrize("k", [1, 2, 5, 10])
 def test_evaluator_bitwise_equals_sorting_reference(k, t):
     # the search's leaves, valued a block at a time, have the bits of the
-    # one-row walk subset_value takes over each subset alone; the sorting
-    # reference adds in another order, so it agrees to rounding
+    # rows walked side by side and of the one-row walk subset_value takes
+    # over each subset alone; the sorting reference adds in another order,
+    # so it agrees to rounding
     rng = np.random.default_rng(100 * k + t)
     c = 14
     dmat = rng.random((c, c))
@@ -125,9 +126,13 @@ def test_evaluator_bitwise_equals_sorting_reference(k, t):
     combos = np.sort(np.argsort(rng.random((500, c)), axis=1)[:, :k], axis=1)
     for top_p in sorted({max(1, k - 1), k, k + 1}):
         cfg = ObjectiveConfig(mi_sub, k, top_p, float(rng.random()), float(rng.random()))
-        got = leaf_values(_Search(dmat, mi_sub, cfg, k), combos)
-        walked = np.array([_Search(dmat[np.ix_(row, row)], mi_sub[row], cfg, k).walk(range(k)) for row in combos])
-        assert np.array_equal(got.view(np.int64), walked.view(np.int64)), top_p
+        search = _Search(dmat, mi_sub, cfg, k)
+        got = leaf_values(search, combos)
+        assert np.array_equal(got.view(np.int64), search.walk(combos).view(np.int64)), top_p
+        alone = np.concatenate(
+            [_Search(dmat[np.ix_(row, row)], mi_sub[row], cfg, k).walk(np.arange(k)[None]) for row in combos]
+        )
+        assert np.array_equal(got.view(np.int64), alone.view(np.int64)), top_p
         ref = _sorting_values_for_combos(combos, dmat, mi_sub, cfg)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0, err_msg=str(top_p))
 
@@ -143,6 +148,17 @@ def test_oracle_rejects_duplicate_ids():
             subset_value(ids, cfg, cache)
         with pytest.raises(ValueError, match="out of range"):
             brute_force_opt(ids, replace(cfg, k=1), cache)
+
+
+def test_oracle_refuses_non_integer_ids():
+    # a truncating read valued [0.9, 1.9] as [0, 1]
+    _, cache, cfg = _golden_instance()
+    for ids in ([0.9, 1.9], [0, 1.0], np.array([2.0, 5.0, 7.0])):
+        with pytest.raises(ValueError, match="feature ids must be integers"):
+            subset_value(ids, cfg, cache)
+        with pytest.raises(ValueError, match="feature ids must be integers"):
+            brute_force_opt(ids, replace(cfg, k=1), cache)
+    assert subset_value([np.int32(0), np.uint64(3)], cfg, cache) == subset_value([0, 3], cfg, cache)
 
 
 def test_oracle_memory_does_not_grow_with_subset_count():
@@ -230,6 +246,42 @@ def test_optimum_and_ratios_are_valued_by_the_same_sums():
                 assert np.float64(value).view(np.int64) == np.float64(rep.opt_value).view(np.int64)
                 ratios = [rep.greedy_ratio, rep.altgreedy_ratio] + [run["ratio"] for run in rep.distributed]
                 assert all(0.0 <= r <= 1.0 for r in ratios), ratios
+
+
+@pytest.mark.parametrize("c,k", [(100, 5), (120, 6)])
+def test_guarantees_at_the_distributed_settings_scale(c, k):
+    # m = 4 machines hold 25-30 features each, several times k; each output
+    # is valued in the report's one walk, so its ratio has the bits of its
+    # own subset_value over the optimum's
+    for seed in range(5):
+        data, cache = instance_with_cache(seed=seed, d=c, n=64, t=4)
+        cfg = weighted_cfg(cache, k=k, lam=0.5, p=3)
+        rep = approximation_report(data, k, cfg, m=4, seeds=range(5), budget=math.comb(c, k) + 1, enforce=True)
+        assert rep.altgreedy_ratio >= oracle.ALTGREEDY_RATIO
+        assert all(run["ratio"] >= oracle.DISTRIBUTED_RATIO for run in rep.distributed)
+        assert subset_value(rep.opt_ids, cfg, cache) == rep.opt_value
+        outputs = [(rep.greedy_ids, rep.greedy_ratio), (rep.altgreedy_ids, rep.altgreedy_ratio)]
+        for ids, ratio in outputs + [(run["ids"], run["ratio"]) for run in rep.distributed]:
+            assert len(ids) == k
+            expect = subset_value(ids, cfg, cache) / rep.opt_value
+            assert np.float64(ratio).view(np.int64) == np.float64(expect).view(np.int64)
+
+
+def test_approximation_report_checks_every_floor_at_once(monkeypatch):
+    # floors no output can reach name every violation in one error, and
+    # without enforce the report comes back whole
+    data, cache = instance_with_cache(seed=72, d=11, n=24, t=2)
+    cfg = weighted_cfg(cache, k=3, lam=0.5, p=2)
+    rep = approximation_report(data, 3, cfg, m=2, seeds=[4, 7])
+    monkeypatch.setattr(oracle, "ALTGREEDY_RATIO", 2.0)
+    monkeypatch.setattr(oracle, "DISTRIBUTED_RATIO", 2.0)
+    with pytest.raises(GuaranteeError) as err:
+        approximation_report(data, 3, cfg, m=2, seeds=[4, 7])
+    assert str(err.value) == "; ".join(
+        [f"altgreedy ratio {rep.altgreedy_ratio} below 0.5"]
+        + [f"distributed ratio {run['ratio']} at seed {run['seed']} below 1/31" for run in rep.distributed]
+    )
+    assert approximation_report(data, 3, cfg, m=2, seeds=[4, 7], enforce=False) == rep
 
 
 def test_oracle_whole_set_and_k1():
