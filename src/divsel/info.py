@@ -9,8 +9,14 @@ One of two paths is chosen from the joint width ``t_card * max(cards)``
 alone:
 
 - up to ``PACKED_MAX_WIDTH`` cells, each code's one-hot indicator is packed
-  into uint64 bit planes of shape (words, card, rows) and a joint count is
-  the popcount of an AND, summed over words straight into the count matrix;
+  into uint64 bit planes of shape (words, card, rows). Only the
+  (t_card - 1)(card - 1) leading cells of each joint table are counted, each
+  the popcount of an AND summed over words straight into the count matrix;
+  the last column and the last row are the marginal counts less the counted
+  cells, n(v, last) = n_t(v) - sum_(u < last) n(v, u) and n(last, u) =
+  n_row(u) - sum_(v < last) n(v, u), subtracted in the count type. Every
+  difference lies in [0, n], so none wraps. A row's marginal counts are the
+  popcounts of its own bit planes;
 - above it, each row's joint codes ``x * t_card + t`` are sorted and each
   run's length is a count, held in the cell of the run's last code, so
   memory stays O(rows x n).
@@ -26,8 +32,9 @@ bit-for-bit; zero counts add -0.0 and change nothing, so a value does not
 depend on the path, on how many pairs are batched together, or on where a
 job's cells sit in the count matrix. Cached, batched, and one-off
 computations of the same pair agree exactly.
-``Columns.of`` packs a code matrix group by group and computes every
-entropy; every MI and distance reads one MI expression, ``_mi``.
+``Columns.of`` packs a code matrix group by group, keeps each packed
+group's marginal counts and computes every entropy, a packed group's from
+those counts; every MI and distance reads one MI expression, ``_mi``.
 ``InfoCache`` is the one reader of a dataset's feature matrix: it gathers
 and packs features into ``Columns``, packs every feature once and memoizes
 whole distance rows. ``Columns.distance_rows`` computes the rows of several
@@ -91,6 +98,26 @@ def _packed_counts(t_bits: np.ndarray, packed: np.ndarray, out: np.ndarray) -> N
     np.add.reduce(ones, axis=1, dtype=out.dtype, out=out)
 
 
+def _margins(planes: np.ndarray, dtype) -> np.ndarray:
+    """Each value's count from bit planes (words, card, ...), shape (card,
+    ...), in ``dtype``."""
+    return np.add.reduce(np.bitwise_count(planes), axis=0, dtype=dtype)
+
+
+def _derive(cells: np.ndarray, t_margin: np.ndarray, margins: np.ndarray) -> None:
+    """Fill the last column and the last row of joint tables (t_card, card,
+    rows) whose other cells are counted: the target's marginal counts (at
+    least t_card of them) less a row's counted cells, then each row's
+    marginal counts (card, rows) less the cells above. Each difference is a
+    count in [0, n], so the count type holds every step."""
+    last_t, last = cells.shape[0] - 1, cells.shape[1] - 1
+    column = cells[:last_t, last]
+    np.add.reduce(cells[:last_t, :last], axis=1, dtype=cells.dtype, out=column)
+    np.subtract(t_margin[:last_t, None], column, out=column)
+    np.add.reduce(cells[:last_t], axis=0, dtype=cells.dtype, out=cells[last_t])
+    np.subtract(margins, cells[last_t], out=cells[last_t])
+
+
 def _sorted_counts(t_codes: np.ndarray, t_card: int, mat: np.ndarray, width: int) -> np.ndarray:
     """Joint counts as run lengths of each row's sorted joint codes, shape
     (n, rows): each run's length sits in the cell of its last code, and
@@ -140,32 +167,39 @@ def _reduce(counts: np.ndarray, n: int) -> np.ndarray:
     total = np.empty(rows, dtype=np.float64)
     step = max(1, BLOCK_CELLS // max(cells, 1))
     for lo in range(0, rows, step):
-        np.add.reduce(np.take(table, counts[:, lo : lo + step]), axis=0, out=total[lo : lo + step], initial=0.0)
+        np.add.reduce(table.take(counts[:, lo : lo + step]), axis=0, out=total[lo : lo + step], initial=0.0)
     return total
 
 
 def _joint_entropies(jobs, n: int) -> np.ndarray:
     """The count kernel and the reduction: for each job (t_codes, t_card,
-    mat, max_card, packed, t_bits), the joint entropy of a target column
-    with each row of a code matrix whose codes are below ``max_card``; one
-    array holding every job's rows in job order.
+    mat, max_card, packed, margins, t_bits, t_margin), the joint entropy of
+    a target column with each row of a code matrix whose codes are below
+    ``max_card``; one array holding every job's rows in job order.
 
     ``packed`` may hand over ``pack_codes(mat, c)`` for any c >= max_card
-    and ``t_bits`` the target's bit planes (words, t_card) when they are
-    already built; both are used only on the packed-bit path. Packed jobs
-    are counted a block of rows at a time, so each popcount temporary holds
-    about ``BLOCK_CELLS`` words, into one shared count matrix as tall as the
-    widest packed job, whose other jobs leave their lower cells zero; it is
-    reduced once. Sorted-codes jobs are reduced block by block.
+    and ``margins`` their marginal counts (c, rows) in the count type, and
+    ``t_bits`` the target's bit planes (words, c) for any c >= t_card and
+    ``t_margin`` their marginal counts (c,), when they are already built;
+    all are used only on the packed-bit path, which packs what is not
+    handed over and popcounts the marginals of the planes it packs.
+    A packed job counts only its (t_card - 1)(max_card - 1) leading cells,
+    a block of rows at a time so that each popcount temporary holds about
+    ``BLOCK_CELLS`` words, and derives its last column and row from the
+    marginals (``_derive``). Every packed job's table sits in one shared
+    count matrix as tall as the widest packed job, whose other jobs leave
+    their lower cells zero; it is reduced once. Sorted-codes jobs are
+    reduced block by block.
     """
     if n == 0:
         raise ValueError("columns must have at least one value")
-    widths = [int(t_card) * int(max_card) for _, t_card, _, max_card, _, _ in jobs]
+    dtype = np.min_scalar_type(n)
+    widths = [int(job[1]) * int(job[3]) for job in jobs]
     total = sum(job[2].shape[0] for job, w in zip(jobs, widths) if w <= PACKED_MAX_WIDTH)
     width = max([w for w in widths if w <= PACKED_MAX_WIDTH], default=1)
-    counts = np.zeros((width, total), dtype=np.min_scalar_type(n))
+    counts = np.zeros((width, total), dtype=dtype)
     out, at = [], 0
-    for (t_codes, t_card, mat, max_card, packed, t_bits), w in zip(jobs, widths):
+    for (t_codes, t_card, mat, max_card, packed, margins, t_bits, t_margin), w in zip(jobs, widths):
         t_card, max_card, rows = int(t_card), int(max_card), mat.shape[0]
         if w > PACKED_MAX_WIDTH:
             step = max(1, BLOCK_CELLS // n)
@@ -174,14 +208,18 @@ def _joint_entropies(jobs, n: int) -> np.ndarray:
             ]
             out.append(np.concatenate(blocks) if blocks else np.empty(0, dtype=np.float64))
             continue
-        packed = pack_codes(mat, max_card) if packed is None else packed[:, :max_card]
-        if t_bits is None:
-            t_bits = pack_codes(t_codes[None, :], t_card)[:, :, 0]
-        cells = counts[:w].reshape(t_card, max_card, total)
-        step = max(1, BLOCK_CELLS // (packed.shape[0] * w))
-        for lo in range(0, rows, step):
-            hi = min(lo + step, rows)
-            _packed_counts(t_bits, packed[:, :, lo:hi], cells[:, :, at + lo : at + hi])
+        packed = pack_codes(mat, max_card) if packed is None else packed
+        margins = _margins(packed, dtype) if margins is None else margins
+        t_bits = pack_codes(t_codes[None, :], t_card)[:, :, 0] if t_bits is None else t_bits
+        t_margin = _margins(t_bits, dtype) if t_margin is None else t_margin
+        cells = counts[:w].reshape(t_card, max_card, total)[:, :, at : at + rows]
+        free_t, free = t_card - 1, max_card - 1
+        if free_t and free:
+            step = max(1, BLOCK_CELLS // (packed.shape[0] * free_t * free))
+            for lo in range(0, rows, step):
+                hi = min(lo + step, rows)
+                _packed_counts(t_bits[:, :free_t], packed[:, :free, lo:hi], cells[:free_t, :free, lo:hi])
+        _derive(cells, t_margin, margins[:max_card])
         out.append(slice(at, at + rows))
         at += rows
     h = _reduce(counts, n)
@@ -191,18 +229,20 @@ def _joint_entropies(jobs, n: int) -> np.ndarray:
 
 
 def joint_entropy_rows(
-    t_codes: np.ndarray, t_card: int, mat: np.ndarray, cards: np.ndarray, *, packed=None
+    t_codes: np.ndarray, t_card: int, mat: np.ndarray, cards: np.ndarray, *, packed=None, margins=None
 ) -> np.ndarray:
     """Joint entropy of a target column with each row of a code matrix: the
     count kernel followed by the reduction.
 
     ``packed`` may hand over ``pack_codes(mat, c)`` for any ``c >= max(cards)``
-    when it is already built; it is used only on the packed-bit path.
+    when it is already built, and ``margins`` their marginal counts; both
+    are used only on the packed-bit path.
     """
     t_codes = np.asarray(t_codes)
     if t_codes.size != mat.shape[1]:
         raise ValueError("column lengths differ")
-    return _joint_entropies([(t_codes, t_card, mat, int(np.max(cards)), packed, None)], mat.shape[1])
+    job = (t_codes, t_card, mat, int(np.max(cards)), packed, margins, None, None)
+    return _joint_entropies([job], mat.shape[1])
 
 
 def _mi(h_target, h_rows, h_joint) -> np.ndarray:
@@ -218,9 +258,9 @@ def _nvi(h_target, h_rows, h_joint) -> np.ndarray:
     return np.maximum(dist, 0.0, out=dist)
 
 
-def nvi_distance_rows(t_codes, t_card, h_target, mat, cards, h_rows, *, packed=None) -> np.ndarray:
+def nvi_distance_rows(t_codes, t_card, h_target, mat, cards, h_rows, *, packed=None, margins=None) -> np.ndarray:
     """Normalized variation-of-information distance, target vs. each row."""
-    return _nvi(h_target, h_rows, joint_entropy_rows(t_codes, t_card, mat, cards, packed=packed))
+    return _nvi(h_target, h_rows, joint_entropy_rows(t_codes, t_card, mat, cards, packed=packed, margins=margins))
 
 
 def _nmi(h_target, h_rows, h_joint) -> np.ndarray:
@@ -274,27 +314,38 @@ def normalized_mi(a, b) -> float:
 class Columns:
     """Codes, cardinalities and entropies of some features, one row each, in
     groups ``bounds[g]:bounds[g + 1]``, and each group's bit planes packed
-    at its widest column (None when that is wider than PACKED_MAX_WIDTH)."""
+    at its widest column with their marginal counts (widest, rows) in the
+    count type (both None when that is wider than PACKED_MAX_WIDTH)."""
 
     mat: np.ndarray
     cards: np.ndarray
     h: np.ndarray
     bounds: list
     planes: list
+    margins: list
 
     @classmethod
     def of(cls, mat: np.ndarray, cards: np.ndarray, bounds=None) -> Columns:
         """The rows of a code matrix in groups ``bounds`` (one group when
-        None), each group packed once, and every row's entropy, its joint
-        entropy with a constant column, from one kernel call."""
+        None), each group packed once, and every row's entropy: a packed
+        group's from its marginal counts, another group's as the joint
+        entropy with a constant column."""
         bounds = [0, mat.shape[0]] if bounds is None else [int(b) for b in bounds]
-        constant = np.zeros(mat.shape[1], dtype=np.int32)
-        planes, jobs = [], []
+        n = mat.shape[1]
+        h = np.empty(mat.shape[0], dtype=np.float64)
+        planes, margins = [], []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             top = int(np.max(cards[lo:hi]))
-            planes.append(pack_codes(mat[lo:hi], top) if top <= PACKED_MAX_WIDTH else None)
-            jobs.append((constant, 1, mat[lo:hi], top, planes[-1], None))
-        return cls(mat, cards, _joint_entropies(jobs, mat.shape[1]), bounds, planes)
+            if top <= PACKED_MAX_WIDTH:
+                planes.append(pack_codes(mat[lo:hi], top))
+                margins.append(_margins(planes[-1], np.min_scalar_type(n)))
+                h[lo:hi] = _reduce(margins[-1], n)
+            else:
+                planes.append(None)
+                margins.append(None)
+                constant = np.zeros(n, dtype=np.int32)
+                h[lo:hi] = _joint_entropies([(constant, 1, mat[lo:hi], top, None, None, None, None)], n)
+        return cls(mat, cards, h, bounds, planes, margins)
 
     def distance_rows(self, jobs) -> list:
         """For each job (t, g, span), with row t and the rows ``span`` both
@@ -312,10 +363,11 @@ class Columns:
         for t, g, span in jobs:
             planes, lo = self.planes[g], self.bounds[g]
             if planes is None:
-                kernel_jobs.append((mat[t], cards[t], mat[span], int(np.max(cards[span])), None, None))
+                kernel_jobs.append((mat[t], cards[t], mat[span], int(np.max(cards[span])), None, None, None, None))
             else:
-                span_bits, t_bits = planes[:, :, span.start - lo : span.stop - lo], planes[:, : cards[t], t - lo]
-                kernel_jobs.append((mat[t], cards[t], mat[span], planes.shape[1], span_bits, t_bits))
+                at, margins = slice(span.start - lo, span.stop - lo), self.margins[g]
+                bits = (planes[:, :, at], margins[:, at], planes[:, :, t - lo], margins[:, t - lo])
+                kernel_jobs.append((mat[t], cards[t], mat[span], planes.shape[1], *bits))
             sizes.append(span.stop - span.start)
         h_joint = _joint_entropies(kernel_jobs, mat.shape[1])
         targets = [t for t, _, _ in jobs]
@@ -376,7 +428,9 @@ class InfoCache:
         row = self._rows.get(t)
         if row is None:
             c = self.columns()
-            row = nvi_distance_rows(c.mat[t], c.cards[t], c.h[t], c.mat, c.cards, c.h, packed=c.planes[0])
+            row = nvi_distance_rows(
+                c.mat[t], c.cards[t], c.h[t], c.mat, c.cards, c.h, packed=c.planes[0], margins=c.margins[0]
+            )
             row.flags.writeable = False
             self._rows[t] = row
         return row if ids is None else row[picked]
@@ -393,7 +447,7 @@ class InfoCache:
             c = self.columns()
             label_h = Columns.of(labels, label_cards).h
             cols = [
-                _nmi(h_y, c.h, joint_entropy_rows(y, card, c.mat, c.cards, packed=c.planes[0]))
+                _nmi(h_y, c.h, joint_entropy_rows(y, card, c.mat, c.cards, packed=c.planes[0], margins=c.margins[0]))
                 for y, card, h_y in zip(labels, label_cards.tolist(), label_h.tolist())
             ]
             table = np.column_stack(cols)

@@ -398,8 +398,8 @@ def test_groups_with_mixed_column_sizes_pack_each_group_once(monkeypatch, widest
     tops = [int(data.feature_cards[g].max()) for g in groups]
     assert tops[0] <= 4 and 16 < tops[2] <= 40 and (tops[1] == 65) == (widest == 65)
     alone = [greedy_select(g, GreedyVariant.GREEDY, cfg, InfoCache(data)) for g in groups]
-    packed_rows, counted_rows = [], []
-    real_pack, real_counts = info.pack_codes, info._packed_counts
+    packed_rows, counted_rows, margin_rows = [], [], []
+    real_pack, real_counts, real_margins = info.pack_codes, info._packed_counts, info._margins
 
     def packing(mat, card):
         packed_rows.append(mat.shape[0])
@@ -409,8 +409,14 @@ def test_groups_with_mixed_column_sizes_pack_each_group_once(monkeypatch, widest
         counted_rows.append(packed.shape[2])
         return real_counts(t_bits, packed, out)
 
+    def popcounting(planes, dtype):
+        if planes.ndim == 3:  # a group's rows, not one target's bits
+            margin_rows.append(planes.shape[2])
+        return real_margins(planes, dtype)
+
     monkeypatch.setattr(info, "pack_codes", packing)
     monkeypatch.setattr(info, "_packed_counts", counting)
+    monkeypatch.setattr(info, "_margins", popcounting)
     assert greedy_states(groups, GreedyVariant.GREEDY, cfg, InfoCache(data)).picks == alone
     # each group with at most 64 values per column is packed once; any other
     # call packs at most one target per group
@@ -418,7 +424,8 @@ def test_groups_with_mixed_column_sizes_pack_each_group_once(monkeypatch, widest
         g.size for g, top in zip(groups, tops) if top <= 64
     )
     assert all(r <= len(groups) for r in packed_rows if r not in {g.size for g in groups})
-    # the narrow group's entropies and each of its six rows take the packed
-    # path; the others pack only their entropies, if at all
-    assert counted_rows.count(20) == 7
-    assert counted_rows.count(30) == (0 if widest == 65 else 1) and counted_rows.count(10) == 1
+    # each packed group's marginal counts are popcounted once, and its
+    # entropies read from them; only the narrow group's six rows count
+    # joint cells on the packed path, the others' rows are too wide for it
+    assert sorted(margin_rows) == sorted(g.size for g, top in zip(groups, tops) if top <= 64)
+    assert counted_rows == [20] * 6

@@ -556,3 +556,121 @@ def test_entropies_do_not_depend_on_grouping(wide):
         cols = Columns.of(mat, cards, bounds)
         assert cols.bounds == bounds and len(cols.planes) == len(bounds) - 1
         assert cols.h.tobytes() == one.h.tobytes()
+
+
+def _every_value(rng, cards, n):
+    """A (rows, n) code matrix whose row r holds each of its cards[r] values."""
+    cards = np.asarray(cards)
+    mat = rng.integers(0, 1 << 20, size=(cards.size, n)) % cards[:, None]
+    mat[:, : cards.max()] = np.arange(cards.max()) % cards[:, None]
+    return mat
+
+
+def _table(t_codes, t_card, row, width):
+    """The ContingencyTable joint of a target and a row, its columns padded
+    with zeros to ``width``."""
+    card = int(row.max()) + 1
+    joint = ContingencyTable.from_columns(DiscreteColumn(t_codes, t_card), DiscreteColumn(row, card)).joint
+    return np.pad(joint, ((0, 0), (0, width - card)))
+
+
+def _kernel_counts(monkeypatch, run):
+    """``run()``'s result and every count matrix the kernel handed to the
+    reduction during it, as int64; the shared packed matrix comes last."""
+    seen, real = [], info._reduce
+
+    def keep(counts, n):
+        seen.append(np.array(counts, dtype=np.int64))
+        return real(counts, n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(info, "_reduce", keep)
+        found = run()
+    return found, seen
+
+
+def _check_counts(seen, packed_jobs, n):
+    """Every column of every count matrix adds up to n, and each packed job
+    (t_codes, t_card, rows, max_card), in job order, holds the
+    ContingencyTable joint of its target and each row in its columns of the
+    shared matrix, zero below its width."""
+    for counts in seen:
+        assert counts.min() >= 0 and (counts.sum(axis=0) == n).all()
+    shared, at = seen[-1], 0
+    for t_codes, t_card, rows, max_card in packed_jobs:
+        w = t_card * max_card
+        block = shared[:, at : at + rows.shape[0]]
+        assert not block[w:].any()
+        for r, row in enumerate(rows):
+            assert block[:w, r].reshape(t_card, max_card).tolist() == _table(t_codes, t_card, row, max_card).tolist()
+        at += rows.shape[0]
+    assert at == shared.shape[1]
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_kernel_counts_equal_contingency_tables(monkeypatch, n):
+    # only the leading (t_card - 1)(card - 1) cells are counted and the rest
+    # derived from marginals; at n = 255, 256 and 257 the count type goes
+    # from uint8 to uint16, where a wrapped subtraction would show. Rows of
+    # 1 to 5 values sit in a group packed at 5, targets have 1 to 64 values,
+    # and each batch mixes planes and marginals handed over (at the group's
+    # width, or wider than the job's), planes and marginals the kernel packs
+    # or popcounts, and sorted-codes jobs: joint widths 1 to 320, exactly 64
+    # at 16 x 4, 64 x 1 and 1 x 64
+    rng = np.random.default_rng(n)
+    cards = np.array([1, 2, 3, 4, 5, 1, 5, 2] * 3)
+    mat = _every_value(rng, cards, n)
+    cols = Columns.of(mat, cards)
+    planes, margins = cols.planes[0], cols.margins[0]
+    assert margins.dtype == np.min_scalar_type(n) and margins.shape == (5, cards.size)
+    assert margins.T.tolist() == [np.bincount(row, minlength=5).tolist() for row in mat]
+    assert cols.h.tolist() == [_ref_entropy(np.bincount(row), n) for row in mat]
+    narrow, ones = np.flatnonzero(cards <= 4), np.flatnonzero(cards == 1)
+    wide = _every_value(rng, [64, 7], n)
+    for t_card in (1, 2, 3, 12, 13, 16, 64):
+        t_codes = _every_value(rng, [t_card], n)[0]
+        t_bits = info.pack_codes(t_codes[None, :], t_card + 2)[:, :, 0]
+        t_margin = np.bincount(t_codes, minlength=t_card + 2).astype(margins.dtype)
+        jobs = [
+            (t_codes, t_card, mat, 5, planes, margins, None, None),
+            (t_codes, t_card, mat[narrow], 4, planes[:, :, narrow], margins[:, narrow], None, None),
+            (t_codes, t_card, mat[ones], 1, None, None, t_bits, t_margin),
+            (t_codes, t_card, mat, 5, planes, None, t_bits[:, :t_card], None),
+            (t_codes, t_card, wide, 64, None, None, None, None),
+        ]
+        h, seen = _kernel_counts(monkeypatch, lambda: info._joint_entropies(jobs, n))
+        packed = [(t, c, rows, top) for t, c, rows, top, *_ in jobs if c * top <= 64]
+        assert len(packed) == sum(t_card * top <= 64 for top in (5, 4, 1, 5, 64))
+        _check_counts(seen, packed, n)
+        expected = [_ref_entropy(_table(t_codes, t_card, row, 64), n) for _, _, rows, *_ in jobs for row in rows]
+        assert h.tolist() == expected, t_card
+
+
+def test_batched_kernel_counts_equal_contingency_tables(monkeypatch):
+    # multi-group batches as greedy steps make them: groups packed at 2, 5
+    # and 40 values and one of 70 values with no planes. A target of one
+    # value against the 40-value group still takes the packed path; every
+    # other job there and in the last group sorts codes
+    rng = np.random.default_rng(7)
+    n = 200
+    sizes, tops = (30, 25, 12, 8), (2, 5, 40, 70)
+    cards = np.concatenate([rng.integers(1, top + 1, size=size) for size, top in zip(sizes, tops)])
+    bounds = np.cumsum((0,) + sizes).tolist()
+    cards[bounds[:-1]] = tops
+    cards[bounds[2] + 1] = 1
+    mat = _every_value(rng, cards, n)
+    cols = Columns.of(mat, cards, bounds)
+    assert [p is None for p in cols.planes] == [False, False, False, True]
+    for lo, hi, m in zip(bounds[:-1], bounds[1:], cols.margins):
+        if m is not None:
+            assert m.T.tolist() == [np.bincount(row, minlength=m.shape[0]).tolist() for row in mat[lo:hi]]
+    groups = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    widest = [0 if p is None else p.shape[1] for p in cols.planes]
+    for picks in ([0, 30, 56, 67], [3, 41, 56, 70], [27, 53, 65, 73]):
+        jobs = [(t, g, slice(t + 1, s.stop) if t % 2 else s) for g, (t, s) in enumerate(zip(picks, groups))]
+        rows, seen = _kernel_counts(monkeypatch, lambda: cols.distance_rows(jobs))
+        packed = [(mat[t], int(cards[t]), mat[s], widest[g]) for t, g, s in jobs if 0 < cards[t] * widest[g] <= 64]
+        assert len(packed) == (2 if cards[picks[2]] > 1 else 3)
+        _check_counts(seen, packed, n)
+        for (t, g, s), row in zip(jobs, rows):
+            assert row.tolist() == nvi_distance_rows(mat[t], cards[t], cols.h[t], mat[s], cards[s], cols.h[s]).tolist()
