@@ -40,6 +40,11 @@ class BinningSpec:
     def __post_init__(self):
         if self.strategy not in BINNING_STRATEGIES:
             raise ValueError(f"unknown binning strategy {self.strategy!r}")
+        for name in ("bins", "max_raw_categories"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(value))
         if self.strategy != "none" and self.bins < 2:
             raise ValueError("bins must be >= 2")
         if self.max_raw_categories < 1:

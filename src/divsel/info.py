@@ -1,23 +1,26 @@
 """Entropy, mutual information, and the normalized variation-of-information
 distance over discrete columns, plus a memoizing cache.
 
-Every quantity comes from one count kernel and one reduction. The kernel
-returns the exact integer joint counts of a target column against each row
-of a code matrix, laid out cells-major: a (cells, rows) matrix of the
-smallest unsigned integer type that holds n, one column of counts per row.
-One of two paths is chosen from the joint width ``t_card * max(cards)``
-alone:
+Every quantity comes from one count kernel and one reduction over one
+operand, ``Columns``: the codes, cardinalities and entropies of some
+columns in groups of rows, each group packed once into bit planes, with
+their marginal counts, when its widest column has at most
+``PACKED_MAX_WIDTH`` values. A kernel job (t, g, span) is row t of one
+``Columns`` against the rows ``span`` of group g of another (or the same).
+The kernel returns the exact integer joint counts of each job, laid out
+cells-major: a (cells, rows) matrix of the smallest unsigned integer type
+that holds n, one column of counts per row. A job takes one of two paths:
 
-- up to ``PACKED_MAX_WIDTH`` cells, each code's one-hot indicator is packed
-  into uint64 bit planes of shape (words, card, rows). Only the
-  (t_card - 1)(card - 1) leading cells of each joint table are counted, each
-  the popcount of an AND summed over words straight into the count matrix;
-  the last column and the last row are the marginal counts less the counted
-  cells, n(v, last) = n_t(v) - sum_(u < last) n(v, u) and n(last, u) =
-  n_row(u) - sum_(v < last) n(v, u), subtracted in the count type. Every
-  difference lies in [0, n], so none wraps. A row's marginal counts are the
-  popcounts of its own bit planes;
-- above it, each row's joint codes ``x * t_card + t`` are sorted and each
+- when both rows' groups have bit planes and the joint width t_card *
+  widest(g) is at most ``PACKED_MAX_WIDTH`` cells, it reads the planes, of
+  shape (words, card, rows), and the marginal counts from the two
+  ``Columns``. Only the (t_card - 1)(card - 1) leading cells of each joint
+  table are counted, each the popcount of an AND summed over words straight
+  into the count matrix; the last column and the last row are the marginal
+  counts less the counted cells, n(v, last) = n_t(v) - sum_(u < last) n(v,
+  u) and n(last, u) = n_row(u) - sum_(v < last) n(v, u), subtracted in the
+  count type. Every difference lies in [0, n], so none wraps;
+- any other job sorts each row's joint codes ``x * t_card + t`` and each
   run's length is a count, held in the cell of the run's last code, so
   memory stays O(rows x n).
 
@@ -34,17 +37,19 @@ job's cells sit in the count matrix. Cached, batched, and one-off
 computations of the same pair agree exactly.
 ``Columns.of`` packs a code matrix group by group, keeps each packed
 group's marginal counts and computes every entropy, a packed group's from
-those counts; every MI and distance reads one MI expression, ``_mi``.
-``InfoCache`` is the one reader of a dataset's feature matrix: it gathers
-and packs features into ``Columns``, packs every feature once and memoizes
-whole distance rows. ``Columns.distance_rows`` computes the rows of several
-targets, each against a span of its own group, in one batch, the way a
-greedy run over several machines' candidates needs them: every packed job's
-counts share one count matrix, which is reduced once.
+those counts and another's from sorted codes; every MI and distance reads
+one MI expression, ``_mi``. The scalar functions build one ``Columns`` of
+two groups per pair. ``InfoCache`` is the one reader of a dataset's feature
+matrix: it gathers and packs features into ``Columns``, packs every feature
+once and memoizes whole distance rows. ``Columns.distance_rows`` computes
+the rows of several targets, each against a span of its own group, in one
+batch, the way a greedy run over several machines' candidates needs them:
+every packed job's counts share one count matrix, which is reduced once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,7 +57,8 @@ import numpy as np
 
 from .data import BLOCK_CELLS, RAW_CODES, Dataset, DiscreteColumn, canonicalize
 
-# Joint widths t_card * max(cards) up to this take the packed-bit path; wider
+# A group whose widest column has at most this many values gets bit planes,
+# and joint widths t_card * widest up to it take the packed-bit path; wider
 # tables sort joint codes.
 PACKED_MAX_WIDTH = 64
 
@@ -63,12 +69,19 @@ def _as_codes(col) -> tuple[np.ndarray, int]:
     arr = np.asarray(col)
     if arr.ndim != 1:
         raise ValueError("column must be one-dimensional")
-    if arr.size == 0:
-        raise ValueError("column must have at least one value")
-    if not np.issubdtype(arr.dtype, np.integer) and not np.issubdtype(arr.dtype, np.bool_):
+    if arr.size and not np.issubdtype(arr.dtype, np.integer) and not np.issubdtype(arr.dtype, np.bool_):
         raise ValueError("raw columns must hold integer codes")
     codes, cards = canonicalize(arr[None, :], RAW_CODES)
     return codes[0], int(cards[0])
+
+
+def _feature_ids(ids) -> np.ndarray:
+    """``ids`` as int64; ValueError unless every id is an integer (a float
+    or a bool is refused, not truncated)."""
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError("feature ids must be integers")
+    return ids.astype(np.int64, copy=False)
 
 
 def pack_codes(mat: np.ndarray, card: int) -> np.ndarray:
@@ -118,24 +131,6 @@ def _derive(cells: np.ndarray, t_margin: np.ndarray, margins: np.ndarray) -> Non
     np.subtract(margins, cells[last_t], out=cells[last_t])
 
 
-def _sorted_counts(t_codes: np.ndarray, t_card: int, mat: np.ndarray, width: int) -> np.ndarray:
-    """Joint counts as run lengths of each row's sorted joint codes, shape
-    (n, rows): each run's length sits in the cell of its last code, and
-    every other cell is zero."""
-    rows, n = mat.shape
-    dtype = np.int32 if width <= np.iinfo(np.int32).max else np.int64
-    joint = mat.astype(dtype) * dtype(t_card) + t_codes.astype(dtype)
-    joint.sort(axis=1)
-    ends = np.ones((rows, n), dtype=bool)
-    np.not_equal(joint[:, 1:], joint[:, :-1], out=ends[:, :-1])
-    # a row's last code ends a run, so the first run of a row starts right
-    # after the previous row's last end
-    at = np.flatnonzero(ends)
-    lengths = np.zeros(rows * n, dtype=np.intp)
-    lengths[at] = np.diff(at, prepend=-1)
-    return lengths.reshape(rows, n).T
-
-
 @lru_cache(maxsize=16)
 def _term_table(n: int) -> np.ndarray:
     """``-(p * log2(p))`` for p = c / n, c = 0..n, rounded to a multiple of
@@ -171,78 +166,82 @@ def _reduce(counts: np.ndarray, n: int) -> np.ndarray:
     return total
 
 
-def _joint_entropies(jobs, n: int) -> np.ndarray:
-    """The count kernel and the reduction: for each job (t_codes, t_card,
-    mat, max_card, packed, margins, t_bits, t_margin), the joint entropy of
-    a target column with each row of a code matrix whose codes are below
-    ``max_card``; one array holding every job's rows in job order.
-
-    ``packed`` may hand over ``pack_codes(mat, c)`` for any c >= max_card
-    and ``margins`` their marginal counts (c, rows) in the count type, and
-    ``t_bits`` the target's bit planes (words, c) for any c >= t_card and
-    ``t_margin`` their marginal counts (c,), when they are already built;
-    all are used only on the packed-bit path, which packs what is not
-    handed over and popcounts the marginals of the planes it packs.
-    A packed job counts only its (t_card - 1)(max_card - 1) leading cells,
-    a block of rows at a time so that each popcount temporary holds about
-    ``BLOCK_CELLS`` words, and derives its last column and row from the
-    marginals (``_derive``). Every packed job's table sits in one shared
-    count matrix as tall as the widest packed job, whose other jobs leave
-    their lower cells zero; it is reduced once. Sorted-codes jobs are
-    reduced block by block.
+def _sorted_entropies(mat: np.ndarray, t_codes=0, t_card: int = 1) -> np.ndarray:
+    """Joint entropy of a target column with each row of a code matrix, from
+    each row's joint codes ``x * t_card + t`` sorted: each run's length is a
+    count, held in the cell of the run's last code, and every other cell is
+    zero. Rows are sorted a block of about ``BLOCK_CELLS`` codes at a time,
+    so memory stays O(rows x n). The default target, one value everywhere,
+    gives each row's own entropy. Codes are dense, so each is below n and
+    every joint code below t_card * n.
     """
-    if n == 0:
-        raise ValueError("columns must have at least one value")
-    dtype = np.min_scalar_type(n)
-    widths = [int(job[1]) * int(job[3]) for job in jobs]
-    total = sum(job[2].shape[0] for job, w in zip(jobs, widths) if w <= PACKED_MAX_WIDTH)
-    width = max([w for w in widths if w <= PACKED_MAX_WIDTH], default=1)
-    counts = np.zeros((width, total), dtype=dtype)
+    rows, n = mat.shape
+    dtype = np.int32 if t_card * n <= np.iinfo(np.int32).max else np.int64
+    h = np.empty(rows, dtype=np.float64)
+    step = max(1, BLOCK_CELLS // n)
+    for lo in range(0, rows, step):
+        joint = mat[lo : lo + step].astype(dtype)
+        joint *= t_card
+        joint += t_codes
+        joint.sort(axis=1)
+        block = joint.shape[0]
+        ends = np.ones((block, n), dtype=bool)
+        np.not_equal(joint[:, 1:], joint[:, :-1], out=ends[:, :-1])
+        # a row's last code ends a run, so the first run of a row starts
+        # right after the previous row's last end
+        at = np.flatnonzero(ends)
+        lengths = np.zeros(block * n, dtype=np.intp)
+        lengths[at] = np.diff(at, prepend=-1)
+        h[lo : lo + block] = _reduce(lengths.reshape(block, n).T, n)
+    return h
+
+
+def _joint_entropies(targets: Columns, cols: Columns, jobs) -> np.ndarray:
+    """The count kernel and the reduction: for each job (t, g, span), the
+    joint entropy of row t of ``targets`` with each of the rows ``span`` of
+    group g of ``cols``, both over the same n values; one array holding
+    every job's rows in job order.
+
+    A job takes the packed-bit path when the target's group and group g
+    both have bit planes and t_card * widest(g) <= ``PACKED_MAX_WIDTH``. It
+    reads the planes and marginal counts of both rows from their
+    ``Columns``, so nothing is packed or popcounted here, counts only its
+    (t_card - 1)(widest - 1) leading cells, a block of rows at a time so
+    that each popcount temporary holds about ``BLOCK_CELLS`` words, and
+    derives its last column and row from the marginals (``_derive``). Every
+    packed job's table sits in one shared count matrix as tall as the
+    widest packed job, whose other jobs leave their lower cells zero; it is
+    reduced once. Any other job sorts codes (``_sorted_entropies``).
+    """
+    plan = []  # (t_card, widest, target group) per job; widest 0 sorts codes
+    for t, g, _ in jobs:
+        tg, t_card, planes = bisect_right(targets.bounds, t) - 1, int(targets.cards[t]), cols.planes[g]
+        top = 0 if targets.planes[tg] is None or planes is None else planes.shape[1]
+        plan.append((t_card, top if t_card * top <= PACKED_MAX_WIDTH else 0, tg))
+    total = sum(span.stop - span.start for (_, _, span), (_, top, _) in zip(jobs, plan) if top)
+    n = cols.mat.shape[1]
+    counts = np.zeros((max(t_card * top for t_card, top, _ in plan), total), dtype=np.min_scalar_type(n))
     out, at = [], 0
-    for (t_codes, t_card, mat, max_card, packed, margins, t_bits, t_margin), w in zip(jobs, widths):
-        t_card, max_card, rows = int(t_card), int(max_card), mat.shape[0]
-        if w > PACKED_MAX_WIDTH:
-            step = max(1, BLOCK_CELLS // n)
-            blocks = [
-                _reduce(_sorted_counts(t_codes, t_card, mat[lo : lo + step], w), n) for lo in range(0, rows, step)
-            ]
-            out.append(np.concatenate(blocks) if blocks else np.empty(0, dtype=np.float64))
+    for (t, g, span), (t_card, top, tg) in zip(jobs, plan):
+        if not top:
+            out.append(_sorted_entropies(cols.mat[span], targets.mat[t], t_card))
             continue
-        packed = pack_codes(mat, max_card) if packed is None else packed
-        margins = _margins(packed, dtype) if margins is None else margins
-        t_bits = pack_codes(t_codes[None, :], t_card)[:, :, 0] if t_bits is None else t_bits
-        t_margin = _margins(t_bits, dtype) if t_margin is None else t_margin
-        cells = counts[:w].reshape(t_card, max_card, total)[:, :, at : at + rows]
-        free_t, free = t_card - 1, max_card - 1
+        t_at, lo = t - targets.bounds[tg], cols.bounds[g]
+        rows = slice(span.start - lo, span.stop - lo)  # the span within group g
+        t_bits, planes, size = targets.planes[tg][:, :, t_at], cols.planes[g][:, :, rows], rows.stop - rows.start
+        cells = counts[: t_card * top].reshape(t_card, top, total)[:, :, at : at + size]
+        free_t, free = t_card - 1, top - 1
         if free_t and free:
-            step = max(1, BLOCK_CELLS // (packed.shape[0] * free_t * free))
-            for lo in range(0, rows, step):
-                hi = min(lo + step, rows)
-                _packed_counts(t_bits[:, :free_t], packed[:, :free, lo:hi], cells[:free_t, :free, lo:hi])
-        _derive(cells, t_margin, margins[:max_card])
-        out.append(slice(at, at + rows))
-        at += rows
+            step = max(1, BLOCK_CELLS // (planes.shape[0] * free_t * free))
+            for r in range(0, size, step):
+                _packed_counts(t_bits[:, :free_t], planes[:, :free, r : r + step], cells[:free_t, :free, r : r + step])
+        _derive(cells, targets.margins[tg][:, t_at], cols.margins[g][:, rows])
+        out.append(slice(at, at + size))
+        at += size
     h = _reduce(counts, n)
     if all(isinstance(part, slice) for part in out):
         return h  # every job is packed, so h is in job order
     return np.concatenate([h[part] if isinstance(part, slice) else part for part in out])
-
-
-def joint_entropy_rows(
-    t_codes: np.ndarray, t_card: int, mat: np.ndarray, cards: np.ndarray, *, packed=None, margins=None
-) -> np.ndarray:
-    """Joint entropy of a target column with each row of a code matrix: the
-    count kernel followed by the reduction.
-
-    ``packed`` may hand over ``pack_codes(mat, c)`` for any ``c >= max(cards)``
-    when it is already built, and ``margins`` their marginal counts; both
-    are used only on the packed-bit path.
-    """
-    t_codes = np.asarray(t_codes)
-    if t_codes.size != mat.shape[1]:
-        raise ValueError("column lengths differ")
-    job = (t_codes, t_card, mat, int(np.max(cards)), packed, margins, None, None)
-    return _joint_entropies([job], mat.shape[1])
 
 
 def _mi(h_target, h_rows, h_joint) -> np.ndarray:
@@ -258,9 +257,17 @@ def _nvi(h_target, h_rows, h_joint) -> np.ndarray:
     return np.maximum(dist, 0.0, out=dist)
 
 
-def nvi_distance_rows(t_codes, t_card, h_target, mat, cards, h_rows, *, packed=None, margins=None) -> np.ndarray:
-    """Normalized variation-of-information distance, target vs. each row."""
-    return _nvi(h_target, h_rows, joint_entropy_rows(t_codes, t_card, mat, cards, packed=packed, margins=margins))
+def nvi_distance_rows(t_codes, t_card, h_target, mat, cards, h_rows, *, columns=None) -> np.ndarray:
+    """Normalized variation-of-information distance of a target column to
+    each row of a code matrix. ``columns`` may hand over ``Columns.of(mat,
+    cards)`` when it is already built; the target's ``Columns`` is built
+    here."""
+    t_codes = np.asarray(t_codes)
+    if t_codes.size != mat.shape[1]:
+        raise ValueError("column lengths differ")
+    target = Columns.of(t_codes[None, :], np.array([t_card]))
+    cols = Columns.of(mat, cards) if columns is None else columns
+    return _nvi(h_target, h_rows, _joint_entropies(target, cols, [(0, 0, slice(0, mat.shape[0]))]))
 
 
 def _nmi(h_target, h_rows, h_joint) -> np.ndarray:
@@ -278,12 +285,14 @@ def entropy(col) -> float:
 
 def _pair(measure, a, b) -> float:
     """``measure(H(a), H(b), H(a, b))`` of two columns, each canonicalized
-    once."""
+    and packed once: a ``Columns`` of two groups, a's row and b's."""
     a_codes, a_card = _as_codes(a)
     b_codes, b_card = _as_codes(b)
-    h_ab = joint_entropy_rows(a_codes, a_card, b_codes[None, :], np.array([b_card]))
-    h = Columns.of(np.stack([a_codes, b_codes]), np.array([a_card, b_card])).h
-    return float(measure(h[0], h[1:], h_ab)[0])
+    if a_codes.size != b_codes.size:
+        raise ValueError("column lengths differ")
+    cols = Columns.of(np.stack([a_codes, b_codes]), np.array([a_card, b_card]), [0, 1, 2])
+    h_ab = _joint_entropies(cols, cols, [(0, 1, slice(1, 2))])
+    return float(measure(cols.h[0], cols.h[1:], h_ab)[0])
 
 
 def joint_entropy(a, b) -> float:
@@ -312,10 +321,11 @@ def normalized_mi(a, b) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Columns:
-    """Codes, cardinalities and entropies of some features, one row each, in
-    groups ``bounds[g]:bounds[g + 1]``, and each group's bit planes packed
-    at its widest column with their marginal counts (widest, rows) in the
-    count type (both None when that is wider than PACKED_MAX_WIDTH)."""
+    """The count kernel's one operand: codes, cardinalities and entropies of
+    some columns over the same n values, one row each, in groups
+    ``bounds[g]:bounds[g + 1]``, and each group's bit planes packed at its
+    widest column with their marginal counts (widest, rows) in the count
+    type (both None when that is wider than PACKED_MAX_WIDTH)."""
 
     mat: np.ndarray
     cards: np.ndarray
@@ -328,10 +338,12 @@ class Columns:
     def of(cls, mat: np.ndarray, cards: np.ndarray, bounds=None) -> Columns:
         """The rows of a code matrix in groups ``bounds`` (one group when
         None), each group packed once, and every row's entropy: a packed
-        group's from its marginal counts, another group's as the joint
-        entropy with a constant column."""
+        group's from its marginal counts, another group's from sorted codes.
+        ValueError when the rows hold no values."""
         bounds = [0, mat.shape[0]] if bounds is None else [int(b) for b in bounds]
         n = mat.shape[1]
+        if n == 0:
+            raise ValueError("columns must have at least one value")
         h = np.empty(mat.shape[0], dtype=np.float64)
         planes, margins = [], []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -343,8 +355,7 @@ class Columns:
             else:
                 planes.append(None)
                 margins.append(None)
-                constant = np.zeros(n, dtype=np.int32)
-                h[lo:hi] = _joint_entropies([(constant, 1, mat[lo:hi], top, None, None, None, None)], n)
+                h[lo:hi] = _sorted_entropies(mat[lo:hi])
         return cls(mat, cards, h, bounds, planes, margins)
 
     def distance_rows(self, jobs) -> list:
@@ -358,18 +369,9 @@ class Columns:
         """
         if not jobs:
             return []
-        mat, cards, h = self.mat, self.cards, self.h
-        kernel_jobs, sizes = [], []
-        for t, g, span in jobs:
-            planes, lo = self.planes[g], self.bounds[g]
-            if planes is None:
-                kernel_jobs.append((mat[t], cards[t], mat[span], int(np.max(cards[span])), None, None, None, None))
-            else:
-                at, margins = slice(span.start - lo, span.stop - lo), self.margins[g]
-                bits = (planes[:, :, at], margins[:, at], planes[:, :, t - lo], margins[:, t - lo])
-                kernel_jobs.append((mat[t], cards[t], mat[span], planes.shape[1], *bits))
-            sizes.append(span.stop - span.start)
-        h_joint = _joint_entropies(kernel_jobs, mat.shape[1])
+        h = self.h
+        h_joint = _joint_entropies(self, self, jobs)
+        sizes = [span.stop - span.start for _, _, span in jobs]
         targets = [t for t, _, _ in jobs]
         if len(jobs) == 1:
             return [_nvi(h[targets[0]], h[jobs[0][2]], h_joint)]
@@ -405,12 +407,13 @@ class InfoCache:
         other ids are gathered."""
         data = self._data
         d = data.n_features
+        ids = None if ids is None else _feature_ids(ids)
         whole = (bounds is None or len(bounds) == 2) and (ids is None or np.array_equal(ids, np.arange(d)))
         if whole and self._all is not None:
             return self._all
         mat, cards = data.features, data.feature_cards
         if not whole:
-            ids = np.arange(d) if ids is None else np.asarray(ids, dtype=np.int64)
+            ids = np.arange(d) if ids is None else ids
             mat, cards = mat[ids], cards[ids]
         cols = Columns.of(mat, cards, bounds)
         if whole:
@@ -421,16 +424,14 @@ class InfoCache:
     def distance_block(self, target_id: int, ids=None) -> np.ndarray:
         """d(target, u) for each feature id u in ids; without ids, the whole
         row over every feature (read-only)."""
-        t, d = target_id, self._data.n_features
-        picked = np.asarray([] if ids is None else ids, dtype=np.int64)
+        t, d = int(_feature_ids(target_id)), self._data.n_features
+        picked = _feature_ids([] if ids is None else ids)
         if not 0 <= t < d or (picked.size and (picked.min() < 0 or picked.max() >= d)):
             raise ValueError("feature id out of range")
         row = self._rows.get(t)
         if row is None:
             c = self.columns()
-            row = nvi_distance_rows(
-                c.mat[t], c.cards[t], c.h[t], c.mat, c.cards, c.h, packed=c.planes[0], margins=c.margins[0]
-            )
+            row = nvi_distance_rows(c.mat[t], c.cards[t], c.h[t], c.mat, c.cards, c.h, columns=c)
             row.flags.writeable = False
             self._rows[t] = row
         return row if ids is None else row[picked]
@@ -443,13 +444,10 @@ class InfoCache:
         """Normalized MI of every feature against every label, shape
         (n_features, n_labels)."""
         if self._mi_table is None:
-            labels, label_cards = self._data.labels, self._data.label_cards
-            c = self.columns()
-            label_h = Columns.of(labels, label_cards).h
-            cols = [
-                _nmi(h_y, c.h, joint_entropy_rows(y, card, c.mat, c.cards, packed=c.planes[0], margins=c.margins[0]))
-                for y, card, h_y in zip(labels, label_cards.tolist(), label_h.tolist())
-            ]
+            labels, c = Columns.of(self._data.labels, self._data.label_cards), self.columns()
+            every = slice(0, c.mat.shape[0])
+            # one kernel call per label, so memory stays that of one label
+            cols = [_nmi(h_y, c.h, _joint_entropies(labels, c, [(y, 0, every)])) for y, h_y in enumerate(labels.h)]
             table = np.column_stack(cols)
             table.flags.writeable = False
             self._mi_table = table

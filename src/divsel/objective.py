@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .info import Columns, InfoCache
+from .info import Columns, InfoCache, _feature_ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,9 +109,7 @@ def sorted_feature_ids(ids, n_features: int) -> np.ndarray:
             ids = np.fromiter(items, dtype=np.int64)
     if ids.ndim != 1:
         raise ValueError("feature ids must be one-dimensional")
-    if ids.size and ids.dtype.kind not in "iu":
-        raise ValueError("feature ids must be integers")
-    ids = np.sort(ids.astype(np.int64, copy=False))
+    ids = np.sort(_feature_ids(ids))
     if ids.size and (ids[0] < 0 or ids[-1] >= n_features):
         raise ValueError("feature id out of range")
     if np.any(ids[1:] == ids[:-1]):

@@ -145,6 +145,13 @@ def test_binning_spec_validation():
     with pytest.raises(ValueError):
         BinningSpec(max_raw_categories=0)
     BinningSpec(strategy="none", bins=1)  # bins unused
+    # a non-integer size is refused, not truncated, and a numpy one is an int
+    for fields in ({"bins": 2.5}, {"bins": True}, {"max_raw_categories": 2.5}, {"max_raw_categories": True}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            BinningSpec(**fields)
+    spec = BinningSpec(bins=np.int64(3), max_raw_categories=np.uint8(4))
+    assert (spec.bins, spec.max_raw_categories) == (3, 4) and type(spec.bins) is type(spec.max_raw_categories) is int
+    assert spec == BinningSpec(bins=3, max_raw_categories=4)
 
 
 def test_discrete_column_invariants():

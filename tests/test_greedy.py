@@ -382,8 +382,8 @@ def test_groups_reject_bad_input():
 def test_groups_with_mixed_column_sizes_pack_each_group_once(monkeypatch, widest):
     # the narrow group takes the packed path; in the others most joint
     # tables are wide, and the group holding a column of 65 values has no
-    # bit planes at all. A step may pack its targets' own bit planes, but
-    # never a group's candidates again after the state packed them once
+    # bit planes at all. A step packs nothing: its targets' bits, like its
+    # candidates', are read from the planes the state packed once
     rng = np.random.default_rng(widest)
     narrow = rng.integers(0, 4, size=(40, 80))
     wide = rng.integers(0, 40, size=(20, 80))
@@ -418,12 +418,13 @@ def test_groups_with_mixed_column_sizes_pack_each_group_once(monkeypatch, widest
     monkeypatch.setattr(info, "_packed_counts", counting)
     monkeypatch.setattr(info, "_margins", popcounting)
     assert greedy_states(groups, GreedyVariant.GREEDY, cfg, InfoCache(data)).picks == alone
-    # each group with at most 64 values per column is packed once; any other
-    # call packs at most one target per group
+    # each group with at most 64 values per column is packed once, and
+    # nothing else is packed
     assert sorted(r for r in packed_rows if r > len(groups)) == sorted(
         g.size for g, top in zip(groups, tops) if top <= 64
     )
     assert all(r <= len(groups) for r in packed_rows if r not in {g.size for g in groups})
+    assert len(packed_rows) == sum(top <= 64 for top in tops)
     # each packed group's marginal counts are popcounted once, and its
     # entropies read from them; only the narrow group's six rows count
     # joint cells on the packed path, the others' rows are too wide for it

@@ -13,7 +13,6 @@ from divsel.info import (
     InfoCache,
     entropy,
     joint_entropy,
-    joint_entropy_rows,
     mutual_information,
     normalized_mi,
     nvi_distance,
@@ -79,8 +78,13 @@ def test_both_constant_convention():
 
 
 def test_empty_and_mismatched_inputs_rejected():
-    with pytest.raises(ValueError):
-        entropy(np.array([], dtype=int))
+    # an empty column is refused by every function with one message, an
+    # empty DiscreteColumn too, and no warning comes first
+    scalar = (entropy, joint_entropy, mutual_information, nvi_distance, normalized_mi)
+    for empty in (np.array([], dtype=int), [], DiscreteColumn(np.array([], dtype=int), 0)):
+        for fn in scalar:
+            with pytest.raises(ValueError, match="columns must have at least one value"):
+                fn(empty) if fn is entropy else fn(empty, empty)
     with pytest.raises(ValueError):
         joint_entropy(np.array([0, 1]), np.array([0, 1, 0]))
     with pytest.raises(ValueError):
@@ -181,6 +185,21 @@ def test_distance_block_rejects_foreign_ids():
     for ids in ([6], [-1], [0, 7]):
         with pytest.raises(ValueError, match="out of range"):
             cache.distance_block(0, ids)
+    # a float or a bool id is refused, not truncated
+    for call in (
+        lambda: cache.distance(0, 1.9),
+        lambda: cache.distance(1.5, 2),
+        lambda: cache.distance_block(0, [1.7, 2.2]),
+        lambda: cache.distance_block(True),
+        lambda: cache.distance_block(0, np.array([True, False])),
+        lambda: cache.columns([0.0, 1.0]),
+        lambda: cache.columns(np.arange(6, dtype=float)),
+    ):
+        with pytest.raises(ValueError, match="feature ids must be integers"):
+            call()
+    ids = np.array([2, 5], dtype=np.uint8)
+    assert cache.distance_block(np.int64(0), ids).tolist() == cache.distance_block(0, [2, 5]).tolist()
+    assert cache.distance_block(0, []).size == 0
 
 
 def test_group_rows_match_full_cache_rows():
@@ -263,6 +282,13 @@ def _ref_pair(a, b):
     )
 
 
+def _joint_rows(t_codes, t_card, mat, cards):
+    """The kernel's joint entropy of a target column with each row of a code
+    matrix, each a ``Columns`` of one group."""
+    target = Columns.of(np.asarray(t_codes)[None, :], np.array([t_card]))
+    return info._joint_entropies(target, Columns.of(mat, cards), [(0, 0, slice(0, mat.shape[0]))])
+
+
 def _ref_nvi(ha, hb, hab):
     mi = max(0.0, (ha + hb) - hab)
     return min(1.0, max(0.0, 1.0 - mi / hab)) if hab > 0.0 else 0.0
@@ -303,7 +329,7 @@ def test_kernel_matches_contingency_reference_bitwise(n):
             refs = [_ref_pair(t, f) for f in rows]
             h_t = refs[0][0]
             assert entropy(t) == h_t
-            h_joint = joint_entropy_rows(t.codes, t.cardinality, mat, cards)
+            h_joint = _joint_rows(t.codes, t.cardinality, mat, cards)
             assert h_joint.tolist() == [r[2] for r in refs]
             dist = nvi_distance_rows(t.codes, t.cardinality, h_t, mat, cards, h_rows)
             assert dist.tolist() == [_ref_nvi(*r) for r in refs]
@@ -327,7 +353,7 @@ def test_kernel_matches_contingency_reference_bitwise(n):
     # the targets against every feature, over the cache's arrays and planes
     c = cache.columns()
     for t in targets:
-        row = nvi_distance_rows(t.codes, t.cardinality, entropy(t), c.mat, c.cards, c.h, packed=c.planes[0])
+        row = nvi_distance_rows(t.codes, t.cardinality, entropy(t), c.mat, c.cards, c.h, columns=c)
         assert row.tolist() == [_ref_nvi(*_ref_pair(t, f)) for f in feats]
     # selection states' rows: every feature (the cache's arrays), the
     # low-cardinality part alone (its own bit planes), and two groups side
@@ -462,7 +488,7 @@ def test_network_sorted_counts_match_contingency_reference_bitwise(n):
         codes[:t_card] = np.arange(t_card)
         target = DiscreteColumn(codes, t_card)
         refs = [_ref_pair(target, c) for c in cols]
-        assert joint_entropy_rows(codes, t_card, mat, cards).tolist() == [r[2] for r in refs], t_card
+        assert _joint_rows(codes, t_card, mat, cards).tolist() == [r[2] for r in refs], t_card
         dist = nvi_distance_rows(codes, t_card, refs[0][0], mat, cards, h_rows)
         assert dist.tolist() == [_ref_nvi(*r) for r in refs], t_card
 
@@ -473,8 +499,8 @@ def test_batched_spans_with_mixed_widths_and_paths_match_single_calls():
     # lies in its own group; its span is the whole group or the rows after
     # the target, as diversity asks. Jobs are 4 to 4900 cells wide: the two
     # narrow groups' packed jobs count together, the narrow one's counts
-    # above 4 zero cells, next to sorted-codes jobs; the last group's narrow
-    # jobs pack their rows themselves
+    # above 4 zero cells, next to sorted-codes jobs; the last group's jobs,
+    # narrow ones too, sort codes
     rng = np.random.default_rng(12)
     n = 90
     sizes, tops = (1200, 1000, 40, 30), (2, 6, 40, 3)
@@ -576,8 +602,10 @@ def _table(t_codes, t_card, row, width):
 
 def _kernel_counts(monkeypatch, run):
     """``run()``'s result and every count matrix the kernel handed to the
-    reduction during it, as int64; the shared packed matrix comes last."""
-    seen, real = [], info._reduce
+    reduction during it, as int64; the shared packed matrix comes last. The
+    kernel reads every bit plane and marginal count from its ``Columns``
+    operands: it neither packs nor popcounts a marginal."""
+    seen, packed, real = [], [], info._reduce
 
     def keep(counts, n):
         seen.append(np.array(counts, dtype=np.int64))
@@ -585,7 +613,10 @@ def _kernel_counts(monkeypatch, run):
 
     with monkeypatch.context() as patch:
         patch.setattr(info, "_reduce", keep)
+        patch.setattr(info, "pack_codes", lambda *args: packed.append("pack_codes"))
+        patch.setattr(info, "_margins", lambda *args: packed.append("_margins"))
         found = run()
+    assert packed == []
     return found, seen
 
 
@@ -612,37 +643,37 @@ def test_kernel_counts_equal_contingency_tables(monkeypatch, n):
     # only the leading (t_card - 1)(card - 1) cells are counted and the rest
     # derived from marginals; at n = 255, 256 and 257 the count type goes
     # from uint8 to uint16, where a wrapped subtraction would show. Rows of
-    # 1 to 5 values sit in a group packed at 5, targets have 1 to 64 values,
-    # and each batch mixes planes and marginals handed over (at the group's
-    # width, or wider than the job's), planes and marginals the kernel packs
-    # or popcounts, and sorted-codes jobs: joint widths 1 to 320, exactly 64
+    # 1 to 5 values sit in groups packed at 5, 4 and 1 and one of 64 and 7
+    # values; targets of 1 to 64 values sit in one group packed at 64, wider
+    # than most of them, and each again in a group of its own. Each call
+    # mixes packed and sorted-codes jobs: joint widths 1 to 4096, exactly 64
     # at 16 x 4, 64 x 1 and 1 x 64
     rng = np.random.default_rng(n)
     cards = np.array([1, 2, 3, 4, 5, 1, 5, 2] * 3)
+    narrow, ones = np.flatnonzero(cards <= 4), np.flatnonzero(cards == 1)
     mat = _every_value(rng, cards, n)
-    cols = Columns.of(mat, cards)
-    planes, margins = cols.planes[0], cols.margins[0]
+    rows = np.vstack([mat, mat[narrow], mat[ones], _every_value(rng, [64, 7], n)])
+    bounds = np.cumsum([0, cards.size, narrow.size, ones.size, 2]).tolist()
+    cols = Columns.of(rows, np.concatenate([cards, cards[narrow], cards[ones], [64, 7]]), bounds)
+    assert [p.shape[1] for p in cols.planes] == [5, 4, 1, 64]
+    margins = cols.margins[0]
     assert margins.dtype == np.min_scalar_type(n) and margins.shape == (5, cards.size)
     assert margins.T.tolist() == [np.bincount(row, minlength=5).tolist() for row in mat]
-    assert cols.h.tolist() == [_ref_entropy(np.bincount(row), n) for row in mat]
-    narrow, ones = np.flatnonzero(cards <= 4), np.flatnonzero(cards == 1)
-    wide = _every_value(rng, [64, 7], n)
-    for t_card in (1, 2, 3, 12, 13, 16, 64):
-        t_codes = _every_value(rng, [t_card], n)[0]
-        t_bits = info.pack_codes(t_codes[None, :], t_card + 2)[:, :, 0]
-        t_margin = np.bincount(t_codes, minlength=t_card + 2).astype(margins.dtype)
-        jobs = [
-            (t_codes, t_card, mat, 5, planes, margins, None, None),
-            (t_codes, t_card, mat[narrow], 4, planes[:, :, narrow], margins[:, narrow], None, None),
-            (t_codes, t_card, mat[ones], 1, None, None, t_bits, t_margin),
-            (t_codes, t_card, mat, 5, planes, None, t_bits[:, :t_card], None),
-            (t_codes, t_card, wide, 64, None, None, None, None),
-        ]
-        h, seen = _kernel_counts(monkeypatch, lambda: info._joint_entropies(jobs, n))
-        packed = [(t, c, rows, top) for t, c, rows, top, *_ in jobs if c * top <= 64]
-        assert len(packed) == sum(t_card * top <= 64 for top in (5, 4, 1, 5, 64))
+    assert cols.h.tolist() == [_ref_entropy(np.bincount(row), n) for row in rows]
+    t_cards = [1, 2, 3, 12, 13, 16, 64]
+    t_mat = _every_value(rng, t_cards, n)
+    targets = Columns.of(np.vstack([t_mat, t_mat]), np.array(t_cards * 2), [0, 7, 8, 9, 10, 11, 12, 13, 14])
+    assert targets.planes[0].shape[1] == 64
+    groups = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    for i, t_card in enumerate(t_cards):
+        own = 7 + i  # the same target in a group of its own
+        jobs = [(i, 0, groups[0]), (own, 1, groups[1]), (i, 2, groups[2]), (own, 0, slice(3, 20)), (i, 3, groups[3])]
+        h, seen = _kernel_counts(monkeypatch, lambda: info._joint_entropies(targets, cols, jobs))
+        widest = [5, 4, 1, 5, 64]
+        packed = [(t_mat[i], t_card, rows[s], top) for (_, _, s), top in zip(jobs, widest) if t_card * top <= 64]
+        assert 0 < len(packed) < len(jobs) or t_card == 1
         _check_counts(seen, packed, n)
-        expected = [_ref_entropy(_table(t_codes, t_card, row, 64), n) for _, _, rows, *_ in jobs for row in rows]
+        expected = [_ref_entropy(_table(t_mat[i], t_card, row, 64), n) for _, _, s in jobs for row in rows[s]]
         assert h.tolist() == expected, t_card
 
 
