@@ -58,8 +58,9 @@ DEFAULT_BINNING = BinningSpec()
 RAW_CODES = BinningSpec(strategy="none")
 
 
-# Row blocks of the canonicalization and count kernels hold about this many
-# cells, which bounds their temporaries.
+# Row blocks of canonicalization, of the code checks and of the dense
+# loader's parse hold about this many cells, which bounds their temporaries.
+# The count kernel in ``info`` has a block of its own.
 BLOCK_CELLS = 1 << 18
 
 
@@ -72,13 +73,17 @@ def canonicalize(values, binning: BinningSpec = DEFAULT_BINNING) -> tuple[np.nda
     strategy ``"none"``) maps to codes by sorted raw value; a wider row is
     discretized per the strategy and the bins that occur are then densified
     (quantile ties can merge bins). Integer and bool values are ranked as
-    they are, so integers beyond 2^53 stay distinct; any other dtype is
-    read as float64. Rows are worked a block of about ``BLOCK_CELLS`` cells
-    at a time, so temporaries stay small.
+    they are, so integers beyond 2^53 stay distinct, and a row whose values
+    span at most n integers is ranked by counting instead of sorting; any
+    other real dtype is read as float64, and a complex dtype is a
+    ValueError. Rows are worked a block of about ``BLOCK_CELLS`` cells at a
+    time, so temporaries stay small.
     """
     values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError("values must be two-dimensional")
+    if values.dtype.kind == "c":
+        raise ValueError("complex values cannot be canonicalized")
     rows, n = values.shape
     codes = np.zeros((rows, n), dtype=np.int32)
     cards = np.zeros(rows, dtype=np.int64)
@@ -92,9 +97,64 @@ def canonicalize(values, binning: BinningSpec = DEFAULT_BINNING) -> tuple[np.nda
 
 
 def _canonicalize_block(values: np.ndarray, binning: BinningSpec) -> tuple[np.ndarray, np.ndarray]:
-    v = np.ascontiguousarray(values, dtype=None if values.dtype.kind in "biu" else np.float64)
-    if v.dtype.kind == "f" and not np.isfinite(v).all():
-        raise ValidationError("column contains non-finite values")
+    """Codes and cardinalities of a block of rows, each row ranked by one of
+    two paths chosen from its dtype and values: an integer or bool row whose
+    values span at most n integers is ranked by counting (``_count_ranks``),
+    and a float row, a wider integer row or a row that ``binning`` bins is
+    ranked by sorting (``_sort_ranks``)."""
+    if values.dtype.kind not in "biu":
+        v = np.ascontiguousarray(values, dtype=np.float64)
+        if not np.isfinite(v).all():
+            raise ValidationError("column contains non-finite values")
+        return _sort_ranks(v, binning)
+    rows, n = values.shape
+    codes = np.empty((rows, n), dtype=np.int32)
+    cards = np.zeros(rows, dtype=np.int64)
+    counted = _count_ranks(values, codes, cards)
+    if binning.strategy != "none":
+        counted &= cards <= binning.max_raw_categories
+    if not counted.all():
+        rest = ~counted
+        codes[rest], cards[rest] = _sort_ranks(np.ascontiguousarray(values[rest]), binning)
+    return codes, cards
+
+
+def _count_ranks(values: np.ndarray, codes: np.ndarray, cards: np.ndarray) -> np.ndarray:
+    """Rank by counting each integer row of ``values`` whose values span at
+    most n integers, writing its codes and cardinality into ``codes`` and
+    ``cards``; returns which rows those are. A (rows, span) table marks the
+    values present, its running count along a row is each value's dense
+    rank + 1 and ends at the row's cardinality, and one gather maps every
+    cell to its code. The table holds at most the block's cells."""
+    n = values.shape[1]
+    wide = np.uint64 if values.dtype.kind == "u" and values.dtype.itemsize == 8 else np.int64
+    w = values.astype(wide, copy=False)  # native order, which the views below need
+    # in uint64 arithmetic, max - min wraps to the exact span of a signed
+    # row too, and a cell less its row's min to its exact offset
+    low = w.min(axis=1).view(np.uint64)
+    span = w.max(axis=1).view(np.uint64) - low
+    counted = span < n
+    if not counted.any():
+        return counted
+    where = slice(None) if counted.all() else counted
+    w, low, span = w[where], low[where], span[where]
+    rows, width = w.shape[0], int(span.max()) + 1
+    shift = np.arange(0, rows * width, width, dtype=np.uint64) - low
+    at = np.empty(w.shape, dtype=np.intp)
+    np.add(w.view(np.uint64), shift[:, None], out=at.view(np.uint64))
+    present = np.zeros(rows * width, dtype=bool)
+    present[at] = True
+    ranks = np.cumsum(present.reshape(rows, width), axis=1, dtype=np.int32)
+    card = ranks[:, -1].copy()
+    ranks -= 1
+    codes[where], cards[where] = ranks.ravel().take(at), card
+    return counted
+
+
+def _sort_ranks(v: np.ndarray, binning: BinningSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Codes and cardinalities of integer or float64 rows by sorting each
+    row once: dense ranks for a row with few values, bin ids for a row that
+    ``binning`` bins."""
     rows, n = v.shape
     s = np.sort(v, axis=1)
     new = s[:, 1:] != s[:, :-1]
@@ -554,13 +614,14 @@ def generate_synthesized(seed: int = 0) -> Dataset:
 def dataset_from_matrices(feature_rows, label_rows, *, feature_names=None, label_names=None) -> Dataset:
     """Build a dataset from integer matrices (columns as rows). Convenience
     for tests and synthetic instances; rows are canonicalized, label rows
-    with ``RAW_CODES``."""
+    with ``RAW_CODES``. Names default to f0, f1, ... and y0, y1, ... only
+    when not given."""
     feature_rows = np.atleast_2d(np.asarray(feature_rows))
     label_rows = np.atleast_2d(np.asarray(label_rows))
     d, n = feature_rows.shape
     t = label_rows.shape[0]
     if label_rows.shape[1] != n:
         raise ValidationError("feature and label instance counts differ")
-    fnames = feature_names if feature_names else [f"f{i}" for i in range(d)]
-    lnames = label_names if label_names else [f"y{j}" for j in range(t)]
+    fnames = [f"f{i}" for i in range(d)] if feature_names is None else feature_names
+    lnames = [f"y{j}" for j in range(t)] if label_names is None else label_names
     return Dataset._from_codes(*canonicalize(feature_rows), fnames, *canonicalize(label_rows, RAW_CODES), lnames)

@@ -55,7 +55,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import BLOCK_CELLS, RAW_CODES, Dataset, DiscreteColumn, canonicalize
+from .data import RAW_CODES, Dataset, DiscreteColumn, canonicalize
+
+# Blocks of the kernel's loops (packing, counting, sorting, reducing) hold
+# about this many cells, so a float64 or intp temporary takes 512 KB. At 2^18
+# cells a process that held a large array alive mapped and faulted in its 2
+# MB temporaries afresh on every call, about 1000 minor faults per distance
+# row of 20000 x 128 codes; at 2^16 it faults none in either state.
+KERNEL_BLOCK_CELLS = 1 << 16
 
 # A group whose widest column has at most this many values gets bit planes,
 # and joint widths t_card * widest up to it take the packed-bit path; wider
@@ -94,7 +101,9 @@ def pack_codes(mat: np.ndarray, card: int) -> np.ndarray:
     rows, n = mat.shape
     words = -(-n // 64)
     values = np.arange(card, dtype=mat.dtype)[:, None, None]
-    step = max(1, BLOCK_CELLS // max(card * n, 1))
+    # the one-hot temporary is bool, so a block of 8 x KERNEL_BLOCK_CELLS
+    # cells takes the bytes of a float64 block
+    step = max(1, 8 * KERNEL_BLOCK_CELLS // max(card * n, 1))
     # value-major, so that each value is compared with a whole block of
     # codes in one run instead of one run per row
     planes = np.zeros((card, rows, words * 8), dtype=np.uint8)
@@ -153,14 +162,15 @@ def _term_table(n: int) -> np.ndarray:
 def _reduce(counts: np.ndarray, n: int) -> np.ndarray:
     """Entropy per column of a (cells, rows) count matrix whose columns add
     up to n: the terms of the counts added from 0.0, one ``np.add.reduce``
-    over the cell axis per block of about ``BLOCK_CELLS`` cells. Every sum
-    is exact (``_term_table``), so neither the order of a column's cells nor
-    the blocking changes a bit; zero cells add -0.0 and change nothing.
+    over the cell axis per block of about ``KERNEL_BLOCK_CELLS`` cells.
+    Every sum is exact (``_term_table``), so neither the order of a
+    column's cells nor the blocking changes a bit; zero cells add -0.0 and
+    change nothing.
     """
     table = _term_table(n)
     cells, rows = counts.shape
     total = np.empty(rows, dtype=np.float64)
-    step = max(1, BLOCK_CELLS // max(cells, 1))
+    step = max(1, KERNEL_BLOCK_CELLS // max(cells, 1))
     for lo in range(0, rows, step):
         np.add.reduce(table.take(counts[:, lo : lo + step]), axis=0, out=total[lo : lo + step], initial=0.0)
     return total
@@ -170,15 +180,15 @@ def _sorted_entropies(mat: np.ndarray, t_codes=0, t_card: int = 1) -> np.ndarray
     """Joint entropy of a target column with each row of a code matrix, from
     each row's joint codes ``x * t_card + t`` sorted: each run's length is a
     count, held in the cell of the run's last code, and every other cell is
-    zero. Rows are sorted a block of about ``BLOCK_CELLS`` codes at a time,
-    so memory stays O(rows x n). The default target, one value everywhere,
-    gives each row's own entropy. Codes are dense, so each is below n and
-    every joint code below t_card * n.
+    zero. Rows are sorted a block of about ``KERNEL_BLOCK_CELLS`` codes at a
+    time, so memory stays O(rows x n). The default target, one value
+    everywhere, gives each row's own entropy. Codes are dense, so each is
+    below n and every joint code below t_card * n.
     """
     rows, n = mat.shape
     dtype = np.int32 if t_card * n <= np.iinfo(np.int32).max else np.int64
     h = np.empty(rows, dtype=np.float64)
-    step = max(1, BLOCK_CELLS // n)
+    step = max(1, KERNEL_BLOCK_CELLS // n)
     for lo in range(0, rows, step):
         joint = mat[lo : lo + step].astype(dtype)
         joint *= t_card
@@ -207,9 +217,9 @@ def _joint_entropies(targets: Columns, cols: Columns, jobs) -> np.ndarray:
     reads the planes and marginal counts of both rows from their
     ``Columns``, so nothing is packed or popcounted here, counts only its
     (t_card - 1)(widest - 1) leading cells, a block of rows at a time so
-    that each popcount temporary holds about ``BLOCK_CELLS`` words, and
-    derives its last column and row from the marginals (``_derive``). Every
-    packed job's table sits in one shared count matrix as tall as the
+    that each popcount temporary holds about ``KERNEL_BLOCK_CELLS`` words,
+    and derives its last column and row from the marginals (``_derive``).
+    Every packed job's table sits in one shared count matrix as tall as the
     widest packed job, whose other jobs leave their lower cells zero; it is
     reduced once. Any other job sorts codes (``_sorted_entropies``).
     """
@@ -232,7 +242,7 @@ def _joint_entropies(targets: Columns, cols: Columns, jobs) -> np.ndarray:
         cells = counts[: t_card * top].reshape(t_card, top, total)[:, :, at : at + size]
         free_t, free = t_card - 1, top - 1
         if free_t and free:
-            step = max(1, BLOCK_CELLS // (planes.shape[0] * free_t * free))
+            step = max(1, KERNEL_BLOCK_CELLS // (planes.shape[0] * free_t * free))
             for r in range(0, size, step):
                 _packed_counts(t_bits[:, :free_t], planes[:, :free, r : r + step], cells[:free_t, :free, r : r + step])
         _derive(cells, targets.margins[tg][:, t_at], cols.margins[g][:, rows])

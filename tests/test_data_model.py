@@ -319,11 +319,15 @@ def test_synthesized_names(synth):
 
 
 def _reference_codes(values, binning):
-    """One row canonicalized as np.unique, searchsorted and digitize give it."""
-    values = np.asarray(values, dtype=np.float64)
+    """One row canonicalized as np.unique, searchsorted and digitize give it:
+    integer and bool values ranked exactly, bins cut from float64 values."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu":
+        values = values.astype(np.float64)
     distinct = np.unique(values)
     if binning.strategy == "none" or distinct.size <= binning.max_raw_categories:
         return np.searchsorted(distinct, values), distinct.size
+    values = values.astype(np.float64)
     if binning.strategy == "equal_frequency":
         s = np.sort(values)
         cuts = np.unique(s[[s.size * j // binning.bins for j in range(1, binning.bins)]])
@@ -353,6 +357,50 @@ def _canonicalization_rows(n=100):
     ]
 
 
+def _integer_matrices(n=100):
+    """Integer and bool rows for both ranking paths. Counting takes a row
+    whose values span at most n integers (``counts``); sorting takes a
+    wider one. In the int64 matrix, rows alternate between the two, so two
+    rows per block mix them."""
+    rng = np.random.default_rng(43)
+    i64, u64 = np.iinfo(np.int64), np.iinfo(np.uint64)
+    int64 = [
+        (np.arange(-3, n - 3), True),  # span exactly n
+        (rng.permutation(np.delete(np.arange(n + 1), 7)), False),  # span n + 1
+        (np.arange(n) % 4, True),
+        (rng.choice([i64.min, i64.max, 0], n), False),  # max - min overflows int64
+        (rng.integers(i64.min, i64.min + 3, n), True),
+        (rng.choice([-(2**53) - 1, 2**53 + 1], n), False),  # distinct beyond 2^53
+        (i64.max - rng.integers(0, 5, n), True),
+        (rng.choice([-(2**60), 2**60], n), False),
+        (rng.integers(-20, 20, n), True),  # negative values, more than 32 of them
+        (rng.normal(size=n).astype(np.int64) * 1000, False),
+        (rng.permutation(np.resize(np.arange(0, 80, 2), n)), True),  # 40 values, span 79
+    ]
+    return [
+        (np.stack([row for row, _ in int64]), [counts for _, counts in int64]),
+        (
+            np.stack(
+                [rng.choice(np.array(pair, dtype=np.uint64), n) for pair in ([u64.max, u64.max - 2], [0, u64.max])]
+                + [np.arange(n, dtype=np.uint64) % 3]
+            ),
+            [True, False, True],
+        ),
+        (np.stack([np.arange(n) % 3 == 0, np.ones(n, dtype=bool), np.zeros(n, dtype=bool)]), [True] * 3),
+        # int8 rows of 256 values span exactly n = 256, and max - min overflows int8
+        (
+            np.stack([rng.permutation(np.arange(-128, 128)), rng.choice([-128, 127], 256), np.arange(256) % 5 - 2]).astype(
+                np.int8
+            ),
+            [True] * 3,
+        ),
+        (np.stack([np.arange(256), np.arange(256) // 2]).astype(np.uint8), [True] * 2),
+        # non-native byte order
+        (np.stack([row for row, _ in int64[3:5]]).astype(">i8"), [False, True]),
+        (np.stack([np.arange(n, dtype=np.uint64) % 3 + np.uint64(u64.max - 2)]).astype(">u8"), [True]),
+    ]
+
+
 @pytest.mark.parametrize("block_cells", [None, 250])
 @pytest.mark.parametrize(
     "binning",
@@ -378,11 +426,22 @@ def test_canonicalize_matches_from_values_per_row(monkeypatch, binning, block_ce
         assert card == want_card
         col = DiscreteColumn.from_values(row, binning)
         assert col.codes.tolist() == want.tolist() and col.cardinality == want_card
-    ints = np.stack([np.arange(-3, 97), np.arange(100) % 4]).astype(np.int64)
-    int_codes, int_cards = canonicalize(ints, binning)
-    for row, got, card in zip(ints, int_codes, int_cards):
-        want, want_card = _reference_codes(row, binning)
-        assert got.tolist() == want.tolist() and card == want_card
+    sort_ranks, sorted_rows = data_module._sort_ranks, []
+
+    def spy(v, binning):
+        sorted_rows.extend(v.tolist())
+        return sort_ranks(v, binning)
+
+    monkeypatch.setattr(data_module, "_sort_ranks", spy)
+    for ints, counts in _integer_matrices():
+        sorted_rows.clear()
+        int_codes, int_cards = canonicalize(ints, binning)
+        for row, got, card, count in zip(ints, int_codes, int_cards, counts):
+            want, want_card = _reference_codes(row, binning)
+            assert got.tolist() == want.tolist() and card == want_card, (ints.dtype, row)
+            # a row is sorted only when counting cannot rank it or it is binned
+            binned = binning.strategy != "none" and np.unique(row).size > binning.max_raw_categories
+            assert (row.tolist() in sorted_rows) == (not count or binned), (ints.dtype, row)
 
 
 def test_canonicalize_rejects_bad_input():
@@ -392,6 +451,27 @@ def test_canonicalize_rejects_bad_input():
         canonicalize(np.zeros(3))
     codes, cards = canonicalize(np.zeros((2, 0)))
     assert codes.shape == (2, 0) and cards.tolist() == [0, 0]
+
+
+def test_canonicalize_refuses_complex_values():
+    # reading them as float64 would drop the imaginary parts and merge
+    # 1+2j with 1+5j
+    for values in (np.array([[1 + 2j, 1 + 5j, 3]]), np.zeros((2, 3), dtype=np.complex64)):
+        with pytest.raises(ValueError, match="complex"):
+            canonicalize(values, RAW_CODES)
+    with pytest.raises(ValueError, match="complex"):
+        dataset_from_matrices(np.array([[1 + 2j, 1 + 5j, 3]]), [[0, 1, 1]])
+
+
+def test_dataset_from_matrices_uses_given_names():
+    data = dataset_from_matrices([[0, 1, 1], [1, 0, 0]], [[0, 1, 1]], feature_names=np.array(["a", "b"]))
+    assert data.feature_names == ("a", "b") and data.label_names == ("y0",)
+    data = dataset_from_matrices([[0, 1, 1]], [[0, 1, 1]], label_names=("lab",))
+    assert data.feature_names == ("f0",) and data.label_names == ("lab",)
+    with pytest.raises(ValidationError, match="feature name count mismatch"):
+        dataset_from_matrices([[0, 1, 1]], [[0, 1, 1]], feature_names=[])
+    with pytest.raises(ValidationError, match="label name count mismatch"):
+        dataset_from_matrices([[0, 1, 1]], [[0, 1, 1]], label_names=[])
 
 
 def test_dataset_matrices_are_read_only():

@@ -422,7 +422,7 @@ def test_reduction_matches_cell_by_cell_loop_bitwise(n):
             assert info._reduce(np.ascontiguousarray(counts.T, dtype=np.intp).T, n).tobytes() == expected
     # a matrix wider than one block, whose last block holds a single column
     for cells in (1, 16, 64):
-        columns = info.BLOCK_CELLS // cells + 1
+        columns = info.KERNEL_BLOCK_CELLS // cells + 1
         counts = _columns_adding_to(n, cells, columns, rng)
         found = info._reduce(counts.astype(np.min_scalar_type(n)), n)
         assert found.tobytes() == _reduce_cell_by_cell(counts, n).tobytes(), (cells, columns)
